@@ -13,10 +13,9 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, TYPE_CHECKING
+from typing import Iterable, Sequence
 
-if TYPE_CHECKING:
-    from ragmeter.providers import GenerationParams, TextGenerator
+from ragmeter.providers import GenerationParams, TextGenerator, all_in_process
 
 
 class QrelsFormatError(ValueError):
@@ -348,13 +347,16 @@ def generate_synthetic(
     that lack a parseable Passage or Question section are skipped and
     reported in the result. A generator failure aborts the run with
     :class:`SyntheticGenerationError` naming the completed count.
+    `parallelism` bounds concurrent generator calls; an in-process
+    generator always runs on the calling thread, so cycling scripted
+    responses arrive in request order.
     """
     transcripts: list[str | None] = [None] * spec.count
 
     def run_one(index: int) -> str:
         return generator.complete(spec.prompt_template, params)
 
-    if parallelism > 1:
+    if parallelism > 1 and not all_in_process(generator):
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             futures = [pool.submit(run_one, i) for i in range(spec.count)]
             failure: BaseException | None = None

@@ -32,7 +32,7 @@ from ragmeter.judge import (
     recall_source_text,
     segment_sentences,
 )
-from ragmeter.providers import Embedder, GenerationParams, ProviderBundle
+from ragmeter.providers import Embedder, GenerationParams, ProviderBundle, all_in_process
 
 METRICS = ("faithfulness", "answer_relevance", "retrieval_recall", "retrieval_precision")
 
@@ -131,8 +131,8 @@ def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> 
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
+    nu = math.sqrt(u.dot(u))
+    nv = math.sqrt(v.dot(v))
     if nu == 0.0 or nv == 0.0:
         return 0.0
     if np.array_equal(u, v):
@@ -331,7 +331,11 @@ def evaluate_set(
 ) -> SetEvaluation:
     """Evaluate every record with bounded parallelism and report set means.
 
-    Means are taken per metric over records whose metric succeeded.
+    `parallelism` bounds concurrent provider calls. Records run on the
+    calling thread when every provider in the bundle is in process (see
+    :func:`~ragmeter.providers.all_in_process`), since threads would only
+    contend for the interpreter. Means are taken per metric over records
+    whose metric succeeded.
     Raises :class:`SetEvaluationError` for an empty set or when every
     record failed outright.
     """
@@ -351,7 +355,9 @@ def evaluate_set(
         except Exception as exc:
             return _all_failed_vector(record, exc)
 
-    if parallelism > 1:
+    if parallelism > 1 and not all_in_process(
+        providers.generator, providers.embedder, providers.scorer
+    ):
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             vectors = tuple(pool.map(run_one, record_set.records))
     else:

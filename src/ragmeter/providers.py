@@ -100,6 +100,19 @@ class ProviderBundle:
     scorer: PairScorer | None = None
 
 
+def all_in_process(*providers: object) -> bool:
+    """Whether every given provider computes in process instead of waiting on I/O.
+
+    A provider declares this with a class attribute `in_process = True`.
+    Threads only overlap waiting, so callers run in-process providers on the
+    calling thread and keep a pool for the rest. The attribute is read from
+    the class: a wrapper that forwards attributes to a provider it holds may
+    add waiting of its own, so it keeps the pool unless it declares itself.
+    `None` entries (an absent optional provider) are ignored.
+    """
+    return all(getattr(type(p), "in_process", False) for p in providers if p is not None)
+
+
 class ScriptedGenerator:
     """Test double returning canned transcripts keyed by prompt substrings.
 
@@ -112,6 +125,7 @@ class ScriptedGenerator:
     """
 
     identifier = "stub:scripted"
+    in_process = True
 
     def __init__(
         self,
@@ -161,6 +175,8 @@ class HashEmbedder:
     all-zeros vector, whose cosine against anything is defined as 0.
     """
 
+    in_process = True
+
     def __init__(
         self,
         dimension: int,
@@ -177,16 +193,29 @@ class HashEmbedder:
         self.dimension = dimension
         self._channels = channels
         self._boost = keyword_boost
+        # token -> hashed axis; racing threads can only store the same value
+        self._axes: dict[str, int] = {}
         self.identifier = f"stub:hash-{dimension}"
 
     def embed(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dimension)
+        # bincount adds the weights in list order, so the sums are those of
+        # adding each token's unit and boost one after another
+        axes: list[int] = []
+        weights: list[float] = []
         for token in _TOKEN_RE.findall(text.lower()):
-            vec[_token_axis(token, self.dimension)] += 1.0
-            axis = self._channels.get(token)
-            if axis is not None:
-                vec[axis] += self._boost
-        norm = float(np.linalg.norm(vec))
+            axis = self._axes.get(token)
+            if axis is None:
+                axis = self._axes[token] = _token_axis(token, self.dimension)
+            axes.append(axis)
+            weights.append(1.0)
+            channel = self._channels.get(token)
+            if channel is not None:
+                axes.append(channel)
+                weights.append(self._boost)
+        if not axes:
+            return np.zeros(self.dimension)
+        vec = np.bincount(axes, weights, minlength=self.dimension)
+        norm = math.sqrt(vec.dot(vec))
         if norm > 0.0:
             vec /= norm
         return vec
@@ -210,6 +239,7 @@ class LinearPairScorer:
     """
 
     identifier = "stub:linear"
+    in_process = True
 
     def __init__(self, weights: Sequence[float], bias: float = 0.0):
         if len(weights) != 4:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import re
+
 import numpy as np
 
 from ragmeter.corpus import EvalRecord
@@ -27,6 +30,42 @@ class DictEmbedder:
     def embed(self, text: str) -> np.ndarray:
         vec = self._mapping.get(text)
         return np.zeros(self.dimension) if vec is None else vec
+
+
+def reference_token_axis(token: str, dimension: int) -> int:
+    digest = hashlib.sha256(token.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") % dimension
+
+
+def reference_embed(
+    text: str, dimension: int, keyword_channels: dict[str, int] | None = None, keyword_boost: float = 4.0
+) -> np.ndarray:
+    """Loop reference for `HashEmbedder.embed`: one sha256 and one in-place add per token."""
+    vec = np.zeros(dimension)
+    for token in re.findall(r"[a-z0-9]+", text.lower()):
+        vec[reference_token_axis(token, dimension)] += 1.0
+        axis = (keyword_channels or {}).get(token)
+        if axis is not None:
+            vec[axis] += keyword_boost
+    norm = float(np.linalg.norm(vec))
+    if norm > 0.0:
+        vec /= norm
+    return vec
+
+
+def reference_cosine(u, v) -> float:
+    """Norm-based reference for `metrics.cosine`."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if u.shape != v.shape:
+        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    if np.array_equal(u, v):
+        return 1.0
+    return min(1.0, max(-1.0, float(np.dot(u, v) / (nu * nv))))
 
 
 def faithfulness_transcript(verdicts: list[bool]) -> str:

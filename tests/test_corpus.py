@@ -1,5 +1,7 @@
 """Tests for qrels parsing, record files, and the synthetic harness."""
 
+import threading
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -265,13 +267,37 @@ def test_generate_synthetic_generator_failure_reports_completed():
 
 
 def test_generate_synthetic_parallel():
-    generator = ScriptedGenerator(
-        {"Generate a passage": "Passage:\nShared passage text.\n\nQuestion:\nShared question?"}
+    threads = set()
+
+    class RecordingGenerator(ScriptedGenerator):
+        def complete(self, prompt, params=None):
+            threads.add(threading.get_ident())
+            return super().complete(prompt, params)
+
+    # cycling responses arrive in request order only when calls are serial
+    generator = RecordingGenerator(
+        {"Generate a passage": [f"Passage:\nPassage {i}.\n\nQuestion:\nQuestion {i}?" for i in range(6)]}
     )
     spec = SyntheticSpec(topic_label="par", prompt_template=SYNTH_TEMPLATE, count=6)
     result = generate_synthetic(spec, generator, parallelism=3)
     assert len(result.records) == 6
     assert [r.id for r in result.records] == [f"par-{i:04d}" for i in range(1, 7)]
+    assert [r.query for r in result.records] == [f"Question {i}?" for i in range(6)]
+    assert threads == {threading.get_ident()}
+
+
+def test_generate_synthetic_pools_other_generators():
+    threads = set()
+
+    class RemoteGenerator:
+        def complete(self, prompt, params=None):
+            threads.add(threading.get_ident())
+            return "Passage:\nShared passage text.\n\nQuestion:\nShared question?"
+
+    spec = SyntheticSpec(topic_label="par", prompt_template=SYNTH_TEMPLATE, count=6)
+    result = generate_synthetic(spec, RemoteGenerator(), parallelism=3)
+    assert [r.id for r in result.records] == [f"par-{i:04d}" for i in range(1, 7)]
+    assert threads and threading.get_ident() not in threads
 
 
 def test_generate_synthetic_question_first_transcript():

@@ -1,7 +1,10 @@
 """Tests for per-record scoring and set evaluation."""
 
+import json
 import math
+import threading
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,6 +14,7 @@ from helpers import (
     TIDES_CONTEXT,
     TIDES_QUESTION,
     precision_transcript,
+    reference_cosine,
     scripts_for_record,
 )
 from ragmeter.corpus import EvalRecord, RecordSet
@@ -34,7 +38,14 @@ from ragmeter.metrics import (
     precision_score,
     recall_score,
 )
-from ragmeter.providers import HashEmbedder, ProviderBundle, ScriptedGenerator
+from ragmeter.providers import (
+    EndpointConfig,
+    HashEmbedder,
+    HttpEmbedder,
+    HttpGenerator,
+    ProviderBundle,
+    ScriptedGenerator,
+)
 
 
 def verdicts(*flags):
@@ -76,9 +87,35 @@ class TestCosine:
     def test_zero_vector(self):
         assert cosine([0.0, 0.0], [1.0, 1.0]) == 0.0
 
+    def test_opposed(self):
+        assert cosine([1.0, 2.0, 3.0], [-1.0, -2.0, -3.0]) == pytest.approx(-1.0, abs=1e-12)
+        assert cosine([1.0, 2.0, 3.0], [-1.0, -2.0, -3.0]) >= -1.0
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             cosine([1.0], [1.0, 2.0])
+
+    @given(st.data())
+    def test_matches_norm_reference_bit_for_bit(self, data):
+        size = data.draw(st.integers(1, 8), label="size")
+        element = st.one_of(st.just(0.0), st.floats(-1e6, 1e6, allow_nan=False))
+        vector = st.lists(element, min_size=size, max_size=size)
+        u = data.draw(vector, label="u")
+        relation = data.draw(st.sampled_from(["free", "equal", "opposed", "scaled", "zero"]))
+        if relation == "free":
+            v = data.draw(vector, label="v")
+        elif relation == "equal":
+            v = list(u)
+        elif relation == "opposed":
+            v = [-x for x in u]
+        elif relation == "scaled":
+            v = [x * data.draw(st.floats(0.5, 4.0), label="scale") for x in u]
+        else:
+            v = [0.0] * size
+        expected = reference_cosine(u, v)
+        assert cosine(u, v) == expected
+        assert cosine(np.asarray(u), np.asarray(v)) == expected
+        assert -1.0 <= expected <= 1.0
 
 
 class TestPrecisionScore:
@@ -261,14 +298,32 @@ class TestEvaluateRecord:
             evaluate_record(record, full_providers())
 
 
-def two_record_set():
+def two_record_set(generator_type=ScriptedGenerator, embedder_type=HashEmbedder):
     r1 = EvalRecord(id="a", query="First query?", answer="Alpha one. Alpha two. Alpha three. Alpha four. Alpha five.")
     r2 = EvalRecord(id="b", query="Second query?", answer="Beta one. Beta two. Beta three. Beta four. Beta five.")
     scripts = {}
     scripts.update(scripts_for_record(r1, faith=[True, True, False, False, False], questions=["First query?"]))
     scripts.update(scripts_for_record(r2, faith=[True, True, True, False, False], questions=["Second query?"]))
-    providers = ProviderBundle(ScriptedGenerator(scripts), HashEmbedder(64))
+    providers = ProviderBundle(generator_type(scripts), embedder_type(64))
     return RecordSet(label="pair", records=(r1, r2)), providers
+
+
+def http_bundle(backend: ProviderBundle, threads: set) -> ProviderBundle:
+    """HTTP adapters over an in-memory transport that answers from `backend`."""
+
+    def transport(url, payload, headers, timeout):
+        threads.add(threading.get_ident())
+        request = json.loads(payload)
+        if url.endswith("/embed"):
+            body = {"embedding": backend.embedder.embed(request["input"]).tolist()}
+        else:
+            body = {"completion": backend.generator.complete(request["prompt"])}
+        return 200, json.dumps(body).encode("utf-8")
+
+    return ProviderBundle(
+        HttpGenerator(EndpointConfig(url="http://backend.test/generate"), transport=transport),
+        HttpEmbedder(EndpointConfig(url="http://backend.test/embed"), transport=transport),
+    )
 
 
 class TestEvaluateSet:
@@ -310,6 +365,39 @@ class TestEvaluateSet:
         parallel = evaluate_set(record_set, providers_parallel, parallelism=4)
         assert [v.scores() for v in serial.vectors] == [v.scores() for v in parallel.vectors]
         assert serial.means == parallel.means
+
+    def test_in_process_bundle_runs_on_calling_thread(self):
+        threads = set()
+
+        class RecordingGenerator(ScriptedGenerator):
+            def complete(self, prompt, params=None):
+                threads.add(threading.get_ident())
+                return super().complete(prompt, params)
+
+        class RecordingEmbedder(HashEmbedder):
+            def embed(self, text):
+                threads.add(threading.get_ident())
+                return super().embed(text)
+
+        record_set, providers = two_record_set(RecordingGenerator, RecordingEmbedder)
+        evaluation = evaluate_set(record_set, providers, parallelism=4)
+        assert evaluation.failure_counts["faithfulness"] == 0
+        assert threads == {threading.get_ident()}
+
+    def test_http_parallel_matches_serial(self):
+        record_set, backend_serial = two_record_set()
+        _, backend_parallel = two_record_set()
+        serial_threads, parallel_threads = set(), set()
+        serial = evaluate_set(record_set, http_bundle(backend_serial, serial_threads), parallelism=1)
+        parallel = evaluate_set(
+            record_set, http_bundle(backend_parallel, parallel_threads), parallelism=4
+        )
+        assert serial_threads == {threading.get_ident()}
+        assert parallel_threads and threading.get_ident() not in parallel_threads
+        assert [v.scores() for v in serial.vectors] == [v.scores() for v in parallel.vectors]
+        assert serial.means == parallel.means
+        stub = evaluate_set(record_set, two_record_set()[1])
+        assert [v.scores() for v in serial.vectors] == [v.scores() for v in stub.vectors]
 
 
 @given(st.lists(st.booleans(), min_size=1, max_size=20), st.lists(st.booleans(), min_size=1, max_size=20))

@@ -4,7 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from helpers import reference_embed, reference_token_axis
 from ragmeter.metrics import cosine
 from ragmeter.providers import (
     EndpointConfig,
@@ -22,6 +25,7 @@ from ragmeter.providers import (
     RetryPolicy,
     ScriptMissError,
     ScriptedGenerator,
+    all_in_process,
 )
 
 
@@ -113,6 +117,70 @@ class TestHashEmbedder:
         embedder = HashEmbedder(32)
         value = cosine(embedder.embed("one two three"), embedder.embed("three four five"))
         assert -1.0 <= value <= 1.0
+
+    @given(st.data())
+    def test_matches_loop_reference_bit_for_bit(self, data):
+        # small dimensions make hashed axes collide with each other and with
+        # keyword channels; non-integer boosts make the order of the sums matter
+        vocab = ["cloud", "sales", "river", "stone", "x", "9"]
+        dimension = data.draw(st.integers(1, 12), label="dimension")
+        channels = {}
+        for keyword in data.draw(st.lists(st.sampled_from(vocab), unique=True), label="keywords"):
+            channels[keyword] = data.draw(
+                st.one_of(
+                    st.just(reference_token_axis(keyword, dimension)),
+                    st.integers(0, dimension - 1),
+                ),
+                label=f"axis of {keyword}",
+            )
+        boost = data.draw(
+            st.one_of(
+                st.sampled_from([4.0, 0.1, 1 / 3, -1.0]),
+                st.floats(-100.0, 100.0, allow_nan=False),
+            ),
+            label="boost",
+        )
+        words = st.one_of(st.sampled_from(vocab), st.text(max_size=6))
+        texts = data.draw(
+            st.lists(st.one_of(st.text(), st.lists(words, max_size=12).map(" ".join)), max_size=5),
+            label="texts",
+        )
+        embedder = HashEmbedder(dimension, channels, keyword_boost=boost)
+        # repeated texts and tokens go through the memoised axes
+        for text in texts + texts:
+            vec = embedder.embed(text)
+            expected = reference_embed(text, dimension, channels, boost)
+            assert vec.dtype == expected.dtype and vec.shape == expected.shape
+            assert np.array_equal(vec, expected)
+
+    @pytest.mark.parametrize("boost", [0.1, 1 / 3, 0.7, 2.2])
+    def test_boosts_sum_in_token_order(self, boost):
+        # unit, boost, unit, boost, ... rounds differently from all units first
+        channels = {"cloud": reference_token_axis("cloud", 2)}
+        other = next(t for t in ("bay", "tide", "x") if reference_token_axis(t, 2) != channels["cloud"])
+        text = "cloud " * 6 + other
+        vec = HashEmbedder(2, channels, keyword_boost=boost).embed(text)
+        assert np.array_equal(vec, reference_embed(text, 2, channels, boost))
+
+
+class TestInProcess:
+    class Forwarding:
+        def __init__(self, inner):
+            self._inner = inner
+
+        def __getattr__(self, name):
+            return getattr(self._inner, name)
+
+    def test_stubs_are_in_process(self):
+        assert all_in_process(ScriptedGenerator({}), HashEmbedder(8), LinearPairScorer([1, 1, 1, 1]))
+        assert all_in_process(ScriptedGenerator({}), HashEmbedder(8), None)
+
+    def test_http_wrappers_and_unmarked_providers_are_not(self):
+        embedder = HashEmbedder(8)
+        config = EndpointConfig(url="http://backend.test/embed")
+        assert not all_in_process(ScriptedGenerator({}), HttpEmbedder(config))
+        assert not all_in_process(ScriptedGenerator({}), self.Forwarding(embedder))
+        assert not all_in_process(embedder, object())
 
 
 CANDIDATE = (
