@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from ragmeter.corpus import EvalRecord
-from ragmeter.judge import load_template
+from ragmeter.judge import load_template, render
 from ragmeter.metrics import METRICS, MetricVector
 from ragmeter.providers import PairScorer
 
@@ -86,10 +86,7 @@ def enhance_answer(
     if contexts_included:
         paragraphs.append(context_block)
     paragraphs += [relevance, precision, recall, faithfulness]
-    rendered = "\n\n".join(paragraphs)
-    for key, value in slots.items():
-        rendered = rendered.replace("{" + key + "}", value)
-    return EnhancedAnswer(record.answer, rendered, scores)
+    return EnhancedAnswer(record.answer, render("\n\n".join(paragraphs), slots), scores)
 
 
 def aggregate(record: EvalRecord, enhanced: EnhancedAnswer, scorer: PairScorer) -> AggregateScore:

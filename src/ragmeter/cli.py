@@ -278,11 +278,6 @@ def _write_manifest(out_dir: Path, command: str, config: RunConfig, providers: P
     _write_json(out_dir / f"{command}.manifest.json", manifest)
 
 
-def _format_table(rows: list[list[str]]) -> str:
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    return "\n".join("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)) for row in rows) + "\n"
-
-
 def _fmt_value(value: float | None) -> str:
     return "-" if value is None else f"{value:.4f}"
 
@@ -325,7 +320,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         rows.append([vector.record_id] + [_fmt_value(vector.result(m).value) for m in METRICS])
     rows.append(["mean"] + [_fmt_value(evaluation.means[m]) for m in METRICS])
     rows.append(["failures"] + [str(evaluation.failure_counts[m]) for m in METRICS])
-    _atomic_write(out_dir / "metrics.txt", f"set: {evaluation.label}\n" + _format_table(rows))
+    _atomic_write(out_dir / "metrics.txt", f"set: {evaluation.label}\n" + topicality.format_table(rows))
     _write_manifest(
         out_dir, "evaluate", config, providers, [str(args.records)],
         ["metrics.json", "metrics.txt"],
@@ -389,7 +384,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     rows = [["rank", "id", "logit", "normalized"]]
     for position, (record_id, score) in enumerate(ranked, start=1):
         rows.append([str(position), record_id, f"{score.logit:.4f}", f"{score.normalized:.6f}"])
-    _atomic_write(out_dir / "aggregate.txt", _format_table(rows))
+    _atomic_write(out_dir / "aggregate.txt", topicality.format_table(rows))
     _write_manifest(
         out_dir, "aggregate", config, providers, [str(args.metrics_report)],
         ["aggregate.json", "aggregate.txt"],
@@ -519,9 +514,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         )
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid synthetic spec {args.spec}: {exc}") from None
-    # sequential generation keeps cycling scripted stubs byte-reproducible;
-    # the library's parallel path remains available to callers who opt in
-    result = generate_synthetic(spec, providers.generator, params=config.generation)
+    result = generate_synthetic(
+        spec, providers.generator, params=config.generation, parallelism=config.parallelism
+    )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_record_set(result.records, out_dir / "synthetic.jsonl")
@@ -579,29 +574,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code of the first row whose types match; other errors exit EXIT_CONFIG.
+_EXIT_CODES = (
+    ((ConfigError, RecordFileError), EXIT_CONFIG),
+    (EmptyInputError, EXIT_EMPTY_INPUT),
+    (aggregation.MissingMetricError, EXIT_MISSING_METRIC),
+    (StatsParameterError, EXIT_BAD_STATS),
+    ((ProviderError, aggregation.AggregationError, SyntheticGenerationError), EXIT_PROVIDER),
+)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, RecordFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except EmptyInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY_INPUT
-    except aggregation.MissingMetricError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING_METRIC
-    except StatsParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_STATS
-    except (ProviderError, aggregation.AggregationError, SyntheticGenerationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROVIDER
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return next((code for types, code in _EXIT_CODES if isinstance(exc, types)), EXIT_CONFIG)
 
 
 if __name__ == "__main__":

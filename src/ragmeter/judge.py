@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from ragmeter.corpus import EvalRecord
 
@@ -110,11 +110,17 @@ def load_template(name: str) -> str:
     return (resources.files("ragmeter") / "assets" / name).read_text(encoding="utf-8")
 
 
-def _render(template: str, slots: dict[str, str]) -> str:
-    out = template
-    for key, value in slots.items():
-        out = out.replace("{" + key + "}", value)
-    return out
+_SLOT_RE = re.compile(r"\{(\w+)\}")
+
+
+def render(template: str, slots: Mapping[str, str]) -> str:
+    """Fill each `{name}` slot of the template in one pass.
+
+    Values are inserted verbatim and never rescanned, so text that itself
+    contains `{name}` tokens cannot reach another slot. Names without a slot
+    value stay as written.
+    """
+    return _SLOT_RE.sub(lambda m: slots.get(m.group(1), m.group(0)), template)
 
 
 def _join_contexts(record: EvalRecord, prompt_name: str) -> str:
@@ -163,7 +169,7 @@ def build_faithfulness_prompt(record: EvalRecord, statements: Sequence[str]) -> 
     if not statements:
         raise ValueError("statements must be non-empty")
     numbered = "\n".join(f"{i}. {s}" for i, s in enumerate(statements, start=1))
-    return _render(
+    return render(
         load_template("faithfulness_prompt.txt"),
         {"context": _join_contexts(record, "faithfulness"), "statements": numbered},
     )
@@ -225,7 +231,7 @@ def recall_source_text(record: EvalRecord, source: str = "auto") -> str:
 
 def build_recall_prompt(record: EvalRecord, source: str = "auto") -> str:
     """Render the recall-classification prompt for the chosen sentence source."""
-    return _render(
+    return render(
         load_template("recall_prompt.txt"),
         {
             "context": _join_contexts(record, "recall"),
@@ -268,7 +274,7 @@ def parse_recall_classification(
 
 def build_precision_prompt(record: EvalRecord) -> str:
     """Render the sentence-extraction prompt for retrieval precision."""
-    return _render(
+    return render(
         load_template("precision_prompt.txt"),
         {"question": record.query, "context": _join_contexts(record, "precision")},
     )
@@ -306,7 +312,7 @@ def build_question_gen_prompt(answer: str) -> str:
     """Render the question-generation prompt for answer relevance."""
     if not answer.strip():
         raise ValueError("answer must be non-empty")
-    return _render(load_template("question_gen_prompt.txt"), {"answer": answer})
+    return render(load_template("question_gen_prompt.txt"), {"answer": answer})
 
 
 _QUESTION_MARKER_RE = re.compile(r"question\s*:", re.IGNORECASE)

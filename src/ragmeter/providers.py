@@ -249,22 +249,24 @@ class LinearPairScorer:
 
     def score(self, query: str, candidate: str) -> float:
         logit = self.bias
-        for weight, (metric, pattern) in zip(self.weights, _SCORE_STATEMENT_PATTERNS):
-            match = pattern.search(candidate)
-            if match is None:
-                raise MissingScoreStatementError(metric)
-            logit += weight * float(match.group(1))
+        for weight, value in zip(self.weights, self.extract_scores(candidate).values()):
+            logit += weight * value
         return logit
 
     @staticmethod
     def extract_scores(candidate: str) -> dict[str, float]:
-        """The four statement scores present in an enhanced answer."""
+        """The four statement scores of an enhanced answer, in statement order.
+
+        Each statement is read from its last occurrence: the statements are
+        appended after the answer and the contexts, so a look-alike quoted in
+        either never stands in for a score.
+        """
         scores: dict[str, float] = {}
         for metric, pattern in _SCORE_STATEMENT_PATTERNS:
-            match = pattern.search(candidate)
-            if match is None:
+            found = pattern.findall(candidate)
+            if not found:
                 raise MissingScoreStatementError(metric)
-            scores[metric] = float(match.group(1))
+            scores[metric] = float(found[-1])
         return scores
 
 

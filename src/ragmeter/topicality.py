@@ -31,6 +31,12 @@ DEFAULT_MIN_EFFECT = 0.1
 NON_DISCRIMINATIVE_NOTE = "non-discriminative expected"
 
 
+def format_table(rows: list[list[str]]) -> str:
+    """Rows as left-aligned columns two spaces apart, one line each."""
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    return "\n".join("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)) for row in rows) + "\n"
+
+
 class TopicalityError(RuntimeError):
     """A query set could not be evaluated or summarized."""
 
@@ -127,8 +133,7 @@ class TopicalityReport:
 
     def render_table(self) -> str:
         """Aligned text: one m±e cell per set and metric, then verdicts."""
-        header = ["query_set"] + list(METRICS)
-        rows = [header]
+        rows = [["query_set"] + list(METRICS)]
         for result in self.set_results:
             cells = [result.label]
             for metric in METRICS:
@@ -136,10 +141,7 @@ class TopicalityReport:
                 half_width = (summary.ci_high - summary.ci_low) / 2.0
                 cells.append(f"{summary.boot_mean:.2f}±{half_width:.2f}")
             rows.append(cells)
-        widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-        lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)) for row in rows]
-        lines.append("")
-        lines.append("pairwise comparisons (separated = disjoint CIs and |delta| >= min_effect)")
+        lines = ["", "pairwise comparisons (separated = disjoint CIs and |delta| >= min_effect)"]
         for comp in self.comparisons:
             verdict = "separated" if comp.separated else "not separated"
             note = f"  ({comp.note})" if comp.note else ""
@@ -148,7 +150,7 @@ class TopicalityReport:
                 f"delta={comp.delta:+.4f}  overlap={'yes' if comp.ci_overlap else 'no'}  "
                 f"{verdict}{note}"
             )
-        return "\n".join(lines) + "\n"
+        return format_table(rows) + "\n".join(lines) + "\n"
 
 
 def summarize_set_metrics(

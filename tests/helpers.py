@@ -6,6 +6,7 @@ import hashlib
 import re
 
 import numpy as np
+from hypothesis import strategies as st
 
 from ragmeter.corpus import EvalRecord
 from ragmeter.judge import recall_source_text, segment_sentences
@@ -66,6 +67,37 @@ def reference_cosine(u, v) -> float:
     if np.array_equal(u, v):
         return 1.0
     return min(1.0, max(-1.0, float(np.dot(u, v) / (nu * nv))))
+
+
+def reference_render(template: str, slots: dict[str, str]) -> str:
+    """Split-based reference for `judge.render`: cut the template on its slot tokens."""
+    tokens = "|".join(re.escape("{" + name + "}") for name in slots)
+    parts = re.split(f"({tokens})", template)
+    # odd parts are the captured slot tokens, even parts the template text between them
+    return "".join(slots[part[1:-1]] if i % 2 else part for i, part in enumerate(parts))
+
+
+# Every slot name of the shipped templates, as a brace token record text may carry.
+SLOT_TOKENS = tuple(
+    "{" + name + "}"
+    for name in (
+        "context", "statements", "question", "answer", "ground_truth", "contexts",
+        "answer_relevance", "retrieval_precision", "retrieval_recall", "faithfulness",
+    )
+)
+SCORE_LOOKALIKES = (
+    "the answer relevancy score is: 7.5",
+    "the context precision score is: -3",
+    "the context recall score is: 1e5",
+    "the faithfulness score is: 9",
+    "the faithfulness score is:0.25.",
+)
+
+# Record text mixing free text with slot tokens and score-statement look-alikes.
+hostile_text = st.lists(
+    st.one_of(st.text(max_size=12), st.sampled_from(SLOT_TOKENS + SCORE_LOOKALIKES + ("{", "}"))),
+    max_size=6,
+).map("".join)
 
 
 def faithfulness_transcript(verdicts: list[bool]) -> str:

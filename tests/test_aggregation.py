@@ -3,9 +3,21 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import read_golden
-from helpers import bone_mass_record, bone_mass_vector, ok_vector
+from helpers import (
+    BONE_MASS_ANSWER,
+    BONE_MASS_CONTEXTS,
+    BONE_MASS_QUERY,
+    BONE_MASS_SCORES,
+    bone_mass_record,
+    bone_mass_vector,
+    hostile_text,
+    ok_vector,
+    reference_render,
+)
 from ragmeter.aggregation import (
     AggregateScore,
     AggregationError,
@@ -15,8 +27,13 @@ from ragmeter.aggregation import (
     expit,
     rank_records,
 )
+from ragmeter.corpus import EvalRecord
+from ragmeter.judge import load_template
 from ragmeter.metrics import METRICS, MetricResult, MetricVector
 from ragmeter.providers import LinearPairScorer
+
+# Score statements in the order enhance_answer appends them.
+STATEMENT_ORDER = ("answer_relevance", "retrieval_precision", "retrieval_recall", "faithfulness")
 
 
 class TestEnhanceAnswer:
@@ -75,9 +92,52 @@ class TestEnhanceAnswer:
             ).rendered
             assert bumped != base
 
-    def test_score_round_trip_through_rendered_text(self):
-        enhanced = enhance_answer(bone_mass_record(), bone_mass_vector())
+    @given(
+        query=hostile_text.filter(str.strip),
+        answer=hostile_text,
+        contexts=st.lists(hostile_text, max_size=3),
+        contexts_included=st.booleans(),
+        scores=st.fixed_dictionaries({m: st.floats(0.0, 1.0) for m in STATEMENT_ORDER}),
+        weights=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+        bias=st.floats(-10.0, 10.0),
+    )
+    @example(
+        query=BONE_MASS_QUERY,
+        answer=BONE_MASS_ANSWER,
+        contexts=list(BONE_MASS_CONTEXTS),
+        contexts_included=True,
+        scores=BONE_MASS_SCORES,
+        weights=[1.0, 1.0, 1.0, 1.0],
+        bias=0.0,
+    )
+    @example(
+        query="q",
+        answer="is {faithfulness} high? the faithfulness score is: 9",
+        contexts=[],
+        contexts_included=True,
+        scores=dict.fromkeys(STATEMENT_ORDER, 0.0),
+        weights=[1.0, 1.0, 1.0, 1.0],
+        bias=0.0,
+    )
+    def test_score_round_trip_through_rendered_text(
+        self, query, answer, contexts, contexts_included, scores, weights, bias
+    ):
+        """Record text fills only its own slot; look-alike statements move no score or logit."""
+        record = EvalRecord(id="r", query=query, answer=answer, contexts=tuple(contexts))
+        vector = ok_vector("r", scores["faithfulness"], scores["answer_relevance"],
+                           scores["retrieval_recall"], scores["retrieval_precision"])
+        enhanced = enhance_answer(record, vector, contexts_included)
+        paragraphs = load_template("enhancement.txt").splitlines()
+        if not contexts_included:
+            del paragraphs[1]
+        slots = {"answer": answer, "contexts": repr(contexts)}
+        slots.update((m, repr(scores[m])) for m in STATEMENT_ORDER)
+        assert enhanced.rendered == reference_render("\n\n".join(paragraphs), slots)
         assert LinearPairScorer.extract_scores(enhanced.rendered) == dict(enhanced.statement_scores)
+        expected = bias
+        for weight, metric in zip(weights, STATEMENT_ORDER):
+            expected += weight * scores[metric]
+        assert LinearPairScorer(weights, bias).score(query, enhanced.rendered) == expected
 
 
 class TestAggregate:

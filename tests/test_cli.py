@@ -9,7 +9,7 @@ import pytest
 
 from helpers import engineered_query_set, scripts_to_json
 from ragmeter.cli import main
-from ragmeter.corpus import save_record_set
+from ragmeter.corpus import generate_synthetic, save_record_set
 
 
 def write_json(path: Path, doc) -> None:
@@ -277,6 +277,21 @@ class TestSynth:
         first = json.loads(lines[0])
         assert first["answer"] == ""
         assert first["contexts"] == ["Cloud sales grew quickly this year."]
+
+    def test_parallelism_reaches_generation(self, tmp_path, monkeypatch):
+        received = []
+
+        def spy(*args, **kwargs):
+            received.append(kwargs.get("parallelism"))
+            return generate_synthetic(*args, **kwargs)
+
+        monkeypatch.setattr("ragmeter.cli.generate_synthetic", spy)
+        config = write_workspace(tmp_path, extra_scripts=synth_scripts())
+        spec_path = tmp_path / "spec.json"
+        write_json(spec_path, {"topic_label": "cloud", "prompt_template": SYNTH_TEMPLATE, "count": 3})
+        args = ["synth", "--config", config, "--out", tmp_path / "o", "--parallelism", "3", spec_path]
+        assert run(args) == 0
+        assert received == [3]
 
     def test_strict_unmatched_exits_3(self, tmp_path):
         config = write_workspace(tmp_path)  # no synth scripts

@@ -1,7 +1,7 @@
 """Tests for prompt construction and transcript parsing."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import read_golden
@@ -14,6 +14,8 @@ from helpers import (
     PSLV_QUESTION,
     TIDES_CONTEXT,
     TIDES_QUESTION,
+    hostile_text,
+    reference_render,
 )
 from ragmeter.corpus import EvalRecord
 from ragmeter.providers import ScriptedGenerator
@@ -29,11 +31,13 @@ from ragmeter.judge import (
     build_precision_prompt,
     build_question_gen_prompt,
     build_recall_prompt,
+    load_template,
     parse_faithfulness_verdicts,
     parse_generated_question,
     parse_precision_extraction,
     parse_recall_classification,
     recall_source_text,
+    render,
     segment_sentences,
 )
 
@@ -289,3 +293,49 @@ def test_parsers_total_over_error_type(text):
             parse(text)
         except TranscriptParseError:
             pass
+
+
+class TestRender:
+    def test_unknown_slot_stays_verbatim(self):
+        assert render("{a} and {b} and {}", {"a": "x"}) == "x and {b} and {}"
+
+    def test_value_is_never_rescanned(self):
+        assert render("{a}|{b}", {"a": "{b}", "b": "{a}"}) == "{b}|{a}"
+
+
+_nonblank_text = hostile_text.filter(str.strip)
+
+
+@given(
+    query=_nonblank_text,
+    answer=_nonblank_text,
+    contexts=st.lists(hostile_text, min_size=1, max_size=3),
+    ground_truth=st.one_of(st.none(), hostile_text),
+    statements=st.lists(hostile_text, min_size=1, max_size=3),
+)
+@example(
+    query="what is {context}?",
+    answer="a.",
+    contexts=["see {statements} here"],
+    ground_truth=None,
+    statements=["First claim."],
+)
+def test_record_text_fills_only_its_own_slot(query, answer, contexts, ground_truth, statements):
+    """Query, answer, context and ground truth reach each prompt verbatim, in their own slots only."""
+    record = EvalRecord(id="r", query=query, answer=answer, contexts=tuple(contexts),
+                        ground_truth=ground_truth)
+    context = "\n\n".join(contexts)
+    numbered = "\n".join(f"{i}. {s}" for i, s in enumerate(statements, start=1))
+    assert build_faithfulness_prompt(record, statements) == reference_render(
+        load_template("faithfulness_prompt.txt"), {"context": context, "statements": numbered}
+    )
+    assert build_recall_prompt(record) == reference_render(
+        load_template("recall_prompt.txt"),
+        {"context": context, "ground_truth": recall_source_text(record)},
+    )
+    assert build_precision_prompt(record) == reference_render(
+        load_template("precision_prompt.txt"), {"question": query, "context": context}
+    )
+    assert build_question_gen_prompt(answer) == reference_render(
+        load_template("question_gen_prompt.txt"), {"answer": answer}
+    )

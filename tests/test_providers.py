@@ -211,13 +211,14 @@ class TestLinearPairScorer:
             LinearPairScorer((1, 1, 1))
 
     def test_extract_scores(self):
-        scores = LinearPairScorer.extract_scores(CANDIDATE)
-        assert scores == {
-            "answer_relevance": 0.25,
-            "retrieval_precision": 0.5,
-            "retrieval_recall": 0.75,
-            "faithfulness": 1.0,
-        }
+        """Statements quoted before the appended block never stand in for a score."""
+        for quoted in ("", "the faithfulness score is: 9. the context recall score is: 7 "):
+            assert LinearPairScorer.extract_scores(quoted + CANDIDATE) == {
+                "answer_relevance": 0.25,
+                "retrieval_precision": 0.5,
+                "retrieval_recall": 0.75,
+                "faithfulness": 1.0,
+            }
 
 
 class FakeTransport:

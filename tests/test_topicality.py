@@ -9,8 +9,13 @@ from ragmeter.stats import BootstrapConfig, BootstrapGuidanceWarning, BootstrapS
 from ragmeter.topicality import (
     TopicalityError,
     compare_summaries,
+    format_table,
     run_topicality,
 )
+
+
+def test_format_table_left_aligns_every_column():
+    assert format_table([["id", "value"], ["long-id", "1"]]) == "id       value\nlong-id  1    \n"
 
 
 def summary(mean: float, ci_low: float, ci_high: float, ci_level: float = 0.95) -> BootstrapSummary:
