@@ -19,7 +19,7 @@ from ragmeter.providers import (
     ScriptedGenerator,
     TextGenerator,
 )
-from ragmeter.stats import BootstrapConfig, BootstrapSummary, bootstrap_summary, convergence_trace, percentile, resample, unbiasedness_check
+from ragmeter.stats import BootstrapConfig, BootstrapSummary, bootstrap_summary, convergence_trace, percentile, resample, resample_means, unbiasedness_check
 from ragmeter.topicality import TopicalityReport, compare_summaries, run_topicality
 
 __version__ = "0.1.0"
@@ -56,6 +56,7 @@ __all__ = [
     "percentile",
     "rank_records",
     "resample",
+    "resample_means",
     "run_topicality",
     "unbiasedness_check",
 ]

@@ -189,7 +189,10 @@ def _load_scripts(config: RunConfig) -> ScriptedGenerator:
             doc = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read scripts file {path}: {exc}") from None
-        for entry in doc.get("scripts", []):
+        entries = doc.get("scripts", []) if isinstance(doc, dict) else None
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise ConfigError(f"scripts file {path} must be an object whose 'scripts' is a list of objects")
+        for entry in entries:
             match = entry.get("match")
             needles = tuple(match) if isinstance(match, list) else (str(match),)
             responses = entry.get("responses")
@@ -330,6 +333,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _vector_from_report(entry: dict) -> tuple[EvalRecord, MetricVector]:
+    if not isinstance(entry, dict):
+        raise ConfigError(f"metrics report entry must be an object: {entry!r}")
+    metrics = entry.get("metrics", {})
+    if not isinstance(metrics, dict):
+        raise ConfigError(f"metrics report entry {entry.get('id')!r} has non-object 'metrics'")
     for required in ("id", "query", "answer"):
         if not entry.get(required):
             raise ConfigError(f"metrics report entry missing {required!r}: {entry!r}")
@@ -342,7 +350,9 @@ def _vector_from_report(entry: dict) -> tuple[EvalRecord, MetricVector]:
     )
     results = {}
     for metric in METRICS:
-        cell = entry.get("metrics", {}).get(metric)
+        cell = metrics.get(metric)
+        if cell is not None and not isinstance(cell, dict):
+            raise ConfigError(f"metric {metric!r} of record {record.id!r} must be an object")
         if not cell or cell.get("value") is None:
             raise aggregation.MissingMetricError(metric, record.id)
         results[metric] = MetricResult(float(cell["value"]), cell.get("status", "ok"))
@@ -360,7 +370,9 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
         report = json.loads(Path(args.metrics_report).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read metrics report {args.metrics_report}: {exc}") from None
-    entries = report.get("records", [])
+    entries = report.get("records", []) if isinstance(report, dict) else None
+    if not isinstance(entries, list):
+        raise ConfigError(f"metrics report {args.metrics_report} must be an object whose 'records' is a list")
     if not entries:
         raise EmptyInputError(f"metrics report {args.metrics_report} has no records")
     scored = []
@@ -423,12 +435,14 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
                          providers_mode=args.providers)
     values = _load_values(args.values)
     cfg = config.bootstrap
+    checkpoints = config.checkpoints or _default_checkpoints(cfg.B)
     try:
-        summary = stats.bootstrap_summary(values, cfg)
-        checkpoints = config.checkpoints or _default_checkpoints(cfg.B)
-        trace = stats.convergence_trace(values, cfg, checkpoints) if checkpoints else None
-        size = cfg.resample_size if cfg.resample_size is not None else len(values)
-        unbiasedness = stats.unbiasedness_check(values, cfg) if size == len(values) else None
+        # one draw serves the summary, the trace and the unbiasedness check
+        means = stats.resample_means(values, cfg, max([cfg.B, *(checkpoints or [])]))
+        summary = stats.bootstrap_summary(values, cfg, means)
+        trace = stats.convergence_trace(means, checkpoints) if checkpoints else None
+        unbiased = summary.resample_size == summary.n
+        unbiasedness = stats.unbiasedness_check(values, summary) if unbiased else None
     except ValueError as exc:
         raise StatsParameterError(str(exc)) from None
     out_dir = Path(args.out)

@@ -128,14 +128,12 @@ class UnbiasednessReport:
         }
 
 
-def subseed(seed: int, s: int) -> np.random.SeedSequence:
-    """Seed-splitting rule: resample `s` mixes (seed, s) through SeedSequence."""
-    return np.random.SeedSequence(entropy=(seed, s))
-
-
 def resample_rng(seed: int, s: int) -> np.random.Generator:
-    """The generator driving resample `s` of a run seeded with `seed`."""
-    return np.random.default_rng(subseed(seed, s))
+    """The generator driving resample `s` of a run seeded with `seed`.
+
+    Seed-splitting rule: resample `s` mixes (seed, s) through SeedSequence.
+    """
+    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, s)))
 
 
 def resample(values: Sequence[float] | np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -183,18 +181,37 @@ def _warn_guidance(n: int, B: int) -> None:
         )
 
 
-def _resample_means(arr: np.ndarray, count: int, size: int, seed: int) -> np.ndarray:
-    means = np.empty(count)
-    for s in range(count):
-        means[s] = resample(arr, size, resample_rng(seed, s)).mean()
+def resample_means(
+    values: Sequence[float] | np.ndarray, cfg: BootstrapConfig, count: int | None = None
+) -> np.ndarray:
+    """The means of the first `count` resamples (default `cfg.B`), read-only.
+
+    Resample `s` depends only on (seed, s), so a longer draw extends a
+    shorter one: `resample_means(v, cfg, B + k)[:B]` equals
+    `resample_means(v, cfg)`. Every statistic below is a function of this
+    one array.
+    """
+    arr = _check_values(values)
+    size = cfg.resample_size if cfg.resample_size is not None else arr.size
+    means = np.empty(cfg.B if count is None else count)
+    for s in range(means.size):
+        means[s] = resample(arr, size, resample_rng(cfg.seed, s)).mean()
+    means.flags.writeable = False
     return means
 
 
-def bootstrap_summary(values: Sequence[float] | np.ndarray, cfg: BootstrapConfig) -> BootstrapSummary:
+def bootstrap_summary(
+    values: Sequence[float] | np.ndarray,
+    cfg: BootstrapConfig,
+    means: np.ndarray | None = None,
+) -> BootstrapSummary:
     """Bootstrap mean, variance of resample means, and percentile CI.
 
-    B must be at least 2 (the B-1 variance denominator is undefined
-    otherwise). Emits :class:`BootstrapGuidanceWarning` for small n or B.
+    Summarises the first `cfg.B` of `means`, which must come from
+    :func:`resample_means` for the same values and config; they are drawn
+    here when not given. B must be at least 2 (the B-1 variance
+    denominator is undefined otherwise). Emits
+    :class:`BootstrapGuidanceWarning` for small n or B.
     """
     arr = _check_values(values)
     if cfg.B < 2:
@@ -202,7 +219,9 @@ def bootstrap_summary(values: Sequence[float] | np.ndarray, cfg: BootstrapConfig
     n = arr.size
     size = cfg.resample_size if cfg.resample_size is not None else n
     _warn_guidance(n, cfg.B)
-    means = _resample_means(arr, cfg.B, size, cfg.seed)
+    means = (resample_means(arr, cfg) if means is None else means)[: cfg.B]
+    if means.size != cfg.B:
+        raise ValueError(f"need {cfg.B} resample means, got {means.size}")
     if np.all(means == means[0]):
         # the mean of identical resample means is that value exactly; avoids
         # summation noise making a degenerate distribution look non-degenerate
@@ -221,20 +240,16 @@ def bootstrap_summary(values: Sequence[float] | np.ndarray, cfg: BootstrapConfig
         resample_size=size,
         seed=cfg.seed,
         ci_level=cfg.ci_level,
-        resample_means=tuple(float(m) for m in means),
+        resample_means=tuple(means.tolist()),
     )
 
 
-def convergence_trace(
-    values: Sequence[float] | np.ndarray,
-    cfg: BootstrapConfig,
-    checkpoints: Sequence[int],
-) -> ConvergenceTrace:
+def convergence_trace(means: np.ndarray, checkpoints: Sequence[int]) -> ConvergenceTrace:
     """Standard error of the resample means at increasing bootstrap sizes.
 
-    All checkpoints share one seed stream, so each point is a prefix of the
-    same run. Converged means the relative change between the final two
-    checkpoints is below 1%.
+    Each point is a prefix of `means`, the output of :func:`resample_means`.
+    Converged means the relative change between the final two checkpoints
+    is below 1%.
     """
     if len(checkpoints) < 2:
         raise ValueError("need at least 2 checkpoints to monitor convergence")
@@ -242,9 +257,8 @@ def convergence_trace(
         raise ValueError("checkpoints must be strictly ascending")
     if checkpoints[0] < 2:
         raise ValueError("checkpoints must be >= 2")
-    arr = _check_values(values)
-    size = cfg.resample_size if cfg.resample_size is not None else arr.size
-    means = _resample_means(arr, max(checkpoints), size, cfg.seed)
+    if checkpoints[-1] > len(means):
+        raise ValueError(f"checkpoint {checkpoints[-1]} exceeds the {len(means)} resample means drawn")
 
     def prefix_std(b: int) -> float:
         prefix = means[:b]
@@ -267,27 +281,28 @@ def convergence_trace(
 
 def unbiasedness_check(
     values: Sequence[float] | np.ndarray,
-    cfg: BootstrapConfig,
+    summary: BootstrapSummary,
     tolerance: float | None = None,
 ) -> UnbiasednessReport:
-    """Check that the bootstrap grand mean tracks the empirical mean.
+    """Check that the bootstrap grand mean of `summary` tracks the empirical mean.
 
-    Requires size-n resamples, which is what makes the resample mean an
-    unbiased estimator of the empirical mean. The default tolerance is
+    `summary` is the bootstrap summary of `values`. Requires size-n
+    resamples, which is what makes the resample mean an unbiased estimator
+    of the empirical mean. The default tolerance is
     3 * (sd / sqrt(n)) / sqrt(B), the 3-sigma band of the grand mean.
     """
     arr = _check_values(values)
     n = arr.size
-    size = cfg.resample_size if cfg.resample_size is not None else n
-    if size != n:
+    if summary.n != n:
+        raise ValueError(f"summary is of {summary.n} values, got {n}")
+    if summary.resample_size != n:
         raise ValueError(
-            f"unbiasedness check requires resample_size == n ({n}), got {size}; "
+            f"unbiasedness check requires resample_size == n ({n}), got {summary.resample_size}; "
             "the unbiasedness argument assumes size-n resamples"
         )
-    summary = bootstrap_summary(arr, cfg)
     if tolerance is None:
         sd = float(arr.std(ddof=1)) if n > 1 else 0.0
-        tolerance = float(3.0 * (sd / np.sqrt(n)) / np.sqrt(cfg.B))
+        tolerance = float(3.0 * (sd / np.sqrt(n)) / np.sqrt(summary.B))
     delta = abs(summary.boot_mean - summary.empirical_mean)
     return UnbiasednessReport(
         empirical_mean=summary.empirical_mean,

@@ -47,6 +47,7 @@ from ragmeter.stats import (
     BootstrapGuidanceWarning,
     bootstrap_summary,
     convergence_trace,
+    resample_means,
     unbiasedness_check,
 )
 from ragmeter.topicality import run_topicality
@@ -168,7 +169,8 @@ def test_criterion_03_bootstrap_correctness():
 
 def test_criterion_04_unbiasedness_on_beta_fixture():
     started = time.perf_counter()
-    report = unbiasedness_check(beta_fixture(), BootstrapConfig(B=5000, seed=17))
+    values = beta_fixture()
+    report = unbiasedness_check(values, bootstrap_summary(values, BootstrapConfig(B=5000, seed=17)))
     elapsed = time.perf_counter() - started
     assert report.delta <= 0.01
     assert report.passed
@@ -194,7 +196,8 @@ def test_criterion_05_ci_coverage():
 
 
 def test_criterion_06_convergence_and_guidance_warnings():
-    trace = convergence_trace(beta_fixture(), BootstrapConfig(seed=40), [500, 1000, 2000, 4000])
+    means = resample_means(beta_fixture(), BootstrapConfig(seed=40), 4000)
+    trace = convergence_trace(means, [500, 1000, 2000, 4000])
     assert trace.final_relative_change < 0.05
 
     def guidance(n, B):

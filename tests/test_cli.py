@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,9 @@ from pathlib import Path
 import pytest
 
 from helpers import engineered_query_set, scripts_to_json
+from oracle import oracle_resample_means
+import ragmeter
+from ragmeter import stats
 from ragmeter.cli import main
 from ragmeter.corpus import generate_synthetic, save_record_set
 
@@ -186,6 +190,23 @@ class TestAggregate:
         write_metrics_report(report_path, [report_entry("a", HIGH)])
         assert run(["aggregate", "--config", config_path, "--out", tmp_path / "o", report_path]) == 3
 
+    @pytest.mark.parametrize(
+        "report",
+        [
+            [1, 2],
+            {"records": [1]},
+            {"records": [{**report_entry("a", HIGH), "metrics": [1]}]},
+            {"records": [{**report_entry("a", HIGH), "metrics": HIGH}]},
+        ],
+        ids=["report-list", "record-not-object", "metrics-not-object", "cell-not-object"],
+    )
+    def test_malformed_report_exits_2(self, tmp_path, capsys, report):
+        config = write_workspace(tmp_path)
+        report_path = tmp_path / "metrics.json"
+        write_json(report_path, report)
+        assert run(["aggregate", "--config", config, "--out", tmp_path / "o", report_path]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestBootstrap:
     def test_constant_values(self, tmp_path):
@@ -217,6 +238,43 @@ class TestBootstrap:
         values_path = tmp_path / "values.json"
         write_json(values_path, {"values": [0.1, 0.4, 0.3, 0.8] * 10})
         assert run(["bootstrap", "--config", config, "--out", tmp_path / "o", values_path]) == 0
+
+    @pytest.mark.parametrize("checkpoints, draws", [(None, 1200), ([100, 600, 2000], 2000)])
+    def test_resample_means_drawn_once(self, tmp_path, monkeypatch, checkpoints, draws):
+        config = write_workspace(tmp_path, bootstrap_b=1200)
+        doc = json.loads(config.read_text())
+        doc["bootstrap"]["checkpoints"] = checkpoints
+        write_json(config, doc)
+        values = [0.1, 0.4, 0.3, 0.8] * 10
+        values_path = tmp_path / "values.json"
+        write_json(values_path, values)
+        calls = []
+
+        def counting_rng(seed, s, real=stats.resample_rng):
+            calls.append(s)
+            return real(seed, s)
+
+        monkeypatch.setattr(stats, "resample_rng", counting_rng)
+        out = tmp_path / "out"
+        assert run(["bootstrap", "--config", config, "--out", out, values_path]) == 0
+        assert len(calls) == draws
+        points = json.loads((out / "bootstrap.json").read_text())["convergence"]["points"]
+        means = oracle_resample_means(values, draws, len(values), 7)
+        for point in points:
+            prefix = means[: point["B"]]
+            centre = sum(prefix) / len(prefix)
+            std = (sum((m - centre) ** 2 for m in prefix) / (len(prefix) - 1)) ** 0.5
+            assert point["std_error"] == pytest.approx(std, rel=1e-12, abs=1e-15)
+        assert [p["B"] for p in points] == (checkpoints or [150, 300, 600, 1200])
+
+
+class TestMalformedScripts:
+    @pytest.mark.parametrize("scripts", [[1], {"scripts": [1]}], ids=["file-list", "entry-not-object"])
+    def test_exits_2(self, tmp_path, capsys, scripts):
+        config = write_workspace(tmp_path)
+        write_json(tmp_path / "scripts.json", scripts)
+        assert run(["evaluate", "--config", config, "--out", tmp_path / "o", tmp_path / "pos.jsonl"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestTopicality:
@@ -333,11 +391,15 @@ def test_auth_token_value_never_in_config_echo(tmp_path, monkeypatch):
 def test_module_entry_point(tmp_path):
     config = write_workspace(tmp_path)
     out = tmp_path / "out"
+    # the child imports the same package this process imported
+    package_root = str(Path(ragmeter.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "ragmeter.cli", "evaluate", "--config", str(config),
          "--out", str(out), str(tmp_path / "pos.jsonl")],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "metrics.json").exists()

@@ -15,6 +15,7 @@ from ragmeter.stats import (
     convergence_trace,
     percentile,
     resample,
+    resample_means,
     resample_rng,
     unbiasedness_check,
 )
@@ -24,10 +25,10 @@ def beta_fixture(n: int = 50, seed: int = 2024) -> np.ndarray:
     return np.random.default_rng(np.random.SeedSequence((seed, 0))).beta(2.0, 5.0, size=n)
 
 
-def quiet_summary(values, cfg):
+def quiet_summary(values, cfg, means=None):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BootstrapGuidanceWarning)
-        return bootstrap_summary(values, cfg)
+        return bootstrap_summary(values, cfg, means=means)
 
 
 class TestResample:
@@ -176,30 +177,54 @@ class TestGuidanceWarnings:
         assert len(self._collect(29, 999)) == 2
 
 
+class TestResampleMeans:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        values=st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=30),
+        seed=st.integers(min_value=0, max_value=2**32),
+        B=st.integers(min_value=2, max_value=40),
+        k=st.integers(min_value=0, max_value=20),
+        resample_size=st.none() | st.integers(min_value=1, max_value=12),
+    )
+    def test_one_draw_serves_every_statistic(self, values, seed, B, k, resample_size):
+        cfg = BootstrapConfig(B=B, resample_size=resample_size, seed=seed)
+        longer = resample_means(values, cfg, B + k)
+        assert longer.shape == (B + k,)
+        assert longer[:B].tobytes() == resample_means(values, cfg).tobytes()
+        assert quiet_summary(values, cfg) == quiet_summary(values, cfg, longer)
+        with pytest.raises(ValueError):
+            longer[0] = 0.0
+        with pytest.raises(ValueError):
+            convergence_trace(longer, [2, B + k + 1])
+        with pytest.raises(ValueError):
+            quiet_summary(values, cfg, longer[: B - 1])
+
+
 class TestConvergenceTrace:
     def test_constant_values_converged(self):
-        trace = convergence_trace([0.4] * 40, BootstrapConfig(seed=0), [100, 200])
+        trace = convergence_trace(resample_means([0.4] * 40, BootstrapConfig(seed=0), 200), [100, 200])
         assert all(point.std_error == 0.0 for point in trace.points)
         assert trace.converged
         assert trace.final_relative_change == 0.0
 
     def test_single_checkpoint_rejected(self):
         with pytest.raises(ValueError):
-            convergence_trace([0.4] * 40, BootstrapConfig(seed=0), [1000])
+            convergence_trace(resample_means([0.4] * 40, BootstrapConfig(seed=0), 1000), [1000])
 
     def test_non_ascending_rejected(self):
         with pytest.raises(ValueError):
-            convergence_trace([0.4] * 40, BootstrapConfig(seed=0), [200, 100])
+            convergence_trace(resample_means([0.4] * 40, BootstrapConfig(seed=0), 200), [200, 100])
 
     def test_beta_fixture_converges_within_five_percent(self):
-        trace = convergence_trace(beta_fixture(), BootstrapConfig(seed=40), [500, 1000, 2000, 4000])
+        means = resample_means(beta_fixture(), BootstrapConfig(seed=40), 4000)
+        trace = convergence_trace(means, [500, 1000, 2000, 4000])
         assert trace.final_relative_change < 0.05
         assert [p.B for p in trace.points] == [500, 1000, 2000, 4000]
         assert all(p.std_error > 0 for p in trace.points)
 
     def test_prefix_consistency_with_summary(self):
         values = beta_fixture()
-        trace = convergence_trace(values, BootstrapConfig(seed=9), [64, 128])
+        trace = convergence_trace(resample_means(values, BootstrapConfig(seed=9), 128), [64, 128])
         summary = quiet_summary(values, BootstrapConfig(B=128, seed=9))
         assert trace.points[-1].std_error == pytest.approx(
             float(np.std(summary.resample_means, ddof=1)), abs=0.0
@@ -208,20 +233,25 @@ class TestConvergenceTrace:
 
 class TestUnbiasednessCheck:
     def test_constant_values_pass(self):
-        report = unbiasedness_check([0.3] * 50, BootstrapConfig(B=1000, seed=2))
+        values = [0.3] * 50
+        report = unbiasedness_check(values, bootstrap_summary(values, BootstrapConfig(B=1000, seed=2)))
         assert report.delta == 0.0
         assert report.passed
 
     def test_requires_size_n_resamples(self):
+        values = [0.3] * 50
+        summary = bootstrap_summary(values, BootstrapConfig(B=1000, resample_size=10, seed=2))
         with pytest.raises(ValueError, match="resample_size == n"):
-            unbiasedness_check([0.3] * 50, BootstrapConfig(B=1000, resample_size=10, seed=2))
+            unbiasedness_check(values, summary)
 
     def test_zero_tolerance_fails_on_noise(self):
         values = beta_fixture()
-        report = unbiasedness_check(values, BootstrapConfig(B=2000, seed=2), tolerance=0.0)
+        summary = bootstrap_summary(values, BootstrapConfig(B=2000, seed=2))
+        report = unbiasedness_check(values, summary, tolerance=0.0)
         assert not report.passed
 
     def test_beta_fixture_passes_default_tolerance(self):
-        report = unbiasedness_check(beta_fixture(), BootstrapConfig(B=5000, seed=17))
+        values = beta_fixture()
+        report = unbiasedness_check(values, bootstrap_summary(values, BootstrapConfig(B=5000, seed=17)))
         assert report.passed
         assert report.delta <= 0.01
