@@ -341,11 +341,18 @@ def _vector_from_report(entry: dict) -> tuple[EvalRecord, MetricVector]:
     for required in ("id", "query", "answer"):
         if not entry.get(required):
             raise ConfigError(f"metrics report entry missing {required!r}: {entry!r}")
+    contexts = entry.get("contexts", [])
+    if not isinstance(contexts, list) or not all(
+        isinstance(text, str) for text in (entry["query"], entry["answer"], *contexts)
+    ):
+        raise ConfigError(
+            f"metrics report entry {entry['id']!r}: query and answer must be strings, contexts a list of strings"
+        )
     record = EvalRecord(
         id=str(entry["id"]),
         query=entry["query"],
         answer=entry["answer"],
-        contexts=tuple(entry.get("contexts", [])),
+        contexts=tuple(contexts),
         ground_truth=entry.get("ground_truth"),
     )
     results = {}
@@ -355,7 +362,13 @@ def _vector_from_report(entry: dict) -> tuple[EvalRecord, MetricVector]:
             raise ConfigError(f"metric {metric!r} of record {record.id!r} must be an object")
         if not cell or cell.get("value") is None:
             raise aggregation.MissingMetricError(metric, record.id)
-        results[metric] = MetricResult(float(cell["value"]), cell.get("status", "ok"))
+        try:
+            value = float(cell["value"])
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"metric {metric!r} of record {record.id!r} has non-numeric value {cell['value']!r}"
+            ) from None
+        results[metric] = MetricResult(value, cell.get("status", "ok"))
     return record, MetricVector(record.id, results["faithfulness"], results["answer_relevance"],
                                 results["retrieval_recall"], results["retrieval_precision"])
 

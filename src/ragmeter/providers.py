@@ -121,7 +121,8 @@ class ScriptedGenerator:
     may map to a sequence of responses, consumed round-robin across calls,
     which lets one prompt yield several distinct transcripts. Unmatched
     prompts raise :class:`ScriptMissError` when strict, otherwise return the
-    fallback text.
+    fallback text. Each needle is tested at most once per call, however many
+    entries share it.
     """
 
     identifier = "stub:scripted"
@@ -147,8 +148,16 @@ class ScriptedGenerator:
         self._lock = threading.Lock()
 
     def complete(self, prompt: str, params: GenerationParams | None = None) -> str:
+        # needle -> whether it occurs in this prompt; entries often share needles
+        found: dict[str, bool] = {}
         for slot, (needles, responses) in enumerate(self._entries):
-            if all(needle in prompt for needle in needles):
+            for needle in needles:
+                hit = found.get(needle)
+                if hit is None:
+                    hit = found[needle] = needle in prompt
+                if not hit:
+                    break
+            else:
                 with self._lock:
                     cursor = self._cursors[slot]
                     self._cursors[slot] = cursor + 1

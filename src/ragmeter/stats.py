@@ -5,6 +5,12 @@ sub-seeded generator so runs are deterministic and parallelizable. The
 reported variance is the B-1-normalized variance of the resample means,
 i.e. the squared standard error of the mean under the bootstrap
 distribution.
+
+Resample `s` depends only on (seed, s, n, size), so value arrays of one
+length share their index draws: :func:`shared_resample_means` draws each
+index row once and takes every array's mean from it. Rows are drawn in
+chunks of about `CHUNK_ENTRIES` indices, which bounds the index and gather
+buffers near 256 KiB whatever n, size and the resample count are.
 """
 
 from __future__ import annotations
@@ -18,6 +24,9 @@ import numpy as np
 RECOMMENDED_MIN_N = 30
 RECOMMENDED_MIN_B = 1000
 CONVERGED_RELATIVE_CHANGE = 0.01
+# indices per chunk of resample rows, rows = max(1, CHUNK_ENTRIES // size):
+# the int64 index block and the float64 values gathered by it take 128 KiB each
+CHUNK_ENTRIES = 16384
 
 
 class BootstrapGuidanceWarning(UserWarning):
@@ -56,8 +65,8 @@ class BootstrapConfig:
 class BootstrapSummary:
     """Bootstrap mean, variance and percentile CI for one value list.
 
-    Carries every parameter needed to reproduce it, plus the retained
-    resample means.
+    Carries every parameter needed to reproduce it; the resample means
+    themselves come from :func:`resample_means`.
     """
 
     empirical_mean: float
@@ -70,10 +79,9 @@ class BootstrapSummary:
     resample_size: int
     seed: int
     ci_level: float
-    resample_means: tuple[float, ...] | None = None
 
-    def to_dict(self, *, include_means: bool = False) -> dict:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "empirical_mean": self.empirical_mean,
             "boot_mean": self.boot_mean,
             "boot_variance": self.boot_variance,
@@ -85,9 +93,6 @@ class BootstrapSummary:
             "seed": self.seed,
             "ci_level": self.ci_level,
         }
-        if include_means and self.resample_means is not None:
-            doc["resample_means"] = list(self.resample_means)
-        return doc
 
 
 @dataclass(frozen=True)
@@ -181,6 +186,37 @@ def _warn_guidance(n: int, B: int) -> None:
         )
 
 
+def shared_resample_means(
+    value_arrays: Sequence[Sequence[float] | np.ndarray], cfg: BootstrapConfig, count: int | None = None
+) -> tuple[np.ndarray, ...]:
+    """The first `count` resample means (default `cfg.B`) of each array, from one draw.
+
+    Every array must have the same length n. Resample `s` takes its indices
+    from `resample_rng(cfg.seed, s)` and depends only on (seed, s, n, size),
+    so each index row is drawn once and serves every array; the means equal
+    per-array :func:`resample_means` bit for bit. Rows are drawn in chunks
+    of `max(1, CHUNK_ENTRIES // size)`. The arrays returned are read-only.
+    """
+    arrays = [_check_values(values) for values in value_arrays]
+    if not arrays:
+        raise ValueError("need at least one value array")
+    n = arrays[0].size
+    if any(arr.size != n for arr in arrays):
+        raise ValueError("value arrays must all have the same length")
+    size = cfg.resample_size if cfg.resample_size is not None else n
+    count = cfg.B if count is None else count
+    rows = max(1, CHUNK_ENTRIES // size)
+    means = tuple(np.empty(count) for _ in arrays)
+    for start in range(0, count, rows):
+        stop = min(start + rows, count)
+        block = np.stack([resample_rng(cfg.seed, s).integers(0, n, size=size) for s in range(start, stop)])
+        for arr, out in zip(arrays, means):
+            out[start:stop] = arr[block].mean(axis=1)
+    for out in means:
+        out.flags.writeable = False
+    return means
+
+
 def resample_means(
     values: Sequence[float] | np.ndarray, cfg: BootstrapConfig, count: int | None = None
 ) -> np.ndarray:
@@ -191,13 +227,7 @@ def resample_means(
     `resample_means(v, cfg)`. Every statistic below is a function of this
     one array.
     """
-    arr = _check_values(values)
-    size = cfg.resample_size if cfg.resample_size is not None else arr.size
-    means = np.empty(cfg.B if count is None else count)
-    for s in range(means.size):
-        means[s] = resample(arr, size, resample_rng(cfg.seed, s)).mean()
-    means.flags.writeable = False
-    return means
+    return shared_resample_means([values], cfg, count)[0]
 
 
 def bootstrap_summary(
@@ -240,7 +270,6 @@ def bootstrap_summary(
         resample_size=size,
         seed=cfg.seed,
         ci_level=cfg.ci_level,
-        resample_means=tuple(means.tolist()),
     )
 
 

@@ -21,7 +21,7 @@ from ragmeter.metrics import (
     evaluate_set,
 )
 from ragmeter.providers import GenerationParams, ProviderBundle
-from ragmeter.stats import BootstrapConfig, BootstrapSummary, bootstrap_summary
+from ragmeter.stats import BootstrapConfig, BootstrapSummary, bootstrap_summary, shared_resample_means
 
 DEFAULT_MIN_EFFECT = 0.1
 
@@ -156,9 +156,15 @@ class TopicalityReport:
 def summarize_set_metrics(
     evaluation: SetEvaluation, boot_cfg: BootstrapConfig
 ) -> QuerySetResult:
-    """Bootstrap every metric of an evaluated set with one shared config."""
+    """Bootstrap every metric of an evaluated set with one shared config.
+
+    Metrics with the same number of successful values (all four, unless
+    some records failed a metric) share one draw of resample indices:
+    resample `s` depends only on (seed, s, n, size), so one chunked draw per
+    distinct n gives each metric the means its own draw would. Draws are
+    never shared across sets.
+    """
     values: dict[str, tuple[float, ...]] = {}
-    summaries: dict[str, BootstrapSummary] = {}
     for metric in METRICS:
         metric_values = tuple(
             float(v.result(metric).value)
@@ -170,11 +176,16 @@ def summarize_set_metrics(
                 f"set {evaluation.label!r}: no successful values for metric {metric}"
             )
         values[metric] = metric_values
-        summaries[metric] = bootstrap_summary(metric_values, boot_cfg)
+    by_n: dict[int, list[str]] = {}
+    for metric, metric_values in values.items():
+        by_n.setdefault(len(metric_values), []).append(metric)
+    means = {}
+    for group in by_n.values():
+        means.update(zip(group, shared_resample_means([values[m] for m in group], boot_cfg)))
     return QuerySetResult(
         label=evaluation.label,
         values=values,
-        summaries=summaries,
+        summaries={m: bootstrap_summary(values[m], boot_cfg, means=means[m]) for m in METRICS},
         failure_counts=evaluation.failure_counts,
     )
 

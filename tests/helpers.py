@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ragmeter.corpus import EvalRecord
 from ragmeter.judge import recall_source_text, segment_sentences
 from ragmeter.metrics import MetricResult, MetricVector
+from ragmeter.providers import ScriptMissError
 
 # Prompt-type markers: template phrases unique to each of the four prompts.
 FAITH_MARK = "Consider the given context and following statements"
@@ -52,6 +53,30 @@ def reference_embed(
     if norm > 0.0:
         vec /= norm
     return vec
+
+
+class ReferenceScriptedGenerator:
+    """Loop reference for `ScriptedGenerator.complete`: every needle of every entry is tested on each call."""
+
+    def __init__(self, transcripts: dict, *, strict: bool = True, fallback: str = ""):
+        self.entries = [
+            ((matcher,) if isinstance(matcher, str) else tuple(matcher),
+             [response] if isinstance(response, str) else list(response))
+            for matcher, response in transcripts.items()
+        ]
+        self.cursors = [0] * len(self.entries)
+        self.strict = strict
+        self.fallback = fallback
+
+    def complete(self, prompt: str) -> str:
+        for slot, (needles, responses) in enumerate(self.entries):
+            if all(needle in prompt for needle in needles):
+                cursor = self.cursors[slot]
+                self.cursors[slot] = cursor + 1
+                return responses[cursor % len(responses)]
+        if self.strict:
+            raise ScriptMissError(prompt)
+        return self.fallback
 
 
 def reference_cosine(u, v) -> float:

@@ -197,8 +197,13 @@ class TestAggregate:
             {"records": [1]},
             {"records": [{**report_entry("a", HIGH), "metrics": [1]}]},
             {"records": [{**report_entry("a", HIGH), "metrics": HIGH}]},
+            {"records": [{**report_entry("a", HIGH),
+                          "metrics": {m: {"value": [1], "status": "ok"} for m in HIGH}}]},
+            {"records": [{**report_entry("a", HIGH), "contexts": 5}]},
+            {"records": [{**report_entry("a", HIGH), "query": 5}]},
         ],
-        ids=["report-list", "record-not-object", "metrics-not-object", "cell-not-object"],
+        ids=["report-list", "record-not-object", "metrics-not-object", "cell-not-object",
+             "value-list", "contexts-number", "query-number"],
     )
     def test_malformed_report_exits_2(self, tmp_path, capsys, report):
         config = write_workspace(tmp_path)

@@ -4,10 +4,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_embed, reference_token_axis
+from helpers import ReferenceScriptedGenerator, reference_embed, reference_token_axis
 from ragmeter.metrics import cosine
 from ragmeter.providers import (
     EndpointConfig,
@@ -72,6 +72,39 @@ class TestScriptedGenerator:
     def test_first_matching_entry_wins(self):
         generator = ScriptedGenerator({"ab": "specific", "a": "generic"})
         assert generator.complete("ab") == "specific"
+
+    # overlapping needles, needles shared across entries, a repeated needle, the empty needle
+    @example(
+        transcripts={"ab": ["x", "y"], "b": "z", ("b", "b"): "w", ("a", "c"): ["u", "v"], "": "e"},
+        prompts=["ab", "b", "cab", "ca", "", "bb", "ab"],
+        strict=True,
+    )
+    @example(transcripts={("a", "b"): "x", "b": ["y", "z"]}, prompts=["c", "b", "ba", "b", "c"], strict=True)
+    @example(transcripts={("a", "b"): "x", "b": ["y", "z"]}, prompts=["c", "b", "ba", "b", "c"], strict=False)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        transcripts=st.dictionaries(
+            st.text("abc", max_size=2)
+            | st.lists(st.text("abc", max_size=2), max_size=3).map(tuple),
+            st.text("xyz", min_size=1, max_size=2)
+            | st.lists(st.text("xyz", max_size=2), min_size=1, max_size=3),
+            max_size=6,
+        ),
+        prompts=st.lists(st.text("abc", max_size=5), min_size=1, max_size=25),
+        strict=st.booleans(),
+    )
+    def test_matches_the_loop_reference(self, transcripts, prompts, strict):
+        generator = ScriptedGenerator(transcripts, strict=strict, fallback="fallback")
+        reference = ReferenceScriptedGenerator(transcripts, strict=strict, fallback="fallback")
+
+        def outcome(complete, prompt):
+            try:
+                return complete(prompt)
+            except ScriptMissError as exc:
+                return ("miss", exc.prompt_prefix)
+
+        for prompt in prompts:
+            assert outcome(generator.complete, prompt) == outcome(reference.complete, prompt)
 
 
 class TestHashEmbedder:

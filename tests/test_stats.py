@@ -1,14 +1,17 @@
 """Tests for the seeded bootstrap engine."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle import enumerate_size2_resample_means, oracle_resample_stats
+from oracle import enumerate_size2_resample_means, oracle_resample_means, oracle_resample_stats
+from ragmeter import stats
 from ragmeter.stats import (
+    CHUNK_ENTRIES,
     BootstrapConfig,
     BootstrapGuidanceWarning,
     bootstrap_summary,
@@ -17,6 +20,7 @@ from ragmeter.stats import (
     resample,
     resample_means,
     resample_rng,
+    shared_resample_means,
     unbiasedness_check,
 )
 
@@ -114,6 +118,7 @@ class TestBootstrapSummary:
         values = beta_fixture()
         cfg = BootstrapConfig(B=1500, seed=77)
         assert bootstrap_summary(values, cfg) == bootstrap_summary(values, cfg)
+        assert resample_means(values, cfg).tobytes() == resample_means(values, cfg).tobytes()
 
     def test_resample_size_default_and_override(self):
         values = beta_fixture()
@@ -125,8 +130,9 @@ class TestBootstrapSummary:
 
     def test_ci_endpoints_are_consistent_with_resample_means(self):
         values = beta_fixture()
-        summary = bootstrap_summary(values, BootstrapConfig(B=2000, seed=5))
-        means = np.asarray(summary.resample_means)
+        cfg = BootstrapConfig(B=2000, seed=5)
+        summary = bootstrap_summary(values, cfg)
+        means = resample_means(values, cfg)
         assert means.shape == (2000,)
         assert means.min() <= summary.ci_low <= summary.ci_high <= means.max()
         assert summary.ci_low <= percentile(means, 0.5) <= summary.ci_high
@@ -200,6 +206,57 @@ class TestResampleMeans:
             quiet_summary(values, cfg, longer[: B - 1])
 
 
+class TestSharedResampleMeans:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=400),
+        arrays=st.integers(min_value=1, max_value=4),
+        value_seed=st.integers(min_value=0, max_value=2**32),
+        seed=st.integers(min_value=0, max_value=2**32),
+        resample_size=st.none() | st.integers(min_value=1, max_value=80),
+        count=st.integers(min_value=0, max_value=60),
+        chunk=st.just(CHUNK_ENTRIES) | st.integers(min_value=1, max_value=64),
+    )
+    # the shipped chunk: one resample per chunk, then 40 + 40 + 15 rows
+    @example(n=3, arrays=2, value_seed=0, seed=5, resample_size=CHUNK_ENTRIES + 1, count=3,
+             chunk=CHUNK_ENTRIES)
+    @example(n=400, arrays=3, value_seed=1, seed=6, resample_size=None, count=95, chunk=CHUNK_ENTRIES)
+    def test_every_array_equals_the_oracle_bitwise(
+        self, n, arrays, value_seed, seed, resample_size, count, chunk
+    ):
+        # multiples of 2**-10 below 2**10 sum exactly in any order, so equal
+        # bits mean equal indices, whatever the summation order
+        values = np.random.default_rng(value_seed).integers(0, 2**20, size=(arrays, n)) / 1024
+        cfg = BootstrapConfig(B=2, resample_size=resample_size, seed=seed)
+        with mock.patch.object(stats, "CHUNK_ENTRIES", chunk):
+            shared = shared_resample_means(values, cfg, count)
+        size = n if resample_size is None else resample_size
+        assert len(shared) == arrays
+        for arr, means in zip(values, shared):
+            assert means.tobytes() == np.asarray(oracle_resample_means(arr, count, size, seed)).tobytes()
+            assert not means.flags.writeable
+
+    @pytest.mark.parametrize(
+        "n, B, resample_size",
+        [(48, 1000, None), (1000, 2000, None), (7, 5000, None), (333, 1500, None),
+         (5, 60, 200_000), (1, 10, None)],
+    )
+    def test_matches_the_per_resample_loop(self, n, B, resample_size):
+        values = beta_fixture(n)
+        cfg = BootstrapConfig(B=B, resample_size=resample_size, seed=n)
+        size = n if resample_size is None else resample_size
+        loop = [resample(values, size, resample_rng(cfg.seed, s)).mean() for s in range(B)]
+        first, second = shared_resample_means([values, values[::-1]], cfg)
+        assert first.tobytes() == np.asarray(loop).tobytes()
+        assert second.tobytes() == resample_means(values[::-1], cfg).tobytes()
+
+    def test_rejects_mixed_lengths(self):
+        with pytest.raises(ValueError, match="same length"):
+            shared_resample_means([[0.1, 0.2], [0.3]], BootstrapConfig(B=10))
+        with pytest.raises(ValueError):
+            shared_resample_means([], BootstrapConfig(B=10))
+
+
 class TestConvergenceTrace:
     def test_constant_values_converged(self):
         trace = convergence_trace(resample_means([0.4] * 40, BootstrapConfig(seed=0), 200), [100, 200])
@@ -225,9 +282,8 @@ class TestConvergenceTrace:
     def test_prefix_consistency_with_summary(self):
         values = beta_fixture()
         trace = convergence_trace(resample_means(values, BootstrapConfig(seed=9), 128), [64, 128])
-        summary = quiet_summary(values, BootstrapConfig(B=128, seed=9))
         assert trace.points[-1].std_error == pytest.approx(
-            float(np.std(summary.resample_means, ddof=1)), abs=0.0
+            float(np.std(resample_means(values, BootstrapConfig(B=128, seed=9)), ddof=1)), abs=0.0
         )
 
 

@@ -1,16 +1,21 @@
 """Tests for contrastive query-set analysis."""
 
+import warnings
+
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from helpers import engineered_query_set
-from ragmeter.metrics import METRICS
+from ragmeter.metrics import METRICS, MetricResult, MetricVector, SetEvaluation
 from ragmeter.providers import HashEmbedder, ProviderBundle, ScriptedGenerator
-from ragmeter.stats import BootstrapConfig, BootstrapGuidanceWarning, BootstrapSummary
+from ragmeter.stats import BootstrapConfig, BootstrapGuidanceWarning, BootstrapSummary, bootstrap_summary
 from ragmeter.topicality import (
     TopicalityError,
     compare_summaries,
     format_table,
     run_topicality,
+    summarize_set_metrics,
 )
 
 
@@ -162,3 +167,39 @@ class TestRunTopicality:
             )
 
         assert build().to_dict() == build().to_dict()
+
+
+class TestSummarizeSetMetrics:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(*[st.none() | st.floats(min_value=0.0, max_value=1.0)] * len(METRICS)),
+            min_size=1,
+            max_size=40,
+        ),
+        B=st.integers(min_value=2, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**32),
+        resample_size=st.none() | st.integers(min_value=1, max_value=12),
+    )
+    # recall failed on one record: its n is 2, the other metrics share n = 3
+    @example(rows=[(0.5, 0.25, 1.0, 0.0), (1.0, 0.5, None, 0.5), (0.0, 0.75, 0.5, 1.0)],
+             B=50, seed=3, resample_size=None)
+    def test_equals_independent_summaries(self, rows, B, seed, resample_size):
+        """None marks a failed metric; a metric with failures has a smaller n."""
+        assume(all(any(row[i] is not None for row in rows) for i in range(len(METRICS))))
+        vectors = tuple(
+            MetricVector(f"r{k}", *(
+                MetricResult.failed(RuntimeError("judge down")) if v is None else MetricResult(v, "ok")
+                for v in row
+            ))
+            for k, row in enumerate(rows)
+        )
+        evaluation = SetEvaluation("s", vectors, means={}, failure_counts={})
+        cfg = BootstrapConfig(B=B, resample_size=resample_size, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BootstrapGuidanceWarning)
+            result = summarize_set_metrics(evaluation, cfg)
+            for i, metric in enumerate(METRICS):
+                values = [row[i] for row in rows if row[i] is not None]
+                assert result.values[metric] == tuple(values)
+                assert result.summaries[metric] == bootstrap_summary(values, cfg)
