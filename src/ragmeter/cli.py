@@ -3,7 +3,8 @@
 Commands: evaluate, aggregate, bootstrap, topicality, synth. Every run
 writes machine-readable JSON, an aligned-text table, and a manifest that
 records the resolved configuration and seeds so the run can be reproduced
-exactly. Output files are written atomically (temp then rename).
+exactly. One emitter writes every output file atomically (temp then
+rename), the manifest last.
 
 Exit codes: 0 ok (possibly with per-record failures reported), 2 config or
 input-format error, 3 provider error, 4 empty input, 5 missing metric field
@@ -16,19 +17,19 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
-from ragmeter import aggregation, metrics, stats, topicality
+from ragmeter import aggregation, judge, metrics, stats, topicality
 from ragmeter.corpus import (
     EvalRecord,
     RecordFileError,
     SyntheticGenerationError,
     SyntheticSpec,
+    dumps_record_set,
     generate_synthetic,
     load_record_set,
-    save_record_set,
 )
 from ragmeter.metrics import METRICS, MetricResult, MetricVector, SimilarityConfig
 from ragmeter.providers import (
@@ -81,12 +82,16 @@ class RunConfig:
     record_format: str
 
 
+def _field_defaults(cls) -> dict:
+    return {f.name: f.default for f in fields(cls)}
+
+
 _CONFIG_DEFAULTS = {
     "providers": {"mode": "stub", "stub": {}, "http": {}},
-    "generation": {"temperature": 0.0, "top_p": 0.01, "max_tokens": 1024, "seed": None},
-    "metrics": {"precision_match_threshold": 0.8, "n_generated_questions": 3},
-    "bootstrap": {"B": 1000, "resample_size": None, "seed": 0, "ci_level": 0.95, "checkpoints": None},
-    "topicality": {"min_effect": 0.1},
+    "generation": _field_defaults(GenerationParams),
+    "metrics": _field_defaults(SimilarityConfig),
+    "bootstrap": {**_field_defaults(BootstrapConfig), "checkpoints": None},
+    "topicality": {"min_effect": topicality.DEFAULT_MIN_EFFECT},
     "flags": {"contexts_included": True, "recall_source": "auto", "strict_parsing": True},
     "parallelism": 1,
     "seed": 0,
@@ -157,8 +162,11 @@ def load_config(path: str | Path, *, seed: int | None = None, parallelism: int |
         raise ConfigError("bootstrap.checkpoints must be a list of integers")
     flags = raw["flags"]
     recall_source = flags["recall_source"]
-    if recall_source not in ("auto", "ground_truth", "answer"):
+    if recall_source not in judge.RECALL_SOURCES:
         raise ConfigError(f"flags.recall_source {recall_source!r} is not recognized")
+    for flag in ("contexts_included", "strict_parsing"):
+        if not isinstance(flags[flag], bool):
+            raise ConfigError(f"flags.{flag} must be true or false, got {flags[flag]!r}")
     return RunConfig(
         raw=raw,
         base_dir=path.parent,
@@ -170,11 +178,15 @@ def load_config(path: str | Path, *, seed: int | None = None, parallelism: int |
         min_effect=float(raw["topicality"]["min_effect"]),
         parallelism=int(raw["parallelism"]),
         seed=int(raw["seed"]),
-        contexts_included=bool(flags["contexts_included"]),
+        contexts_included=flags["contexts_included"],
         recall_source=recall_source,
-        strict_parsing=bool(flags["strict_parsing"]),
+        strict_parsing=flags["strict_parsing"],
         record_format=str(raw["record_format"]),
     )
+
+
+def _is_str_list(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
 
 
 def _load_scripts(config: RunConfig) -> ScriptedGenerator:
@@ -193,12 +205,14 @@ def _load_scripts(config: RunConfig) -> ScriptedGenerator:
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             raise ConfigError(f"scripts file {path} must be an object whose 'scripts' is a list of objects")
         for entry in entries:
-            match = entry.get("match")
-            needles = tuple(match) if isinstance(match, list) else (str(match),)
-            responses = entry.get("responses")
-            if responses is None:
-                responses = [entry.get("response", "")]
-            transcripts[needles] = list(responses)
+            match, responses = entry.get("match"), entry.get("responses")
+            needles = [match] if isinstance(match, str) else match
+            if not (_is_str_list(needles) and _is_str_list(responses) and responses):
+                raise ConfigError(
+                    f"scripts file {path}: each entry needs 'match' (a string or a list of strings) "
+                    f"and 'responses' (a non-empty list of strings), got {entry!r}"
+                )
+            transcripts[tuple(needles)] = responses
     return ScriptedGenerator(
         transcripts, strict=config.strict_parsing, fallback=str(stub.get("fallback", ""))
     )
@@ -252,22 +266,25 @@ def _provider_ids(providers: ProviderBundle) -> dict:
     }
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+def _json_text(doc: object) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
-def _write_json(path: Path, doc: object) -> None:
-    _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
+def _emit(args: argparse.Namespace, config: RunConfig, providers: ProviderBundle | None,
+          inputs: list[str], files: dict[str, str], extra: dict | None = None) -> None:
+    """Write every output of a command into `--out`, then its manifest.
 
-
-def _write_manifest(out_dir: Path, command: str, config: RunConfig, providers: ProviderBundle | None,
-                    inputs: list[str], outputs: list[str], extra: dict | None = None) -> None:
+    `files` maps file names to their text, written in order. Each file is
+    written to a temporary name and renamed into place, so a reader never
+    sees a partial file. The manifest `<command>.manifest.json` comes last
+    and lists the files as its `outputs`.
+    """
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
-        "command": command,
+        "command": args.command,
         "inputs": inputs,
-        "outputs": outputs,
+        "outputs": list(files),
         "seed": config.seed,
         "providers": _provider_ids(providers) if providers else None,
         "thresholds": {
@@ -275,19 +292,19 @@ def _write_manifest(out_dir: Path, command: str, config: RunConfig, providers: P
             "min_effect": config.min_effect,
         },
         "config": config.raw,
+        **(extra or {}),
     }
-    if extra:
-        manifest.update(extra)
-    _write_json(out_dir / f"{command}.manifest.json", manifest)
+    for name, text in {**files, f"{args.command}.manifest.json": _json_text(manifest)}.items():
+        tmp = out_dir / f"{name}.tmp{os.getpid()}"
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, out_dir / name)
 
 
 def _fmt_value(value: float | None) -> str:
     return "-" if value is None else f"{value:.4f}"
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = load_config(args.config, seed=args.seed, parallelism=args.parallelism,
-                         providers_mode=args.providers)
+def cmd_evaluate(args: argparse.Namespace, config: RunConfig) -> int:
     providers = build_providers(config)
     record_set = load_record_set(args.records, config.record_format)
     if not record_set.records:
@@ -315,18 +332,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             for record, vector in zip(record_set.records, evaluation.vectors)
         ],
     }
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "metrics.json", report)
     rows = [["id"] + list(METRICS)]
     for vector in evaluation.vectors:
         rows.append([vector.record_id] + [_fmt_value(vector.result(m).value) for m in METRICS])
     rows.append(["mean"] + [_fmt_value(evaluation.means[m]) for m in METRICS])
     rows.append(["failures"] + [str(evaluation.failure_counts[m]) for m in METRICS])
-    _atomic_write(out_dir / "metrics.txt", f"set: {evaluation.label}\n" + topicality.format_table(rows))
-    _write_manifest(
-        out_dir, "evaluate", config, providers, [str(args.records)],
-        ["metrics.json", "metrics.txt"],
+    _emit(
+        args, config, providers, [str(args.records)],
+        {
+            "metrics.json": _json_text(report),
+            "metrics.txt": f"set: {evaluation.label}\n" + topicality.format_table(rows),
+        },
         extra={"failure_counts": dict(evaluation.failure_counts)},
     )
     return EXIT_OK
@@ -373,9 +389,7 @@ def _vector_from_report(entry: dict) -> tuple[EvalRecord, MetricVector]:
                                 results["retrieval_recall"], results["retrieval_precision"])
 
 
-def cmd_aggregate(args: argparse.Namespace) -> int:
-    config = load_config(args.config, seed=args.seed, parallelism=args.parallelism,
-                         providers_mode=args.providers)
+def cmd_aggregate(args: argparse.Namespace, config: RunConfig) -> int:
     providers = build_providers(config)
     if providers.scorer is None:
         raise ConfigError("aggregate requires a pair scorer in the provider config")
@@ -394,25 +408,19 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
         enhanced = aggregation.enhance_answer(record, vector, config.contexts_included)
         scored.append((record.id, aggregation.aggregate(record, enhanced, providers.scorer)))
     ranked = aggregation.rank_records(scored)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(
-        out_dir / "aggregate.json",
-        {
-            "contexts_included": config.contexts_included,
-            "ranked": [
-                {"id": record_id, "logit": score.logit, "normalized": score.normalized}
-                for record_id, score in ranked
-            ],
-        },
-    )
+    report = {
+        "contexts_included": config.contexts_included,
+        "ranked": [
+            {"id": record_id, "logit": score.logit, "normalized": score.normalized}
+            for record_id, score in ranked
+        ],
+    }
     rows = [["rank", "id", "logit", "normalized"]]
     for position, (record_id, score) in enumerate(ranked, start=1):
         rows.append([str(position), record_id, f"{score.logit:.4f}", f"{score.normalized:.6f}"])
-    _atomic_write(out_dir / "aggregate.txt", topicality.format_table(rows))
-    _write_manifest(
-        out_dir, "aggregate", config, providers, [str(args.metrics_report)],
-        ["aggregate.json", "aggregate.txt"],
+    _emit(
+        args, config, providers, [str(args.metrics_report)],
+        {"aggregate.json": _json_text(report), "aggregate.txt": topicality.format_table(rows)},
         extra={
             "statement_order": [
                 "answer_relevance", "retrieval_precision", "retrieval_recall", "faithfulness"
@@ -443,9 +451,7 @@ def _default_checkpoints(B: int) -> list[int] | None:
     return candidates if len(candidates) >= 2 else None
 
 
-def cmd_bootstrap(args: argparse.Namespace) -> int:
-    config = load_config(args.config, seed=args.seed, parallelism=args.parallelism,
-                         providers_mode=args.providers)
+def cmd_bootstrap(args: argparse.Namespace, config: RunConfig) -> int:
     values = _load_values(args.values)
     cfg = config.bootstrap
     checkpoints = config.checkpoints or _default_checkpoints(cfg.B)
@@ -458,20 +464,15 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
         unbiasedness = stats.unbiasedness_check(values, summary) if unbiased else None
     except ValueError as exc:
         raise StatsParameterError(str(exc)) from None
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(
-        out_dir / "bootstrap.json",
-        {
-            "summary": summary.to_dict(),
-            "convergence": trace.to_dict() if trace else None,
-            "unbiasedness": unbiasedness.to_dict() if unbiasedness else None,
-            "guidance": {
-                "small_n": summary.n < stats.RECOMMENDED_MIN_N,
-                "small_B": summary.B < stats.RECOMMENDED_MIN_B,
-            },
+    report = {
+        "summary": asdict(summary),
+        "convergence": asdict(trace) if trace else None,
+        "unbiasedness": asdict(unbiasedness) if unbiasedness else None,
+        "guidance": {
+            "small_n": summary.n < stats.RECOMMENDED_MIN_N,
+            "small_B": summary.B < stats.RECOMMENDED_MIN_B,
         },
-    )
+    }
     lines = [
         f"n={summary.n}  B={summary.B}  resample_size={summary.resample_size}  seed={summary.seed}",
         f"empirical_mean={summary.empirical_mean:.6f}",
@@ -486,9 +487,8 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
             f"unbiasedness: delta={unbiasedness.delta:.6e} tolerance={unbiasedness.tolerance:.6e} "
             f"{'pass' if unbiasedness.passed else 'FAIL'}"
         )
-    _atomic_write(out_dir / "bootstrap.txt", "\n".join(lines) + "\n")
-    _write_manifest(out_dir, "bootstrap", config, None, [str(args.values)],
-                    ["bootstrap.json", "bootstrap.txt"])
+    _emit(args, config, None, [str(args.values)],
+          {"bootstrap.json": _json_text(report), "bootstrap.txt": "\n".join(lines) + "\n"})
     return EXIT_OK
 
 
@@ -496,9 +496,7 @@ class StatsParameterError(ValueError):
     """Invalid bootstrap parameters surfaced by the stats engine."""
 
 
-def cmd_topicality(args: argparse.Namespace) -> int:
-    config = load_config(args.config, seed=args.seed, parallelism=args.parallelism,
-                         providers_mode=args.providers)
+def cmd_topicality(args: argparse.Namespace, config: RunConfig) -> int:
     if len(args.records) < 2:
         raise ConfigError("topicality needs at least 2 record files")
     providers = build_providers(config)
@@ -516,21 +514,15 @@ def cmd_topicality(args: argparse.Namespace) -> int:
         parallelism=config.parallelism,
         recall_source=config.recall_source,
     )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "topicality.json", report.to_dict())
-    _atomic_write(out_dir / "topicality.txt", report.render_table())
-    _write_manifest(
-        out_dir, "topicality", config, providers, [str(p) for p in args.records],
-        ["topicality.json", "topicality.txt"],
+    _emit(
+        args, config, providers, [str(p) for p in args.records],
+        {"topicality.json": _json_text(report.to_dict()), "topicality.txt": report.render_table()},
         extra={"failure_counts": {r.label: dict(r.failure_counts) for r in report.set_results}},
     )
     return EXIT_OK
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    config = load_config(args.config, seed=args.seed, parallelism=args.parallelism,
-                         providers_mode=args.providers)
+def cmd_synth(args: argparse.Namespace, config: RunConfig) -> int:
     providers = build_providers(config)
     try:
         doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
@@ -544,11 +536,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     result = generate_synthetic(
         spec, providers.generator, params=config.generation, parallelism=config.parallelism
     )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_record_set(result.records, out_dir / "synthetic.jsonl")
-    _write_manifest(
-        out_dir, "synth", config, providers, [str(args.spec)], ["synthetic.jsonl"],
+    _emit(
+        args, config, providers, [str(args.spec)],
+        {"synthetic.jsonl": dumps_record_set(result.records)},
         extra={
             "generated": len(result.records.records),
             "skipped": [
@@ -612,10 +602,11 @@ _EXIT_CODES = (
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        config = load_config(args.config, seed=args.seed, parallelism=args.parallelism,
+                             providers_mode=args.providers)
+        return args.fn(args, config)
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next((code for types, code in _EXIT_CODES if isinstance(exc, types)), EXIT_CONFIG)

@@ -299,11 +299,17 @@ def load_record_set(
     return RecordSet(label=label or path.stem, records=tuple(records))
 
 
+def dumps_record_set(record_set: RecordSet) -> str:
+    """A record set in the structured-lines format: one JSON object per line."""
+    return "".join(
+        json.dumps(record.to_dict(), ensure_ascii=False, sort_keys=True) + "\n"
+        for record in record_set.records
+    )
+
+
 def save_record_set(record_set: RecordSet, path: str | Path) -> None:
     """Write a record set in the structured-lines format (UTF-8, one object per line)."""
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for record in record_set.records:
-            handle.write(json.dumps(record.to_dict(), ensure_ascii=False, sort_keys=True) + "\n")
+    Path(path).write_text(dumps_record_set(record_set), encoding="utf-8")
 
 
 _PASSAGE_RE = re.compile(r"passage\s*:", re.IGNORECASE)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -215,16 +215,6 @@ def answer_relevance_score(
     return score
 
 
-def _derive_statements(
-    answer: str, strategy: str | Callable[[str], list[str]]
-) -> list[str]:
-    if callable(strategy):
-        return list(strategy(answer))
-    if strategy == "sentences":
-        return segment_sentences(answer)
-    raise ValueError(f"unknown statement strategy {strategy!r}")
-
-
 def evaluate_record(
     record: EvalRecord,
     providers: ProviderBundle,
@@ -232,7 +222,6 @@ def evaluate_record(
     *,
     params: GenerationParams | None = None,
     recall_source: str = "auto",
-    statement_strategy: str | Callable[[str], list[str]] = "sentences",
 ) -> MetricVector:
     """Run all four metrics for one record; failures stay isolated per metric.
 
@@ -246,7 +235,7 @@ def evaluate_record(
     generator, embedder = providers.generator, providers.embedder
 
     try:
-        statements = _derive_statements(record.answer, statement_strategy)
+        statements = segment_sentences(record.answer)
         prompt = build_faithfulness_prompt(record, statements)
         transcript = generator.complete(prompt, params)
         verdicts = parse_faithfulness_verdicts(transcript, len(statements), statements)
@@ -327,7 +316,6 @@ def evaluate_set(
     params: GenerationParams | None = None,
     parallelism: int = 1,
     recall_source: str = "auto",
-    statement_strategy: str | Callable[[str], list[str]] = "sentences",
 ) -> SetEvaluation:
     """Evaluate every record with bounded parallelism and report set means.
 
@@ -350,7 +338,6 @@ def evaluate_set(
                 cfg,
                 params=params,
                 recall_source=recall_source,
-                statement_strategy=statement_strategy,
             )
         except Exception as exc:
             return _all_failed_vector(record, exc)

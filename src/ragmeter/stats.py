@@ -52,14 +52,6 @@ class BootstrapConfig:
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError(f"ci_level must be in (0, 1), got {self.ci_level}")
 
-    def to_dict(self) -> dict:
-        return {
-            "B": self.B,
-            "resample_size": self.resample_size,
-            "seed": self.seed,
-            "ci_level": self.ci_level,
-        }
-
 
 @dataclass(frozen=True)
 class BootstrapSummary:
@@ -80,20 +72,6 @@ class BootstrapSummary:
     seed: int
     ci_level: float
 
-    def to_dict(self) -> dict:
-        return {
-            "empirical_mean": self.empirical_mean,
-            "boot_mean": self.boot_mean,
-            "boot_variance": self.boot_variance,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "B": self.B,
-            "n": self.n,
-            "resample_size": self.resample_size,
-            "seed": self.seed,
-            "ci_level": self.ci_level,
-        }
-
 
 @dataclass(frozen=True)
 class ConvergencePoint:
@@ -107,13 +85,6 @@ class ConvergenceTrace:
     final_relative_change: float
     converged: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "points": [{"B": p.B, "std_error": p.std_error} for p in self.points],
-            "final_relative_change": self.final_relative_change,
-            "converged": self.converged,
-        }
-
 
 @dataclass(frozen=True)
 class UnbiasednessReport:
@@ -122,15 +93,6 @@ class UnbiasednessReport:
     delta: float
     tolerance: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "empirical_mean": self.empirical_mean,
-            "boot_mean": self.boot_mean,
-            "delta": self.delta,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
 
 
 def resample_rng(seed: int, s: int) -> np.random.Generator:

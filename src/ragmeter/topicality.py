@@ -8,7 +8,7 @@ disjoint and the mean delta clears a minimum effect size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -61,17 +61,6 @@ class SummaryComparison:
     separated: bool
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "set_a": self.set_a,
-            "set_b": self.set_b,
-            "metric": self.metric,
-            "delta": self.delta,
-            "ci_overlap": self.ci_overlap,
-            "separated": self.separated,
-            "note": self.note,
-        }
-
 
 def compare_summaries(
     a: BootstrapSummary,
@@ -118,17 +107,18 @@ class TopicalityReport:
         raise KeyError(f"no comparison for ({set_a}, {set_b}, {metric})")
 
     def to_dict(self) -> dict:
+        """The JSON report: summaries and comparisons, without the metric values."""
         return {
             "min_effect": self.min_effect,
             "sets": [
                 {
                     "label": result.label,
-                    "summaries": {m: s.to_dict() for m, s in result.summaries.items()},
+                    "summaries": {m: asdict(s) for m, s in result.summaries.items()},
                     "failure_counts": dict(result.failure_counts),
                 }
                 for result in self.set_results
             ],
-            "comparisons": [comp.to_dict() for comp in self.comparisons],
+            "comparisons": [asdict(comp) for comp in self.comparisons],
         }
 
     def render_table(self) -> str:

@@ -274,12 +274,61 @@ class TestBootstrap:
 
 
 class TestMalformedScripts:
-    @pytest.mark.parametrize("scripts", [[1], {"scripts": [1]}], ids=["file-list", "entry-not-object"])
+    @pytest.mark.parametrize(
+        "scripts",
+        [
+            [1],
+            {"scripts": [1]},
+            {"scripts": [{"match": "x", "responses": "Question: abc"}]},
+            {"scripts": [{"match": "x", "responses": []}]},
+            {"scripts": [{"match": "x", "responses": [1]}]},
+            {"scripts": [{"match": "x", "response": "Question: abc"}]},
+            {"scripts": [{"match": None, "responses": ["Question: abc"]}]},
+            {"scripts": [{"match": ["x", 1], "responses": ["Question: abc"]}]},
+        ],
+        ids=["file-list", "entry-not-object", "responses-string", "responses-empty",
+             "responses-not-strings", "responses-missing", "match-null", "match-not-strings"],
+    )
     def test_exits_2(self, tmp_path, capsys, scripts):
         config = write_workspace(tmp_path)
+        if isinstance(scripts, dict):
+            # behind the workspace's valid entries, which answer every prompt first
+            valid = json.loads((tmp_path / "scripts.json").read_text())["scripts"]
+            scripts = {"scripts": valid + scripts["scripts"]}
         write_json(tmp_path / "scripts.json", scripts)
         assert run(["evaluate", "--config", config, "--out", tmp_path / "o", tmp_path / "pos.jsonl"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestConfig:
+    def test_empty_config_echoes_dataclass_defaults(self, tmp_path):
+        from dataclasses import asdict
+
+        from ragmeter.cli import load_config
+        from ragmeter.topicality import DEFAULT_MIN_EFFECT
+
+        config_path = tmp_path / "empty.json"
+        write_json(config_path, {})
+        config = load_config(config_path)
+        assert config.generation == ragmeter.GenerationParams()
+        assert config.similarity == ragmeter.SimilarityConfig()
+        assert config.bootstrap == ragmeter.BootstrapConfig()
+        assert config.checkpoints is None
+        assert config.min_effect == DEFAULT_MIN_EFFECT
+        assert config.raw["generation"] == asdict(ragmeter.GenerationParams())
+        assert config.raw["metrics"] == asdict(ragmeter.SimilarityConfig())
+        assert config.raw["bootstrap"] == {**asdict(ragmeter.BootstrapConfig()), "checkpoints": None}
+        assert config.raw["topicality"] == {"min_effect": DEFAULT_MIN_EFFECT}
+
+    @pytest.mark.parametrize("flag", ["contexts_included", "strict_parsing"])
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_non_boolean_flag_exits_2(self, tmp_path, capsys, flag, value):
+        config = write_workspace(tmp_path)
+        doc = json.loads(config.read_text())
+        doc["flags"] = {flag: value}
+        write_json(config, doc)
+        assert run(["evaluate", "--config", config, "--out", tmp_path / "o", tmp_path / "pos.jsonl"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: flags.{flag} must be true or false")
 
 
 class TestTopicality:
@@ -367,6 +416,37 @@ class TestSynth:
         spec_path = tmp_path / "spec.json"
         write_json(spec_path, {"topic_label": "cloud", "prompt_template": SYNTH_TEMPLATE, "count": 0})
         assert run(["synth", "--config", config, "--out", tmp_path / "o", spec_path]) == 2
+
+
+def command_argv(tmp_path: Path, command: str) -> list:
+    """Arguments after `--out` that run `command` on the workspace's files."""
+    if command == "evaluate":
+        return [tmp_path / "pos.jsonl"]
+    if command == "aggregate":
+        report_path = tmp_path / "report.json"
+        write_metrics_report(report_path, [report_entry("low", LOW), report_entry("high", HIGH)])
+        return [report_path]
+    if command == "bootstrap":
+        write_json(tmp_path / "values.json", [0.1, 0.4, 0.3, 0.8] * 10)
+        return [tmp_path / "values.json"]
+    if command == "topicality":
+        return [tmp_path / "pos.jsonl", tmp_path / "rand.jsonl"]
+    write_json(tmp_path / "spec.json", {"topic_label": "cloud", "prompt_template": SYNTH_TEMPLATE, "count": 3})
+    return [tmp_path / "spec.json"]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "aggregate", "bootstrap", "topicality", "synth"])
+def test_manifest_lists_every_output(tmp_path, command):
+    config = write_workspace(tmp_path, extra_scripts=synth_scripts())
+    out = tmp_path / "out"
+    assert run([command, "--config", config, "--out", out, *command_argv(tmp_path, command)]) == 0
+    manifest_name = f"{command}.manifest.json"
+    written = sorted(p.name for p in out.iterdir())
+    manifest = json.loads((out / manifest_name).read_text())
+    assert manifest["command"] == command
+    assert sorted(manifest["outputs"]) == [name for name in written if name != manifest_name]
+    assert manifest_name in written
+    assert not list(out.glob("*.tmp*"))
 
 
 def test_auth_token_value_never_in_config_echo(tmp_path, monkeypatch):
