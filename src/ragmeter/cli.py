@@ -160,6 +160,12 @@ def load_config(path: str | Path, *, seed: int | None = None, parallelism: int |
         not isinstance(checkpoints, list) or not all(isinstance(c, int) for c in checkpoints)
     ):
         raise ConfigError("bootstrap.checkpoints must be a list of integers")
+    for key in ("seed", "parallelism"):
+        if not _is_int(raw[key]):
+            raise ConfigError(f"{key} must be an integer, got {raw[key]!r}")
+    min_effect = raw["topicality"]["min_effect"]
+    if not (_is_int(min_effect) or isinstance(min_effect, float)):
+        raise ConfigError(f"topicality.min_effect must be a number, got {min_effect!r}")
     flags = raw["flags"]
     recall_source = flags["recall_source"]
     if recall_source not in judge.RECALL_SOURCES:
@@ -175,14 +181,26 @@ def load_config(path: str | Path, *, seed: int | None = None, parallelism: int |
         similarity=similarity,
         bootstrap=bootstrap,
         checkpoints=checkpoints,
-        min_effect=float(raw["topicality"]["min_effect"]),
-        parallelism=int(raw["parallelism"]),
-        seed=int(raw["seed"]),
+        min_effect=float(min_effect),
+        parallelism=raw["parallelism"],
+        seed=raw["seed"],
         contexts_included=flags["contexts_included"],
         recall_source=recall_source,
         strict_parsing=flags["strict_parsing"],
         record_format=str(raw["record_format"]),
     )
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _section(parent: dict, key: str, where: str) -> dict:
+    """`parent[key]` (an empty object when absent), which must be a JSON object."""
+    section = parent.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}.{key} must be an object, got {section!r}")
+    return section
 
 
 def _is_str_list(value: object) -> bool:
@@ -221,9 +239,9 @@ def _load_scripts(config: RunConfig) -> ScriptedGenerator:
 def build_providers(config: RunConfig) -> ProviderBundle:
     """Construct the generator/embedder/scorer trio the config describes."""
     if config.providers_mode == "stub":
-        stub = config.raw["providers"]["stub"]
-        embedder_cfg = stub.get("embedder", {})
-        scorer_cfg = stub.get("scorer", {})
+        stub = _section(config.raw["providers"], "stub", "providers")
+        embedder_cfg = _section(stub, "embedder", "providers.stub")
+        scorer_cfg = _section(stub, "scorer", "providers.stub")
         try:
             embedder = HashEmbedder(
                 int(embedder_cfg.get("dimension", 256)),
@@ -238,7 +256,7 @@ def build_providers(config: RunConfig) -> ProviderBundle:
             raise ConfigError(f"invalid stub provider config: {exc}") from None
         return ProviderBundle(_load_scripts(config), embedder, scorer)
 
-    http = config.raw["providers"]["http"]
+    http = _section(config.raw["providers"], "http", "providers")
 
     def endpoint(name: str, **defaults) -> EndpointConfig:
         section = http.get(name)

@@ -10,14 +10,19 @@ Resample `s` depends only on (seed, s, n, size), so value arrays of one
 length share their index draws: :func:`shared_resample_means` draws each
 index row once and takes every array's mean from it. Rows are drawn in
 chunks of about `CHUNK_ENTRIES` indices, which bounds the index and gather
-buffers near 256 KiB whatever n, size and the resample count are.
+buffers near 256 KiB whatever n, size and the resample count are. The PCG64
+state `SeedSequence((seed, s))` gives resample `s` is computed directly,
+`SEED_BLOCK_ROWS` resamples at a time, and loaded into one generator per
+call, so no numpy seeding objects are built per resample.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from numbers import Integral
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -27,6 +32,16 @@ CONVERGED_RELATIVE_CHANGE = 0.01
 # indices per chunk of resample rows, rows = max(1, CHUNK_ENTRIES // size):
 # the int64 index block and the float64 values gathered by it take 128 KiB each
 CHUNK_ENTRIES = 16384
+# resample seed states computed per block: 2048 rows of 4 uint64 take 64 KiB
+SEED_BLOCK_ROWS = 2048
+
+# SeedSequence's hash constants and PCG64's multiplier (numpy/random), fixed by NEP 19
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
 
 class BootstrapGuidanceWarning(UserWarning):
@@ -43,6 +58,13 @@ class BootstrapConfig:
     ci_level: float = 0.95
 
     def __post_init__(self):
+        # the seed-state mixer splits integers into 32-bit words
+        for name in ("B", "resample_size", "seed"):
+            value = getattr(self, name)
+            if value is None and name == "resample_size":
+                continue
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.B < 1:
             raise ValueError(f"B must be >= 1, got {self.B}")
         if self.resample_size is not None and self.resample_size < 1:
@@ -95,12 +117,106 @@ class UnbiasednessReport:
     passed: bool
 
 
+def _uint32_words(x: int) -> list[int]:
+    """Little-endian 32-bit words of `x` >= 0, and [0] for 0, as SeedSequence splits entropy."""
+    words = [x & _MASK32]
+    while x := x >> 32:
+        words.append(x & _MASK32)
+    return words
+
+
+def _hashmix(value: np.ndarray, hash_const: int, mult: int = _MULT_A) -> tuple[np.ndarray, int]:
+    value = value ^ np.uint32(hash_const)
+    hash_const = hash_const * mult & _MASK32
+    value = value * np.uint32(hash_const)
+    return value ^ (value >> 16), hash_const
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return result ^ (result >> 16)
+
+
+def _generate_state(entropy: list[np.ndarray]) -> np.ndarray:
+    """SeedSequence's mix_entropy then generate_state(4, np.uint64), for many entropies at once.
+
+    Entropy word i of every row is `entropy[i]`, a uint32 array of shape
+    (rows,), or (1,) when all rows share it; the result has shape (rows, 4).
+    """
+    hash_const = _INIT_A
+    pool = []
+    for i in range(_POOL_SIZE):
+        word, hash_const = _hashmix(entropy[i] if i < len(entropy) else np.zeros(1, np.uint32), hash_const)
+        pool.append(word)
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                word, hash_const = _hashmix(pool[i_src], hash_const)
+                pool[i_dst] = _mix(pool[i_dst], word)
+    for extra in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            word, hash_const = _hashmix(extra, hash_const)
+            pool[i_dst] = _mix(pool[i_dst], word)
+    rows = max(word.size for word in entropy)
+    state = np.empty((rows, 4), np.uint64)
+    hash_const = _INIT_B
+    halves = []
+    for i in range(8):
+        word, hash_const = _hashmix(pool[i % _POOL_SIZE], hash_const, _MULT_B)
+        halves.append(word.astype(np.uint64))
+    for k in range(4):
+        state[:, k] = halves[2 * k] | (halves[2 * k + 1] << 32)
+    return state
+
+
+def seed_states(seed: int, start: int, stop: int) -> np.ndarray:
+    """`SeedSequence((seed, s)).generate_state(4, np.uint64)` for each s in [start, stop).
+
+    Computed in bulk with uint32 array arithmetic that mirrors numpy's
+    SeedSequence, whose output NEP 19 keeps stable across versions. Rows
+    whose s share the words above the lowest differ only in that word, so
+    the range is split at multiples of 2**32 and each part is one
+    vectorised pass. Returns a (stop - start, 4) uint64 array.
+    """
+    seed_words = [np.full(1, w, np.uint32) for w in _uint32_words(int(seed))]
+    parts = []
+    lo = int(start)
+    while lo < stop:
+        hi = min(stop, ((lo >> 32) + 1) << 32)
+        low = np.arange(lo & _MASK32, (lo & _MASK32) + (hi - lo), dtype=np.uint32)
+        high = [np.full(1, w, np.uint32) for w in _uint32_words(lo >> 32)] if lo >> 32 else []
+        parts.append(_generate_state(seed_words + [low] + high))
+        lo = hi
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def pcg64_state(words: np.ndarray) -> dict:
+    """The `PCG64.state` that seeding from one row of :func:`seed_states` leaves.
+
+    Mirrors PCG64's 128-bit srandom step: the first two words are the
+    initial state, the last two the stream selector, high word first.
+    """
+    s_high, s_low, i_high, i_low = words.tolist()
+    inc = ((i_high << 64 | i_low) << 1 | 1) & _MASK128
+    state = ((inc + (s_high << 64 | s_low)) * _PCG64_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+
+
+def _seeded_rows(seed: int, count: int) -> Iterator[np.ndarray]:
+    """Rows of :func:`seed_states` for s in [0, count), computed `SEED_BLOCK_ROWS` at a time."""
+    for start in range(0, count, SEED_BLOCK_ROWS):
+        yield from seed_states(seed, start, min(start + SEED_BLOCK_ROWS, count))
+
+
 def resample_rng(seed: int, s: int) -> np.random.Generator:
     """The generator driving resample `s` of a run seeded with `seed`.
 
-    Seed-splitting rule: resample `s` mixes (seed, s) through SeedSequence.
+    Seed-splitting rule: resample `s` draws from the PCG64 that
+    `SeedSequence((seed, s))` seeds; its state is computed directly.
     """
-    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, s)))
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = pcg64_state(seed_states(seed, s, s + 1)[0])
+    return np.random.Generator(bit_generator)
 
 
 def resample(values: Sequence[float] | np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -154,7 +270,8 @@ def shared_resample_means(
     """The first `count` resample means (default `cfg.B`) of each array, from one draw.
 
     Every array must have the same length n. Resample `s` takes its indices
-    from `resample_rng(cfg.seed, s)` and depends only on (seed, s, n, size),
+    from the generator `resample_rng(cfg.seed, s)` returns, here one PCG64
+    whose state is set per resample, and depends only on (seed, s, n, size),
     so each index row is drawn once and serves every array; the means equal
     per-array :func:`resample_means` bit for bit. Rows are drawn in chunks
     of `max(1, CHUNK_ENTRIES // size)`. The arrays returned are read-only.
@@ -169,9 +286,18 @@ def shared_resample_means(
     count = cfg.B if count is None else count
     rows = max(1, CHUNK_ENTRIES // size)
     means = tuple(np.empty(count) for _ in arrays)
+    # local to the call, so concurrent calls share no generator state
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    seeded_rows = _seeded_rows(cfg.seed, count)
+
+    def draw(words: np.ndarray) -> np.ndarray:
+        bit_generator.state = pcg64_state(words)
+        return rng.integers(0, n, size=size)
+
     for start in range(0, count, rows):
         stop = min(start + rows, count)
-        block = np.stack([resample_rng(cfg.seed, s).integers(0, n, size=size) for s in range(start, stop)])
+        block = np.stack([draw(words) for words in islice(seeded_rows, stop - start)])
         for arr, out in zip(arrays, means):
             out[start:stop] = arr[block].mean(axis=1)
     for out in means:

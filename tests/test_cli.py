@@ -255,11 +255,11 @@ class TestBootstrap:
         write_json(values_path, values)
         calls = []
 
-        def counting_rng(seed, s, real=stats.resample_rng):
-            calls.append(s)
-            return real(seed, s)
+        def counting_state(words, real=stats.pcg64_state):
+            calls.append(words)
+            return real(words)
 
-        monkeypatch.setattr(stats, "resample_rng", counting_rng)
+        monkeypatch.setattr(stats, "pcg64_state", counting_state)
         out = tmp_path / "out"
         assert run(["bootstrap", "--config", config, "--out", out, values_path]) == 0
         assert len(calls) == draws
@@ -329,6 +329,64 @@ class TestConfig:
         write_json(config, doc)
         assert run(["evaluate", "--config", config, "--out", tmp_path / "o", tmp_path / "pos.jsonl"]) == 2
         assert capsys.readouterr().err.startswith(f"error: flags.{flag} must be true or false")
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("bootstrap", "seed", 2.9),
+            ("bootstrap", "B", 50.5),
+            ("bootstrap", "seed", True),
+            ("bootstrap", "resample_size", "40"),
+            (None, "seed", 2.9),
+            (None, "seed", True),
+            (None, "parallelism", "2"),
+            (None, "parallelism", False),
+            ("topicality", "min_effect", "0.1"),
+            ("topicality", "min_effect", True),
+            ("topicality", "min_effect", None),
+        ],
+    )
+    def test_mistyped_number_exits_2(self, tmp_path, capsys, section, key, value):
+        config = write_workspace(tmp_path, bootstrap_b=1000)
+        doc = json.loads(config.read_text())
+        (doc.setdefault(section, {}) if section else doc)[key] = value
+        write_json(config, doc)
+        values_path = tmp_path / "values.json"
+        write_json(values_path, [0.1, 0.4, 0.3, 0.8] * 10)
+        out = tmp_path / "o"
+        assert run(["bootstrap", "--config", config, "--out", out, values_path]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_integral_min_effect_read_as_float(self, tmp_path):
+        from ragmeter.cli import load_config
+
+        config = write_workspace(tmp_path)
+        doc = json.loads(config.read_text())
+        doc["topicality"] = {"min_effect": 1}
+        write_json(config, doc)
+        assert load_config(config).min_effect == 1.0
+
+    @pytest.mark.parametrize(
+        "providers",
+        [
+            {"stub": 5},
+            {"stub": {"embedder": 5}},
+            {"stub": {"scorer": [1.0, 1.0, 1.0, 1.0]}},
+            {"mode": "http", "http": 5},
+        ],
+        ids=["stub", "stub-embedder", "stub-scorer", "http"],
+    )
+    def test_non_object_provider_section_exits_2(self, tmp_path, capsys, providers):
+        config = write_workspace(tmp_path)
+        doc = json.loads(config.read_text())
+        if "stub" in providers and isinstance(providers["stub"], dict):
+            doc["providers"]["stub"].update(providers["stub"])
+        else:
+            doc["providers"].update(providers)
+        write_json(config, doc)
+        assert run(["evaluate", "--config", config, "--out", tmp_path / "o", tmp_path / "pos.jsonl"]) == 2
+        assert "must be an object" in capsys.readouterr().err
 
 
 class TestTopicality:

@@ -1,5 +1,7 @@
 """Tests for the seeded bootstrap engine."""
 
+import sys
+import threading
 import warnings
 from unittest import mock
 
@@ -12,16 +14,29 @@ from oracle import enumerate_size2_resample_means, oracle_resample_means, oracle
 from ragmeter import stats
 from ragmeter.stats import (
     CHUNK_ENTRIES,
+    SEED_BLOCK_ROWS,
     BootstrapConfig,
     BootstrapGuidanceWarning,
     bootstrap_summary,
     convergence_trace,
+    pcg64_state,
     percentile,
     resample,
     resample_means,
     resample_rng,
+    seed_states,
     shared_resample_means,
     unbiasedness_check,
+)
+
+
+# seeds and resample indices of one, two and three 32-bit words
+SEEDS = st.just(0) | st.integers(1, 2**32 - 1) | st.integers(2**32, 2**64 - 1) | st.integers(2**64, 2**96)
+RESAMPLES = (
+    st.integers(0, 3 * SEED_BLOCK_ROWS)
+    | st.sampled_from([SEED_BLOCK_ROWS - 1, SEED_BLOCK_ROWS, 2 * SEED_BLOCK_ROWS - 1, 2**32 - 1])
+    | st.integers(2**32, 2**64 - 1)
+    | st.integers(2**64, 2**96)
 )
 
 
@@ -33,6 +48,41 @@ def quiet_summary(values, cfg, means=None):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BootstrapGuidanceWarning)
         return bootstrap_summary(values, cfg, means=means)
+
+
+class TestSeedStates:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=SEEDS, s=RESAMPLES, rows=st.integers(min_value=1, max_value=4))
+    # runs that cross 2**32 and 2**64, where s gains a word
+    @example(seed=2**32, s=2**32 - 2, rows=4)
+    @example(seed=0, s=2**64 - 1, rows=2)
+    def test_mirror_equals_numpy_seeding(self, seed, s, rows):
+        states = seed_states(seed, s, s + rows)
+        assert states.shape == (rows, 4) and states.dtype == np.uint64
+        for j, words in enumerate(states):
+            sequence = np.random.SeedSequence((seed, s + j))
+            assert words.tobytes() == sequence.generate_state(4, np.uint64).tobytes()
+            assert pcg64_state(words) == np.random.PCG64(sequence).state
+
+    def test_resample_rng_draws_like_numpy_seeding(self):
+        mirrored = resample_rng(2**64 + 3, 2**32 + 1).integers(0, 1000, size=64)
+        seeded = np.random.default_rng(np.random.SeedSequence((2**64 + 3, 2**32 + 1))).integers(0, 1000, size=64)
+        assert mirrored.tobytes() == seeded.tobytes()
+
+
+class TestBootstrapConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("B", 10.0), ("B", True), ("seed", 2.9), ("seed", True), ("resample_size", 5.0), ("resample_size", False)],
+    )
+    def test_non_integers_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            BootstrapConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = BootstrapConfig(B=np.int64(20), resample_size=np.int32(4), seed=np.uint64(2**63 + 5))
+        means = resample_means([1.0, 2.0, 3.0], cfg)
+        assert means.tobytes() == np.asarray(oracle_resample_means([1.0, 2.0, 3.0], 20, 4, 2**63 + 5)).tobytes()
 
 
 class TestResample:
@@ -212,23 +262,28 @@ class TestSharedResampleMeans:
         n=st.integers(min_value=1, max_value=400),
         arrays=st.integers(min_value=1, max_value=4),
         value_seed=st.integers(min_value=0, max_value=2**32),
-        seed=st.integers(min_value=0, max_value=2**32),
+        seed=SEEDS,
         resample_size=st.none() | st.integers(min_value=1, max_value=80),
         count=st.integers(min_value=0, max_value=60),
         chunk=st.just(CHUNK_ENTRIES) | st.integers(min_value=1, max_value=64),
+        seed_block=st.just(SEED_BLOCK_ROWS) | st.integers(min_value=1, max_value=16),
     )
     # the shipped chunk: one resample per chunk, then 40 + 40 + 15 rows
     @example(n=3, arrays=2, value_seed=0, seed=5, resample_size=CHUNK_ENTRIES + 1, count=3,
-             chunk=CHUNK_ENTRIES)
-    @example(n=400, arrays=3, value_seed=1, seed=6, resample_size=None, count=95, chunk=CHUNK_ENTRIES)
+             chunk=CHUNK_ENTRIES, seed_block=SEED_BLOCK_ROWS)
+    @example(n=400, arrays=3, value_seed=1, seed=6, resample_size=None, count=95, chunk=CHUNK_ENTRIES,
+             seed_block=SEED_BLOCK_ROWS)
+    # the shipped seed block: two full blocks, then one row
+    @example(n=3, arrays=1, value_seed=2, seed=2**40, resample_size=4, count=2 * SEED_BLOCK_ROWS + 1,
+             chunk=CHUNK_ENTRIES, seed_block=SEED_BLOCK_ROWS)
     def test_every_array_equals_the_oracle_bitwise(
-        self, n, arrays, value_seed, seed, resample_size, count, chunk
+        self, n, arrays, value_seed, seed, resample_size, count, chunk, seed_block
     ):
         # multiples of 2**-10 below 2**10 sum exactly in any order, so equal
         # bits mean equal indices, whatever the summation order
         values = np.random.default_rng(value_seed).integers(0, 2**20, size=(arrays, n)) / 1024
         cfg = BootstrapConfig(B=2, resample_size=resample_size, seed=seed)
-        with mock.patch.object(stats, "CHUNK_ENTRIES", chunk):
+        with mock.patch.object(stats, "CHUNK_ENTRIES", chunk), mock.patch.object(stats, "SEED_BLOCK_ROWS", seed_block):
             shared = shared_resample_means(values, cfg, count)
         size = n if resample_size is None else resample_size
         assert len(shared) == arrays
@@ -249,6 +304,31 @@ class TestSharedResampleMeans:
         first, second = shared_resample_means([values, values[::-1]], cfg)
         assert first.tobytes() == np.asarray(loop).tobytes()
         assert second.tobytes() == resample_means(values[::-1], cfg).tobytes()
+
+    def test_concurrent_calls_are_byte_identical(self):
+        values = [beta_fixture(300), beta_fixture(300, seed=1)]
+        cfg = BootstrapConfig(B=4000, seed=4)
+        serial = [means.tobytes() for means in shared_resample_means(values, cfg)]
+        workers = 4
+        start = threading.Barrier(workers, timeout=60)
+        results: list = [None] * workers
+
+        def work(i):
+            start.wait()
+            results[i] = [means.tobytes() for means in shared_resample_means(values, cfg)]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [serial] * workers
 
     def test_rejects_mixed_lengths(self):
         with pytest.raises(ValueError, match="same length"):
