@@ -163,6 +163,8 @@ def load_config(path: str | Path, *, seed: int | None = None, parallelism: int |
     for key in ("seed", "parallelism"):
         if not _is_int(raw[key]):
             raise ConfigError(f"{key} must be an integer, got {raw[key]!r}")
+    if raw["parallelism"] < 1:
+        raise ConfigError(f"parallelism must be at least 1, got {raw['parallelism']}")
     min_effect = raw["topicality"]["min_effect"]
     if not (_is_int(min_effect) or isinstance(min_effect, float)):
         raise ConfigError(f"topicality.min_effect must be a number, got {min_effect!r}")
@@ -222,7 +224,7 @@ def _load_scripts(config: RunConfig) -> ScriptedGenerator:
         entries = doc.get("scripts", []) if isinstance(doc, dict) else None
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             raise ConfigError(f"scripts file {path} must be an object whose 'scripts' is a list of objects")
-        for entry in entries:
+        for index, entry in enumerate(entries):
             match, responses = entry.get("match"), entry.get("responses")
             needles = [match] if isinstance(match, str) else match
             if not (_is_str_list(needles) and _is_str_list(responses) and responses):
@@ -230,10 +232,19 @@ def _load_scripts(config: RunConfig) -> ScriptedGenerator:
                     f"scripts file {path}: each entry needs 'match' (a string or a list of strings) "
                     f"and 'responses' (a non-empty list of strings), got {entry!r}"
                 )
-            transcripts[tuple(needles)] = responses
-    return ScriptedGenerator(
-        transcripts, strict=config.strict_parsing, fallback=str(stub.get("fallback", ""))
-    )
+            key = tuple(needles)
+            if key in transcripts:  # until now one key per entry, in entry order
+                raise ConfigError(
+                    f"scripts file {path}: entries {list(transcripts).index(key)} and {index} "
+                    f"have the same match {match!r}"
+                )
+            transcripts[key] = responses
+    try:
+        return ScriptedGenerator(
+            transcripts, strict=config.strict_parsing, fallback=str(stub.get("fallback", ""))
+        )
+    except ValueError as exc:
+        raise ConfigError(f"scripts file {scripts_path}: {exc}") from None
 
 
 def build_providers(config: RunConfig) -> ProviderBundle:

@@ -19,7 +19,7 @@ import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -113,6 +113,10 @@ def all_in_process(*providers: object) -> bool:
     return all(getattr(type(p), "in_process", False) for p in providers if p is not None)
 
 
+# `re` parses nested groups recursively; deeper needle tries are refused up front
+_MAX_NESTING = 100
+
+
 class ScriptedGenerator:
     """Test double returning canned transcripts keyed by prompt substrings.
 
@@ -121,8 +125,18 @@ class ScriptedGenerator:
     may map to a sequence of responses, consumed round-robin across calls,
     which lets one prompt yield several distinct transcripts. Unmatched
     prompts raise :class:`ScriptMissError` when strict, otherwise return the
-    fallback text. Each needle is tested at most once per call, however many
-    entries share it.
+    fallback text.
+
+    Matching is one scan of the prompt, whatever the number of entries. The
+    distinct non-empty needles are compiled once into a trie-shaped pattern
+    that matches the longest needle starting at a position, and each search
+    restarts one character after the last match start, so a needle that
+    occurs k times costs k pattern searches. The needles that are prefixes
+    of a found needle occur too. Only the entries listed under a found
+    needle are then checked; each entry is listed under its needle shared by
+    the fewest entries. The empty needle always occurs. A needle set whose
+    trie nests groups more than 100 deep, such as a chain of 1000 needles
+    each a prefix of the next, raises ``ValueError``.
     """
 
     identifier = "stub:scripted"
@@ -135,36 +149,111 @@ class ScriptedGenerator:
         strict: bool = True,
         fallback: str = "",
     ):
-        self._entries: list[tuple[tuple[str, ...], list[str]]] = []
+        self._entries: list[tuple[frozenset[str], list[str]]] = []
         for matcher, response in transcripts.items():
             needles = (matcher,) if isinstance(matcher, str) else tuple(matcher)
             responses = [response] if isinstance(response, str) else list(response)
             if not responses:
                 raise ValueError(f"matcher {matcher!r} has no responses")
-            self._entries.append((needles, responses))
+            self._entries.append((frozenset(n for n in needles if n), responses))
         self._strict = strict
         self._fallback = fallback
         self._cursors = [0] * len(self._entries)
         self._lock = threading.Lock()
 
-    def complete(self, prompt: str, params: GenerationParams | None = None) -> str:
-        # needle -> whether it occurs in this prompt; entries often share needles
-        found: dict[str, bool] = {}
-        for slot, (needles, responses) in enumerate(self._entries):
+        shares: dict[str, int] = {}
+        for needles, _ in self._entries:
             for needle in needles:
-                hit = found.get(needle)
-                if hit is None:
-                    hit = found[needle] = needle in prompt
-                if not hit:
-                    break
+                shares[needle] = shares.get(needle, 0) + 1
+        # needle -> slots (ascending) of the entries it is the most selective needle of
+        self._keyed: dict[str, list[int]] = {}
+        # lowest slot whose matcher has no non-empty needle, which every prompt matches
+        self._always = len(self._entries)
+        for slot, (needles, _) in enumerate(self._entries):
+            if needles:
+                self._keyed.setdefault(min(needles, key=lambda n: (shares[n], n)), []).append(slot)
             else:
-                with self._lock:
-                    cursor = self._cursors[slot]
-                    self._cursors[slot] = cursor + 1
-                return responses[cursor % len(responses)]
+                self._always = min(self._always, slot)
+        self._pattern, self._prefixes = _needle_index(shares)
+
+    def complete(self, prompt: str, params: GenerationParams | None = None) -> str:
+        found: set[str] = set()
+        if self._pattern is not None:
+            search = self._pattern.search
+            match = search(prompt)
+            while match is not None:
+                found |= self._prefixes[match.group()]
+                match = search(prompt, match.start() + 1)
+        slot = self._always
+        for needle in found:
+            for candidate in self._keyed.get(needle, ()):
+                if candidate >= slot:
+                    break
+                if self._entries[candidate][0] <= found:
+                    slot = candidate
+                    break
+        if slot < len(self._entries):
+            responses = self._entries[slot][1]
+            with self._lock:
+                cursor = self._cursors[slot]
+                self._cursors[slot] = cursor + 1
+            return responses[cursor % len(responses)]
         if self._strict:
             raise ScriptMissError(prompt)
         return self._fallback
+
+
+def _needle_index(needles: Iterable[str]) -> tuple[re.Pattern | None, dict[str, frozenset[str]]]:
+    """A trie-shaped pattern over non-empty needles, and each needle's needle prefixes.
+
+    At a position the pattern matches the longest needle that starts there;
+    the other needles starting there are its prefixes. The pattern is built
+    with an explicit stack, not recursion, and its group nesting is checked
+    against `_MAX_NESTING` before `re` parses it.
+    """
+    end = ""  # key marking a node where a needle ends; edges are single characters
+    root: dict = {}
+    for needle in needles:
+        node = root
+        for char in needle:
+            node = node.setdefault(char, {})
+        node[end] = needle
+    if not root:
+        return None, {}
+    prefixes: dict[str, frozenset[str]] = {}
+    parts: list[str] = []
+    # a node's pattern is its edges as alternatives, in a group when there
+    # are several or when a needle also ends there (then the group is optional)
+    stack: list = [(root, [], 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        node, ends, depth = item
+        if end in node:
+            ends = ends + [node[end]]
+            prefixes[node[end]] = frozenset(ends)
+        edges = [char for char in node if char]
+        if not edges:
+            continue
+        grouped = end in node or len(edges) > 1
+        if grouped:
+            depth += 1
+            if depth > _MAX_NESTING:
+                raise ValueError(f"script needles nest more than {_MAX_NESTING} groups deep")
+        todo: list = ["(?:"] if grouped else []
+        for i, char in enumerate(edges):
+            if i:
+                todo.append("|")
+            todo += [re.escape(char), (node[char], ends, depth)]
+        if grouped:
+            todo.append(")?" if end in node else ")")
+        stack.extend(reversed(todo))
+    try:
+        return re.compile("".join(parts)), prefixes
+    except (re.error, RecursionError) as exc:
+        raise ValueError(f"script needles do not compile to a pattern: {exc}") from None
 
 
 def _token_axis(token: str, dimension: int) -> int:

@@ -299,6 +299,35 @@ class TestMalformedScripts:
         assert run(["evaluate", "--config", config, "--out", tmp_path / "o", tmp_path / "pos.jsonl"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [("x", ["x"]), (["x"], "x"), (["x", "y"], ["x", "y"])],
+        ids=["string-then-list", "list-then-string", "two-needles"],
+    )
+    def test_duplicate_match_exits_2(self, tmp_path, capsys, first, second):
+        config = write_workspace(tmp_path)
+        valid = json.loads((tmp_path / "scripts.json").read_text())["scripts"]
+        extra = [{"match": first, "responses": ["Question: abc"]},
+                 {"match": ["other"], "responses": ["Question: def"]},
+                 {"match": second, "responses": ["Question: ghi"]}]
+        write_json(tmp_path / "scripts.json", {"scripts": valid + extra})
+        out = tmp_path / "o"
+        assert run(["evaluate", "--config", config, "--out", out, tmp_path / "pos.jsonl"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"entries {len(valid)} and {len(valid) + 2} have the same match" in err
+        assert not out.exists()
+
+    def test_needles_too_deep_for_the_pattern_exit_2(self, tmp_path, capsys):
+        config = write_workspace(tmp_path)
+        valid = json.loads((tmp_path / "scripts.json").read_text())["scripts"]
+        chain = [{"match": "a" * length, "responses": ["Question: abc"]} for length in range(1, 1001)]
+        write_json(tmp_path / "scripts.json", {"scripts": valid + chain})
+        out = tmp_path / "o"
+        assert run(["evaluate", "--config", config, "--out", out, tmp_path / "pos.jsonl"]) == 2
+        assert "nest more than" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfig:
     def test_empty_config_echoes_dataclass_defaults(self, tmp_path):
@@ -357,6 +386,21 @@ class TestConfig:
         assert run(["bootstrap", "--config", config, "--out", out, values_path]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_parallelism_below_one_exits_2(self, tmp_path, capsys, source):
+        config = write_workspace(tmp_path)
+        override = []
+        if source == "config":
+            doc = json.loads(config.read_text())
+            doc["parallelism"] = -3
+            write_json(config, doc)
+        else:
+            override = ["--parallelism", 0]
+        out = tmp_path / "o"
+        assert run(["evaluate", "--config", config, "--out", out, *override, tmp_path / "pos.jsonl"]) == 2
+        assert capsys.readouterr().err.startswith("error: parallelism must be at least 1")
+        assert not (out / "evaluate.manifest.json").exists()
 
     def test_integral_min_effect_read_as_float(self, tmp_path):
         from ragmeter.cli import load_config

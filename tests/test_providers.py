@@ -41,6 +41,10 @@ def test_generation_params_defaults():
         GenerationParams(max_tokens=0)
 
 
+# regex metacharacters and a non-ASCII letter, beside plain letters
+NEEDLE_CHARS = "ab.*+?()[]{}|\\^$é"
+
+
 class TestScriptedGenerator:
     def test_substring_match(self):
         generator = ScriptedGenerator({"Statements:": "canned faithfulness transcript"})
@@ -81,16 +85,28 @@ class TestScriptedGenerator:
     )
     @example(transcripts={("a", "b"): "x", "b": ["y", "z"]}, prompts=["c", "b", "ba", "b", "c"], strict=True)
     @example(transcripts={("a", "b"): "x", "b": ["y", "z"]}, prompts=["c", "b", "ba", "b", "c"], strict=False)
-    @settings(max_examples=200, deadline=None)
+    # a prefix chain: every needle that starts where a longer one starts occurs too
+    @example(
+        transcripts={("a", "ab", "abc"): "chain", "abc": "x", "ab": ["y", "z"], "a": "w"},
+        prompts=["abc", "ab", "a", "xabcab", "b", "cba", "abab"],
+        strict=True,
+    )
+    # "ab" and "bc" overlap in "abc": the scan restarts one past a match start, not at its end
+    @example(transcripts={("ab", "bc"): "x", "bc": "y"}, prompts=["abc", "ab", "bc", "abbc", "ac"], strict=True)
+    # a needle repeated inside one matcher
+    @example(transcripts={("a", "a"): "x", ("b", "a", "b"): ["y", "z"]}, prompts=["a", "ab", "b", "ba"], strict=True)
+    # the empty matcher matches every prompt
+    @example(transcripts={"a": "x", (): ["e", "f"], "b": "y"}, prompts=["b", "a", "", "c", "ab"], strict=True)
+    @settings(max_examples=300, deadline=None)
     @given(
         transcripts=st.dictionaries(
-            st.text("abc", max_size=2)
-            | st.lists(st.text("abc", max_size=2), max_size=3).map(tuple),
+            st.text(NEEDLE_CHARS, max_size=6)
+            | st.lists(st.text(NEEDLE_CHARS, max_size=6), max_size=3).map(tuple),
             st.text("xyz", min_size=1, max_size=2)
             | st.lists(st.text("xyz", max_size=2), min_size=1, max_size=3),
             max_size=6,
         ),
-        prompts=st.lists(st.text("abc", max_size=5), min_size=1, max_size=25),
+        prompts=st.lists(st.text(NEEDLE_CHARS, max_size=12), min_size=1, max_size=25),
         strict=st.booleans(),
     )
     def test_matches_the_loop_reference(self, transcripts, prompts, strict):
@@ -103,8 +119,21 @@ class TestScriptedGenerator:
             except ScriptMissError as exc:
                 return ("miss", exc.prompt_prefix)
 
-        for prompt in prompts:
+        # random long needles seldom occur in random prompts, so each entry
+        # also gets a prompt holding all its needles back to back, where they
+        # can straddle one another
+        spliced = [
+            prompts[i % len(prompts)] + "".join((matcher,) if isinstance(matcher, str) else matcher)
+            for i, matcher in enumerate(transcripts)
+        ]
+        for prompt in prompts + spliced:
             assert outcome(generator.complete, prompt) == outcome(reference.complete, prompt)
+
+    def test_too_deep_needle_trie_raises_value_error(self):
+        chain = {"a" * length: "r" for length in range(1, 1001)}
+        with pytest.raises(ValueError, match="nest more than"):
+            ScriptedGenerator(chain)
+        ScriptedGenerator(dict(list(chain.items())[:100]))  # within the limit
 
 
 class TestHashEmbedder:
