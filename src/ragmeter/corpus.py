@@ -355,8 +355,11 @@ def generate_synthetic(
     :class:`SyntheticGenerationError` naming the completed count.
     `parallelism` bounds concurrent generator calls; an in-process
     generator always runs on the calling thread, so cycling scripted
-    responses arrive in request order.
+    responses arrive in request order. `parallelism` below 1 raises
+    ValueError before any generator call.
     """
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     transcripts: list[str | None] = [None] * spec.count
 
     def run_one(index: int) -> str:

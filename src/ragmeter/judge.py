@@ -90,6 +90,8 @@ class PrecisionExtraction:
     def __post_init__(self):
         if self.insufficient and self.candidate_sentences:
             raise ValueError("insufficient extraction cannot carry candidate sentences")
+        if not self.insufficient and not self.candidate_sentences:
+            raise ValueError("an extraction not marked insufficient needs candidate sentences")
         if any(not s for s in self.candidate_sentences):
             raise ValueError("candidate sentences must be non-empty strings")
 
@@ -133,6 +135,10 @@ def _join_contexts(record: EvalRecord, prompt_name: str) -> str:
     return "\n\n".join(record.contexts)
 
 
+# a terminator and the whitespace after it; for str patterns \s is exactly str.isspace()
+_TERMINATOR_RE = re.compile(r"[.!?]\s*")
+
+
 def segment_sentences(text: str) -> list[str]:
     """Split text into sentences, preserving the original spans.
 
@@ -142,22 +148,14 @@ def segment_sentences(text: str) -> list[str]:
     """
     segments: list[str] = []
     start = 0
-    i = 0
     n = len(text)
-    while i < n:
-        if text[i] in ".!?":
-            j = i + 1
-            k = j
-            while k < n and text[k].isspace():
-                k += 1
-            if k >= n or (k > j and text[k].isupper()):
-                segment = text[start:j].strip()
-                if segment:
-                    segments.append(segment)
-                start = k
-                i = k
-                continue
-        i += 1
+    for match in _TERMINATOR_RE.finditer(text):
+        j, k = match.start() + 1, match.end()
+        if k == n or (k > j and text[k].isupper()):
+            segment = text[start:j].strip()
+            if segment:
+                segments.append(segment)
+            start = k
     tail = text[start:].strip()
     if tail:
         segments.append(tail)

@@ -121,6 +121,10 @@ def recall_score(classification: RecallClassification) -> float:
     return sum(classification.supported) / len(classification.supported)
 
 
+_BELOW_ONE = 1.0 - 1e-6
+_TINY_NORMS = 2.0**-1000
+
+
 def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> float:
     """Cosine similarity; 0 when either vector has zero norm.
 
@@ -135,9 +139,16 @@ def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> 
     nv = math.sqrt(v.dot(v))
     if nu == 0.0 or nv == 0.0:
         return 0.0
-    if np.array_equal(u, v):
+    # both norms are at least sqrt of the least subnormal, so the product is
+    # never 0 and the float division cannot raise
+    norms = nu * nv
+    ratio = float(np.dot(u, v)) / norms
+    # equal vectors give a ratio within rounding of 1, or NaN when they hold
+    # an inf; only a product of norms outside the normal range can lose that
+    # precision. Elsewhere the O(d) equality test cannot answer 1 and is skipped.
+    if not (ratio < _BELOW_ONE and _TINY_NORMS < norms < math.inf) and np.array_equal(u, v):
         return 1.0
-    return min(1.0, max(-1.0, float(np.dot(u, v) / (nu * nv))))
+    return min(1.0, max(-1.0, ratio))
 
 
 def _precision_details(
@@ -325,8 +336,10 @@ def evaluate_set(
     contend for the interpreter. Means are taken per metric over records
     whose metric succeeded.
     Raises :class:`SetEvaluationError` for an empty set or when every
-    record failed outright.
+    record failed outright, and ValueError for `parallelism` below 1.
     """
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     if not record_set.records:
         raise SetEvaluationError(f"record set {record_set.label!r} is empty")
 

@@ -271,6 +271,12 @@ class HashEmbedder:
     `keyword_channels` additionally boost a dedicated axis so topical texts
     cluster. Vectors are L2-normalized; empty (token-free) text maps to the
     all-zeros vector, whose cosine against anything is defined as 0.
+
+    The last text and its vector are kept, and a call with the same text
+    answers from them: precision matching embeds each context sentence once
+    per candidate, back to back. Only one text is kept, so memory does not
+    grow with the texts seen, and every call returns a fresh copy, so a
+    caller that writes into its vector cannot change a later result.
     """
 
     in_process = True
@@ -293,9 +299,15 @@ class HashEmbedder:
         self._boost = keyword_boost
         # token -> hashed axis; racing threads can only store the same value
         self._axes: dict[str, int] = {}
+        # (text, vector) of the last call, replaced in one assignment so a
+        # reader on another thread never pairs one call's text with another's vector
+        self._last = ("", np.zeros(dimension))
         self.identifier = f"stub:hash-{dimension}"
 
     def embed(self, text: str) -> np.ndarray:
+        last_text, last_vec = self._last
+        if text == last_text:
+            return last_vec.copy()
         # bincount adds the weights in list order, so the sums are those of
         # adding each token's unit and boost one after another
         axes: list[int] = []
@@ -310,13 +322,15 @@ class HashEmbedder:
             if channel is not None:
                 axes.append(channel)
                 weights.append(self._boost)
-        if not axes:
-            return np.zeros(self.dimension)
-        vec = np.bincount(axes, weights, minlength=self.dimension)
-        norm = math.sqrt(vec.dot(vec))
-        if norm > 0.0:
-            vec /= norm
-        return vec
+        if axes:
+            vec = np.bincount(axes, weights, minlength=self.dimension)
+            norm = math.sqrt(vec.dot(vec))
+            if norm > 0.0:
+                vec /= norm
+        else:
+            vec = np.zeros(self.dimension)
+        self._last = (text, vec)
+        return vec.copy()
 
 
 _SCORE_STATEMENT_PATTERNS = (

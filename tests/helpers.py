@@ -94,6 +94,32 @@ def reference_cosine(u, v) -> float:
     return min(1.0, max(-1.0, float(np.dot(u, v) / (nu * nv))))
 
 
+def reference_segment_sentences(text: str) -> list[str]:
+    """Character-loop reference for `judge.segment_sentences`."""
+    segments: list[str] = []
+    start = 0
+    i = 0
+    n = len(text)
+    while i < n:
+        if text[i] in ".!?":
+            j = i + 1
+            k = j
+            while k < n and text[k].isspace():
+                k += 1
+            if k >= n or (k > j and text[k].isupper()):
+                segment = text[start:j].strip()
+                if segment:
+                    segments.append(segment)
+                start = k
+                i = k
+                continue
+        i += 1
+    tail = text[start:].strip()
+    if tail:
+        segments.append(tail)
+    return segments
+
+
 def reference_render(template: str, slots: dict[str, str]) -> str:
     """Split-based reference for `judge.render`: cut the template on its slot tokens."""
     tokens = "|".join(re.escape("{" + name + "}") for name in slots)

@@ -286,6 +286,21 @@ def test_generate_synthetic_parallel():
     assert threads == {threading.get_ident()}
 
 
+@pytest.mark.parametrize("parallelism", [0, -3])
+def test_generate_synthetic_rejects_parallelism_below_one(parallelism):
+    calls = []
+
+    class RecordingGenerator:
+        def complete(self, prompt, params=None):
+            calls.append(prompt)
+            return "Passage:\np\n\nQuestion:\nq?"
+
+    spec = SyntheticSpec(topic_label="par", prompt_template=SYNTH_TEMPLATE, count=2)
+    with pytest.raises(ValueError, match="parallelism"):
+        generate_synthetic(spec, RecordingGenerator(), parallelism=parallelism)
+    assert calls == []
+
+
 def test_generate_synthetic_pools_other_generators():
     threads = set()
 

@@ -16,6 +16,7 @@ from helpers import (
     TIDES_QUESTION,
     hostile_text,
     reference_render,
+    reference_segment_sentences,
 )
 from ragmeter.corpus import EvalRecord
 from ragmeter.providers import ScriptedGenerator
@@ -23,6 +24,7 @@ from ragmeter.judge import (
     DegenerateInputWarning,
     EmptySectionError,
     MissingSectionError,
+    PrecisionExtraction,
     TranscriptParseError,
     UnknownTagError,
     VerdictCountError,
@@ -70,6 +72,18 @@ class TestSegmentSentences:
         for segment in segment_sentences(text):
             assert segment
             assert segment == segment.strip()
+
+    # terminators, ASCII and Unicode whitespace (\x1c, \x85 and \u3000 are
+    # str.isspace()) and characters of every case kind: é/É are non-ASCII,
+    # ǅ is titlecase (not isupper) and Ⓐ is isupper but not a letter
+    @given(st.text(alphabet=".!? \t\n\x1c\x85\u3000aAéÉǅⒶ", max_size=60))
+    @example("A b. C d.")
+    @example("e.g. x. Y! z?")
+    @example("Hi.\x85\u3000É")
+    @example("ok.\x1cǅ done")
+    @example("end?!..")
+    def test_matches_the_loop_reference(self, text):
+        assert segment_sentences(text) == reference_segment_sentences(text)
 
 
 class TestFaithfulness:
@@ -208,6 +222,10 @@ class TestPrecision:
     def test_missing_section_rejected(self):
         with pytest.raises(MissingSectionError):
             parse_precision_extraction("no marker anywhere")
+
+    def test_empty_extraction_must_be_marked_insufficient(self):
+        with pytest.raises(ValueError, match="insufficient"):
+            PrecisionExtraction((), False, "Candidate Sentences:\n")
 
     @pytest.mark.parametrize("bullet", ["- ", "* ", "• ", "1. ", "1) "])
     def test_bullet_styles(self, bullet):

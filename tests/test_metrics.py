@@ -77,6 +77,8 @@ class TestScoreRatios:
 class TestCosine:
     def test_identity(self):
         assert cosine([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 1.0
+        # the norm ratio of [1, 1] with itself rounds to 1 - 2**-52
+        assert cosine([1.0, 1.0], [1.0, 1.0]) == 1.0
 
     def test_orthogonal(self):
         assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
@@ -98,13 +100,26 @@ class TestCosine:
     @given(st.data())
     def test_matches_norm_reference_bit_for_bit(self, data):
         size = data.draw(st.integers(1, 8), label="size")
-        element = st.one_of(st.just(0.0), st.floats(-1e6, 1e6, allow_nan=False))
+        element = st.one_of(
+            st.just(0.0), st.floats(-1e6, 1e6, allow_nan=False), st.sampled_from([math.inf, -math.inf])
+        )
         vector = st.lists(element, min_size=size, max_size=size)
         u = data.draw(vector, label="u")
-        relation = data.draw(st.sampled_from(["free", "equal", "opposed", "scaled", "zero"]))
+        relation = data.draw(
+            st.sampled_from(["free", "equal", "equal with inf", "tiny equal", "opposed", "scaled", "zero"])
+        )
         if relation == "free":
             v = data.draw(vector, label="v")
         elif relation == "equal":
+            v = list(u)
+        elif relation == "equal with inf":
+            u[data.draw(st.integers(0, size - 1), label="inf at")] = data.draw(
+                st.sampled_from([math.inf, -math.inf]), label="inf"
+            )
+            v = list(u)
+        elif relation == "tiny equal":
+            # squares near or below the least normal double
+            u = [x * 1e-160 for x in u]
             v = list(u)
         elif relation == "opposed":
             v = [-x for x in u]
@@ -116,6 +131,8 @@ class TestCosine:
         assert cosine(u, v) == expected
         assert cosine(np.asarray(u), np.asarray(v)) == expected
         assert -1.0 <= expected <= 1.0
+        if relation == "equal with inf":
+            assert expected == 1.0
 
 
 class TestPrecisionScore:
@@ -346,6 +363,20 @@ class TestEvaluateSet:
         evaluation = evaluate_set(record_set, providers)
         assert evaluation.means["faithfulness"] == pytest.approx(0.75)
         assert evaluation.failure_counts["faithfulness"] == 1
+
+    @pytest.mark.parametrize("parallelism", [0, -3])
+    def test_parallelism_below_one_rejected_before_any_call(self, parallelism):
+        calls = []
+
+        class RecordingGenerator(ScriptedGenerator):
+            def complete(self, prompt, params=None):
+                calls.append(prompt)
+                return super().complete(prompt, params)
+
+        record_set, providers = two_record_set(RecordingGenerator)
+        with pytest.raises(ValueError, match="parallelism"):
+            evaluate_set(record_set, providers, parallelism=parallelism)
+        assert calls == []
 
     def test_empty_set_is_error(self):
         record_set, providers = two_record_set()

@@ -207,13 +207,32 @@ class TestHashEmbedder:
             st.lists(st.one_of(st.text(), st.lists(words, max_size=12).map(" ".join)), max_size=5),
             label="texts",
         )
+        other = data.draw(st.text(max_size=6), label="other text")
         embedder = HashEmbedder(dimension, channels, keyword_boost=boost)
-        # repeated texts and tokens go through the memoised axes
+        # repeated texts and tokens go through the memoised axes; each text is
+        # embedded twice in a row (the second call answers from the last
+        # result) and once more after another text
         for text in texts + texts:
-            vec = embedder.embed(text)
             expected = reference_embed(text, dimension, channels, boost)
-            assert vec.dtype == expected.dtype and vec.shape == expected.shape
-            assert np.array_equal(vec, expected)
+            first, repeat = embedder.embed(text), embedder.embed(text)
+            embedder.embed(other)
+            for vec in (first, repeat, embedder.embed(text)):
+                assert vec.dtype == expected.dtype and vec.shape == expected.shape
+                assert np.array_equal(vec, expected)
+
+    def test_returned_vectors_are_fresh_copies(self):
+        embedder = HashEmbedder(32)
+        text = "the same text twice"
+        first = embedder.embed(text)
+        expected = first.copy()
+        repeat = embedder.embed(text)
+        assert np.array_equal(repeat, expected) and repeat is not first
+        first[:] = 7.0
+        repeat[:] = -7.0
+        assert np.array_equal(embedder.embed(text), expected)
+        empty = embedder.embed("")
+        empty[0] = 1.0
+        assert not embedder.embed("").any()
 
     @pytest.mark.parametrize("boost", [0.1, 1 / 3, 0.7, 2.2])
     def test_boosts_sum_in_token_order(self, boost):
