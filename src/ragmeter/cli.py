@@ -15,14 +15,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+import types
+import typing
+from collections.abc import Mapping, Sequence
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Sequence
 
 from ragmeter import aggregation, judge, metrics, stats, topicality
 from ragmeter.corpus import (
+    RECORD_FORMATS,
     EvalRecord,
     RecordFileError,
     SyntheticGenerationError,
@@ -67,7 +71,6 @@ class RunConfig:
     """Fully resolved run configuration plus its serializable echo."""
 
     raw: dict
-    base_dir: Path
     providers_mode: str
     generation: GenerationParams
     similarity: SimilarityConfig
@@ -86,6 +89,11 @@ def _field_defaults(cls) -> dict:
     return {f.name: f.default for f in fields(cls)}
 
 
+def _params(cls) -> dict:
+    """The type of each keyword argument `cls` takes, from its type hints."""
+    return {name: hint for name, hint in typing.get_type_hints(cls.__init__).items() if name != "return"}
+
+
 _CONFIG_DEFAULTS = {
     "providers": {"mode": "stub", "stub": {}, "http": {}},
     "generation": _field_defaults(GenerationParams),
@@ -98,18 +106,106 @@ _CONFIG_DEFAULTS = {
     "record_format": "structured-lines",
 }
 
+# The JSON type of every config key. A dict is an object that may hold only
+# its keys; anything else is a type hint.
+_CONFIG_SCHEMA = {
+    "providers": {
+        "mode": typing.Literal["stub", "http"],
+        "stub": {
+            "scripts": str | None,
+            "fallback": str,
+            "embedder": _params(HashEmbedder),
+            "scorer": _params(LinearPairScorer),
+        },
+        "http": {name: _params(EndpointConfig) for name in ("generator", "embedder", "scorer")},
+    },
+    "generation": _params(GenerationParams),
+    "metrics": _params(SimilarityConfig),
+    "bootstrap": {**_params(BootstrapConfig), "checkpoints": list[int] | None},
+    "topicality": {"min_effect": float},
+    "flags": {"contexts_included": bool, "strict_parsing": bool,
+              "recall_source": typing.Literal[judge.RECALL_SOURCES]},
+    "parallelism": int,
+    "seed": int,
+    "record_format": typing.Literal[RECORD_FORMATS],
+}
 
-def _merge_defaults(doc: dict) -> dict:
-    merged: dict = {}
-    for key, default in _CONFIG_DEFAULTS.items():
-        if isinstance(default, dict):
-            section = doc.get(key, {})
-            if not isinstance(section, dict):
-                raise ConfigError(f"config section {key!r} must be an object")
-            merged[key] = {**default, **section}
+_SCRIPTS_SCHEMA = {"scripts": list[{"match": str | list[str], "responses": list[str]}]}
+
+_UNIONS = (typing.Union, types.UnionType)
+_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string", type(None): "null"}
+
+
+def _is_number(value: object) -> bool:
+    """A JSON number that converts to a float: `true` and `false` are not numbers."""
+    return isinstance(value, float) or (
+        isinstance(value, int) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    )
+
+
+def _mismatch(value: object, schema: object) -> tuple[str, object, object] | None:
+    """Where `value` departs from the JSON type `schema`, or None if it does not.
+
+    The answer is (the path below `value`, the schema expected there, the
+    value found there); the schema is None for a key that is not allowed.
+    Types are exact, except that an int is accepted where a float is
+    expected, and a float must be finite.
+    """
+    if type(schema) is type:  # bool, int, float, str or NoneType
+        if schema is float:
+            fits = _is_number(value) and math.isfinite(value)
         else:
-            merged[key] = doc.get(key, default)
-    return merged
+            fits = isinstance(value, schema) and (schema is bool or not isinstance(value, bool))
+    elif isinstance(schema, dict):
+        fits = isinstance(value, dict)
+        for name, item in value.items() if fits else ():
+            found = _mismatch(item, schema[name]) if name in schema else ("", None, item)
+            if found:
+                return f".{name}{found[0]}", found[1], found[2]
+    else:
+        origin, args = typing.get_origin(schema), typing.get_args(schema)
+        if origin in _UNIONS:
+            fits = any(_mismatch(value, option) is None for option in args)
+        elif origin is typing.Literal:
+            fits = value in args
+        else:  # list[T], Sequence[T] or Mapping[str, T]
+            fits = isinstance(value, dict if origin is Mapping else list)
+            for name, item in (value.items() if origin is Mapping else enumerate(value)) if fits else ():
+                found = _mismatch(item, args[-1])
+                if found:
+                    return (f".{name}" if origin is Mapping else f"[{name}]") + found[0], found[1], found[2]
+    return None if fits else ("", schema, value)
+
+
+def _check(value: object, schema: object, where: str = "") -> None:
+    """Raise ConfigError, prefixed by `where` and naming the dotted key, where `value` departs from `schema`."""
+    found = _mismatch(value, schema)
+    if found:
+        path, expected, got = found
+        rule = "is not a recognized key" if expected is None else f"must be {_describe(expected)}, got {got!r}"
+        raise ConfigError(f"{where}{path.lstrip('.') or 'the top level'} {rule}")
+
+
+def _describe(schema: object) -> str:
+    origin, args = typing.get_origin(schema), typing.get_args(schema)
+    if origin in _UNIONS or origin is typing.Literal:
+        return " or ".join(map(_describe if origin in _UNIONS else repr, args))
+    if origin in (list, Sequence, Mapping):  # "a list of integers", "an object of strings"
+        return f"{'an object' if origin is Mapping else 'a list'} of {_describe(args[-1]).split()[-1]}s"
+    return "an object" if isinstance(schema, dict) else _NAMES[schema]
+
+
+def _read_json(path: str | Path, what: str, schema: object = None) -> object:
+    """The parsed JSON file `path`, checked against `schema` when one is given."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc.msg} (line {exc.lineno})") from None
+    if schema is not None:
+        _check(doc, schema, f"{what} {path}: ")
+    return doc
 
 
 def load_config(path: str | Path, *, seed: int | None = None, parallelism: int | None = None,
@@ -118,20 +214,15 @@ def load_config(path: str | Path, *, seed: int | None = None, parallelism: int |
 
     A manifest written by a previous run is also accepted: its embedded
     `config` object is used, which makes any run reproducible from its
-    manifest alone.
+    manifest alone. Every key is checked against `_CONFIG_SCHEMA` first.
     """
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc.msg} (line {exc.lineno})") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
-    if "config" in doc and "command" in doc:  # a manifest from a previous run
+    doc = _read_json(path, "config")
+    if isinstance(doc, dict) and "config" in doc and "command" in doc:  # a previous run's manifest
         doc = doc["config"]
-    raw = _merge_defaults(doc)
+    _check(doc, _CONFIG_SCHEMA)
+    raw = {key: {**default, **doc.get(key, {})} if isinstance(default, dict) else doc.get(key, default)
+           for key, default in _CONFIG_DEFAULTS.items()}
     if seed is not None:
         raw["seed"] = seed
         raw["bootstrap"]["seed"] = seed
@@ -139,143 +230,76 @@ def load_config(path: str | Path, *, seed: int | None = None, parallelism: int |
         raw["parallelism"] = parallelism
     if providers_mode is not None:
         raw["providers"]["mode"] = providers_mode
-
-    mode = raw["providers"]["mode"]
-    if mode not in ("stub", "http"):
-        raise ConfigError(f"providers.mode must be 'stub' or 'http', got {mode!r}")
-    stub = raw["providers"]["stub"]
-    if isinstance(stub, dict) and stub.get("scripts"):
-        # make the echoed config location-independent so a manifest replays
-        # from any directory
-        stub["scripts"] = str((path.parent / stub["scripts"]).resolve())
-    try:
-        generation = GenerationParams(**raw["generation"])
-        similarity = SimilarityConfig(**raw["metrics"])
-        boot_section = dict(raw["bootstrap"])
-        checkpoints = boot_section.pop("checkpoints")
-        bootstrap = BootstrapConfig(**boot_section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config value: {exc}") from None
-    if checkpoints is not None and (
-        not isinstance(checkpoints, list) or not all(isinstance(c, int) for c in checkpoints)
-    ):
-        raise ConfigError("bootstrap.checkpoints must be a list of integers")
-    for key in ("seed", "parallelism"):
-        if not _is_int(raw[key]):
-            raise ConfigError(f"{key} must be an integer, got {raw[key]!r}")
     if raw["parallelism"] < 1:
         raise ConfigError(f"parallelism must be at least 1, got {raw['parallelism']}")
-    min_effect = raw["topicality"]["min_effect"]
-    if not (_is_int(min_effect) or isinstance(min_effect, float)):
-        raise ConfigError(f"topicality.min_effect must be a number, got {min_effect!r}")
+    stub = raw["providers"]["stub"]
+    if stub.get("scripts"):
+        # the echoed config is location-independent: a manifest replays from any directory
+        stub["scripts"] = str((path.parent / stub["scripts"]).resolve())
     flags = raw["flags"]
-    recall_source = flags["recall_source"]
-    if recall_source not in judge.RECALL_SOURCES:
-        raise ConfigError(f"flags.recall_source {recall_source!r} is not recognized")
-    for flag in ("contexts_included", "strict_parsing"):
-        if not isinstance(flags[flag], bool):
-            raise ConfigError(f"flags.{flag} must be true or false, got {flags[flag]!r}")
-    return RunConfig(
-        raw=raw,
-        base_dir=path.parent,
-        providers_mode=mode,
-        generation=generation,
-        similarity=similarity,
-        bootstrap=bootstrap,
-        checkpoints=checkpoints,
-        min_effect=float(min_effect),
-        parallelism=raw["parallelism"],
-        seed=raw["seed"],
-        contexts_included=flags["contexts_included"],
-        recall_source=recall_source,
-        strict_parsing=flags["strict_parsing"],
-        record_format=str(raw["record_format"]),
-    )
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _section(parent: dict, key: str, where: str) -> dict:
-    """`parent[key]` (an empty object when absent), which must be a JSON object."""
-    section = parent.get(key, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where}.{key} must be an object, got {section!r}")
-    return section
-
-
-def _is_str_list(value: object) -> bool:
-    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+    try:
+        return RunConfig(
+            raw=raw,
+            providers_mode=raw["providers"]["mode"],
+            generation=GenerationParams(**raw["generation"]),
+            similarity=SimilarityConfig(**raw["metrics"]),
+            bootstrap=BootstrapConfig(**{k: v for k, v in raw["bootstrap"].items() if k != "checkpoints"}),
+            checkpoints=raw["bootstrap"]["checkpoints"],
+            min_effect=float(raw["topicality"]["min_effect"]),
+            parallelism=raw["parallelism"],
+            seed=raw["seed"],
+            contexts_included=flags["contexts_included"],
+            recall_source=flags["recall_source"],
+            strict_parsing=flags["strict_parsing"],
+            record_format=raw["record_format"],
+        )
+    except ValueError as exc:
+        raise ConfigError(f"invalid config value: {exc}") from None
 
 
 def _load_scripts(config: RunConfig) -> ScriptedGenerator:
     stub = config.raw["providers"]["stub"]
-    scripts_path = stub.get("scripts")
+    path = stub.get("scripts")
     transcripts: dict = {}
-    if scripts_path:
-        path = Path(scripts_path)
-        if not path.is_absolute():
-            path = config.base_dir / path
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read scripts file {path}: {exc}") from None
-        entries = doc.get("scripts", []) if isinstance(doc, dict) else None
-        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-            raise ConfigError(f"scripts file {path} must be an object whose 'scripts' is a list of objects")
-        for index, entry in enumerate(entries):
-            match, responses = entry.get("match"), entry.get("responses")
-            needles = [match] if isinstance(match, str) else match
-            if not (_is_str_list(needles) and _is_str_list(responses) and responses):
-                raise ConfigError(
-                    f"scripts file {path}: each entry needs 'match' (a string or a list of strings) "
-                    f"and 'responses' (a non-empty list of strings), got {entry!r}"
-                )
-            key = tuple(needles)
-            if key in transcripts:  # until now one key per entry, in entry order
-                raise ConfigError(
-                    f"scripts file {path}: entries {list(transcripts).index(key)} and {index} "
-                    f"have the same match {match!r}"
-                )
-            transcripts[key] = responses
+    entries = _read_json(path, "scripts file", _SCRIPTS_SCHEMA).get("scripts", []) if path else []
+    for index, entry in enumerate(entries):
+        if "match" not in entry or not entry.get("responses"):
+            raise ConfigError(
+                f"scripts file {path}: entry {index} needs 'match' and a non-empty 'responses' list"
+            )
+        match = entry["match"]
+        key = (match,) if isinstance(match, str) else tuple(match)
+        if key in transcripts:  # until now one key per entry, in entry order
+            raise ConfigError(
+                f"scripts file {path}: entries {list(transcripts).index(key)} and {index} "
+                f"have the same match {match!r}"
+            )
+        transcripts[key] = entry["responses"]
     try:
-        return ScriptedGenerator(
-            transcripts, strict=config.strict_parsing, fallback=str(stub.get("fallback", ""))
-        )
+        return ScriptedGenerator(transcripts, strict=config.strict_parsing, fallback=stub.get("fallback", ""))
     except ValueError as exc:
-        raise ConfigError(f"scripts file {scripts_path}: {exc}") from None
+        raise ConfigError(f"scripts file {path}: {exc}") from None
 
 
 def build_providers(config: RunConfig) -> ProviderBundle:
     """Construct the generator/embedder/scorer trio the config describes."""
     if config.providers_mode == "stub":
-        stub = _section(config.raw["providers"], "stub", "providers")
-        embedder_cfg = _section(stub, "embedder", "providers.stub")
-        scorer_cfg = _section(stub, "scorer", "providers.stub")
+        stub = config.raw["providers"]["stub"]
         try:
-            embedder = HashEmbedder(
-                int(embedder_cfg.get("dimension", 256)),
-                embedder_cfg.get("keyword_channels") or {},
-                keyword_boost=float(embedder_cfg.get("keyword_boost", 4.0)),
-            )
-            scorer = LinearPairScorer(
-                scorer_cfg.get("weights", (1.0, 1.0, 1.0, 1.0)),
-                float(scorer_cfg.get("bias", 0.0)),
-            )
-        except (TypeError, ValueError) as exc:
+            embedder = HashEmbedder(**{"dimension": 256, **stub.get("embedder", {})})
+            scorer = LinearPairScorer(**{"weights": (1.0,) * 4, **stub.get("scorer", {})})
+        except ValueError as exc:
             raise ConfigError(f"invalid stub provider config: {exc}") from None
         return ProviderBundle(_load_scripts(config), embedder, scorer)
 
-    http = _section(config.raw["providers"], "http", "providers")
+    http = config.raw["providers"]["http"]
 
     def endpoint(name: str, **defaults) -> EndpointConfig:
-        section = http.get(name)
-        if not isinstance(section, dict) or "url" not in section:
+        if "url" not in http.get(name, {}):
             raise ConfigError(f"providers.http.{name} must define at least a url")
         try:
-            return EndpointConfig(**{**defaults, **section})
-        except (TypeError, ValueError) as exc:
+            return EndpointConfig(**{**defaults, **http[name]})
+        except ValueError as exc:
             raise ConfigError(f"providers.http.{name}: {exc}") from None
 
     return ProviderBundle(
@@ -407,13 +431,9 @@ def _vector_from_report(entry: dict) -> tuple[EvalRecord, MetricVector]:
             raise ConfigError(f"metric {metric!r} of record {record.id!r} must be an object")
         if not cell or cell.get("value") is None:
             raise aggregation.MissingMetricError(metric, record.id)
-        try:
-            value = float(cell["value"])
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"metric {metric!r} of record {record.id!r} has non-numeric value {cell['value']!r}"
-            ) from None
-        results[metric] = MetricResult(value, cell.get("status", "ok"))
+        if not _is_number(cell["value"]):
+            raise ConfigError(f"metric {metric!r} of record {record.id!r} has non-numeric value {cell['value']!r}")
+        results[metric] = MetricResult(float(cell["value"]), cell.get("status", "ok"))
     return record, MetricVector(record.id, results["faithfulness"], results["answer_relevance"],
                                 results["retrieval_recall"], results["retrieval_precision"])
 
@@ -422,10 +442,7 @@ def cmd_aggregate(args: argparse.Namespace, config: RunConfig) -> int:
     providers = build_providers(config)
     if providers.scorer is None:
         raise ConfigError("aggregate requires a pair scorer in the provider config")
-    try:
-        report = json.loads(Path(args.metrics_report).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read metrics report {args.metrics_report}: {exc}") from None
+    report = _read_json(args.metrics_report, "metrics report")
     entries = report.get("records", []) if isinstance(report, dict) else None
     if not isinstance(entries, list):
         raise ConfigError(f"metrics report {args.metrics_report} must be an object whose 'records' is a list")
@@ -460,19 +477,15 @@ def cmd_aggregate(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def _load_values(path: str) -> list[float]:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read values file {path}: {exc}") from None
+    doc = _read_json(path, "values file")
     values = doc.get("values") if isinstance(doc, dict) else doc
     if not isinstance(values, list):
         raise ConfigError(f"values file {path} must hold a JSON array or an object with 'values'")
     if not values:
         raise EmptyInputError(f"values file {path} is empty")
-    try:
-        return [float(v) for v in values]
-    except (TypeError, ValueError):
-        raise ConfigError(f"values file {path} must contain only numbers") from None
+    if not all(map(_is_number, values)):
+        raise ConfigError(f"values file {path} must contain only numbers")
+    return [float(v) for v in values]
 
 
 def _default_checkpoints(B: int) -> list[int] | None:
@@ -552,16 +565,12 @@ def cmd_topicality(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_synth(args: argparse.Namespace, config: RunConfig) -> int:
-    providers = build_providers(config)
+    doc = _read_json(args.spec, "synthetic spec", _params(SyntheticSpec))
     try:
-        doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        spec = SyntheticSpec(
-            topic_label=doc["topic_label"],
-            prompt_template=doc["prompt_template"],
-            count=int(doc["count"]),
-        )
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid synthetic spec {args.spec}: {exc}") from None
+        spec = SyntheticSpec(**doc)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"synthetic spec {args.spec}: {exc}") from None
+    providers = build_providers(config)
     result = generate_synthetic(
         spec, providers.generator, params=config.generation, parallelism=config.parallelism
     )
@@ -585,38 +594,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    for fn, summary, positional, spec in (
+        (cmd_evaluate, "score a record file on the four metrics",
+         "records", {"help": "record file (structured-lines or delimited)"}),
+        (cmd_aggregate, "consolidate a metrics report into ranked logits",
+         "metrics_report", {"help": "metrics.json produced by evaluate"}),
+        (cmd_bootstrap, "bootstrap statistics over a metric values file",
+         "values", {"help": "JSON array of metric values (or object with 'values')"}),
+        (cmd_topicality, "contrastive analysis over 2+ record files",
+         "records", {"nargs": "+", "help": "two or more record files"}),
+        (cmd_synth, "generate a synthetic record set from a spec file",
+         "spec", {"help": "JSON file with topic_label, prompt_template, count"}),
+    ):
+        p = sub.add_parser(fn.__name__.removeprefix("cmd_"), help=summary)
         p.add_argument("--config", required=True, help="JSON config file (or a previous manifest)")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override run and bootstrap seed")
         p.add_argument("--parallelism", type=int, default=None, help="override parallelism limit")
         p.add_argument("--providers", choices=["stub", "http"], default=None,
                        help="override provider mode")
-
-    p = sub.add_parser("evaluate", help="score a record file on the four metrics")
-    common(p)
-    p.add_argument("records", help="record file (structured-lines or delimited)")
-    p.set_defaults(fn=cmd_evaluate)
-
-    p = sub.add_parser("aggregate", help="consolidate a metrics report into ranked logits")
-    common(p)
-    p.add_argument("metrics_report", help="metrics.json produced by evaluate")
-    p.set_defaults(fn=cmd_aggregate)
-
-    p = sub.add_parser("bootstrap", help="bootstrap statistics over a metric values file")
-    common(p)
-    p.add_argument("values", help="JSON array of metric values (or object with 'values')")
-    p.set_defaults(fn=cmd_bootstrap)
-
-    p = sub.add_parser("topicality", help="contrastive analysis over 2+ record files")
-    common(p)
-    p.add_argument("records", nargs="+", help="two or more record files")
-    p.set_defaults(fn=cmd_topicality)
-
-    p = sub.add_parser("synth", help="generate a synthetic record set from a spec file")
-    common(p)
-    p.add_argument("spec", help="JSON file with topic_label, prompt_template, count")
-    p.set_defaults(fn=cmd_synth)
+        p.add_argument(positional, **spec)
+        p.set_defaults(fn=fn)
     return parser
 
 
@@ -638,7 +636,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.fn(args, config)
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return next((code for types, code in _EXIT_CODES if isinstance(exc, types)), EXIT_CONFIG)
+        return next((code for errors, code in _EXIT_CODES if isinstance(exc, errors)), EXIT_CONFIG)
 
 
 if __name__ == "__main__":

@@ -1,18 +1,25 @@
 """End-to-end tests for the command-line interface."""
 
+import copy
+import itertools
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import engineered_query_set, scripts_to_json
 from oracle import oracle_resample_means
 import ragmeter
 from ragmeter import stats
-from ragmeter.cli import main
+from ragmeter.cli import RunConfig, build_providers, load_config, main
 from ragmeter.corpus import generate_synthetic, save_record_set
 
 
@@ -199,11 +206,17 @@ class TestAggregate:
             {"records": [{**report_entry("a", HIGH), "metrics": HIGH}]},
             {"records": [{**report_entry("a", HIGH),
                           "metrics": {m: {"value": [1], "status": "ok"} for m in HIGH}}]},
+            {"records": [{**report_entry("a", HIGH),
+                          "metrics": {m: {"value": True, "status": "ok"} for m in HIGH}}]},
+            {"records": [{**report_entry("a", HIGH),
+                          "metrics": {m: {"value": "0.5", "status": "ok"} for m in HIGH}}]},
+            {"records": [{**report_entry("a", HIGH),
+                          "metrics": {m: {"value": 10**400, "status": "ok"} for m in HIGH}}]},
             {"records": [{**report_entry("a", HIGH), "contexts": 5}]},
             {"records": [{**report_entry("a", HIGH), "query": 5}]},
         ],
         ids=["report-list", "record-not-object", "metrics-not-object", "cell-not-object",
-             "value-list", "contexts-number", "query-number"],
+             "value-list", "value-bool", "value-string", "value-beyond-float-range", "contexts-number", "query-number"],
     )
     def test_malformed_report_exits_2(self, tmp_path, capsys, report):
         config = write_workspace(tmp_path)
@@ -237,6 +250,20 @@ class TestBootstrap:
         values_path = tmp_path / "values.json"
         write_json(values_path, [])
         assert run(["bootstrap", "--config", config, "--out", tmp_path / "o", values_path]) == 4
+
+    @pytest.mark.parametrize(
+        "values",
+        [[True, "0.5", 0.25, 0.75], [1, 0.5, 0.25, "0.75"], {"values": [0.5, False]}, [0.5, 10**400]],
+        ids=["bool-and-string", "string", "object-form-bool", "int-beyond-float-range"],
+    )
+    def test_non_number_values_exit_2(self, tmp_path, capsys, values):
+        config = write_workspace(tmp_path)
+        values_path = tmp_path / "values.json"
+        write_json(values_path, values)
+        out = tmp_path / "o"
+        assert run(["bootstrap", "--config", config, "--out", out, values_path]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_values_object_form(self, tmp_path):
         config = write_workspace(tmp_path, bootstrap_b=1100)
@@ -318,6 +345,12 @@ class TestMalformedScripts:
         assert f"entries {len(valid)} and {len(valid) + 2} have the same match" in err
         assert not out.exists()
 
+    def test_scripts_not_a_list_exits_2(self, tmp_path, capsys):
+        config = write_workspace(tmp_path)
+        write_json(tmp_path / "scripts.json", {"scripts": 5})
+        assert run(["evaluate", "--config", config, "--out", tmp_path / "o", tmp_path / "pos.jsonl"]) == 2
+        assert capsys.readouterr().err.endswith(": scripts must be a list of objects, got 5\n")
+
     def test_needles_too_deep_for_the_pattern_exit_2(self, tmp_path, capsys):
         config = write_workspace(tmp_path)
         valid = json.loads((tmp_path / "scripts.json").read_text())["scripts"]
@@ -373,6 +406,10 @@ class TestConfig:
             ("topicality", "min_effect", "0.1"),
             ("topicality", "min_effect", True),
             ("topicality", "min_effect", None),
+            ("topicality", "min_effect", math.nan),
+            ("generation", "temperature", math.nan),
+            ("generation", "top_p", math.inf),
+            ("metrics", "precision_match_threshold", -math.inf),
         ],
     )
     def test_mistyped_number_exits_2(self, tmp_path, capsys, section, key, value):
@@ -401,6 +438,81 @@ class TestConfig:
         assert run(["evaluate", "--config", config, "--out", out, *override, tmp_path / "pos.jsonl"]) == 2
         assert capsys.readouterr().err.startswith("error: parallelism must be at least 1")
         assert not (out / "evaluate.manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            ("providers.stub.scorer.weights", "1234", "must be a list of numbers"),
+            ("providers.stub.scorer.weights", [1.0, 1.0, True, 1.0], "weights[2] must be a number"),
+            ("providers.stub.scorer.bias", "1", "must be a number"),
+            ("providers.stub.embedder.dimension", 2.9, "must be an integer"),
+            ("providers.stub.embedder.dimension", True, "must be an integer"),
+            ("providers.stub.embedder.keyword_channels", {"cloud": 1.5}, "must be an object of integers or null"),
+            ("providers.stub.fallback", 5, "must be a string"),
+            ("metrics.n_generated_questions", 2.5, "must be an integer"),
+            ("generation.max_tokens", 2.5, "must be an integer"),
+            ("generation.seed", "3", "must be an integer or null"),
+            ("record_format", "nope", "must be 'structured-lines' or 'delimited'"),
+            ("providers.mode", "grpc", "must be 'stub' or 'http'"),
+            ("providers.http.generator", {"url": 5}, "generator.url must be a string"),
+            ("providers.http.embedder", {"url": "http://b.test/e", "timeout": "5"}, "timeout must be a number"),
+            ("bootstrap.checkpoints", [100, 200.5], "must be a list of integers or null"),
+            ("metric", {"n_generated_questions": 3}, "metric is not a recognized key"),
+            ("providers.stub.embedder.dimensions", 64, "dimensions is not a recognized key"),
+        ],
+    )
+    def test_mistyped_setting_exits_2(self, tmp_path, capsys, path, value, message):
+        config = write_workspace(tmp_path)
+        doc = json.loads(config.read_text())
+        *parents, key = path.split(".")
+        node = doc
+        for name in parents:
+            node = node.setdefault(name, {})
+        node[key] = value
+        write_json(config, doc)
+        out = tmp_path / "o"
+        assert run(["evaluate", "--config", config, "--out", out, tmp_path / "pos.jsonl"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {'.'.join(parents)}")
+        assert message in err
+        assert not out.exists()
+
+    def test_stub_mode_refuses_malformed_http_section(self, tmp_path, capsys):
+        config = write_workspace(tmp_path)
+        doc = json.loads(config.read_text())
+        doc["providers"]["http"] = {"generator": {"url": "http://b.test/g", "dialect": 5}}
+        write_json(config, doc)
+        assert run(["evaluate", "--config", config, "--out", tmp_path / "o", tmp_path / "pos.jsonl"]) == 2
+        assert capsys.readouterr().err.startswith("error: providers.http.generator.dialect must be a string")
+
+    def test_manifest_with_unknown_key_exits_2(self, tmp_path, capsys):
+        config = write_workspace(tmp_path)
+        first = tmp_path / "first"
+        assert run(["evaluate", "--config", config, "--out", first, tmp_path / "pos.jsonl"]) == 0
+        manifest = json.loads((first / "evaluate.manifest.json").read_text())
+        manifest["config"]["flags"]["retired_flag"] = True
+        write_json(first / "evaluate.manifest.json", manifest)
+        out = tmp_path / "second"
+        code = run(["evaluate", "--config", first / "evaluate.manifest.json", "--out", out, tmp_path / "pos.jsonl"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: flags.retired_flag is not a recognized key")
+        assert not out.exists()
+
+    def test_readme_configuration_block_resolves_to_the_defaults(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme[readme.index("### Configuration"):]
+        block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        documented, empty = tmp_path / "documented.json", tmp_path / "empty.json"
+        documented.write_text(block, encoding="utf-8")
+        write_json(empty, {})
+        resolved = load_config(documented), load_config(empty)
+        for field in fields(RunConfig):
+            if field.name != "raw":
+                assert getattr(resolved[0], field.name) == getattr(resolved[1], field.name), field.name
+        built = [build_providers(config) for config in resolved]
+        assert built[0].embedder.identifier == built[1].embedder.identifier
+        assert built[0].scorer.weights == built[1].scorer.weights
+        assert built[0].scorer.bias == built[1].scorer.bias
 
     def test_integral_min_effect_read_as_float(self, tmp_path):
         from ragmeter.cli import load_config
@@ -431,6 +543,95 @@ class TestConfig:
         write_json(config, doc)
         assert run(["evaluate", "--config", config, "--out", tmp_path / "o", tmp_path / "pos.jsonl"]) == 2
         assert "must be an object" in capsys.readouterr().err
+
+
+# A valid config that sets every key, so that every leaf can be mistyped.
+FULL_CONFIG = {
+    "providers": {
+        "mode": "stub",
+        "stub": {
+            "scripts": "scripts.json",
+            "fallback": "",
+            "embedder": {"dimension": 64, "keyword_channels": {"cloud": 3}, "keyword_boost": 4.0},
+            "scorer": {"weights": [1.0, 1.0, 1.0, 1.0], "bias": 0.0},
+        },
+        "http": {
+            "generator": {"url": "http://b.test/g", "model": "m", "dialect": "messages",
+                          "auth_env": "TOKEN", "response_path": "a.0.b", "timeout": 5.0},
+            "embedder": {"url": "http://b.test/e"},
+            "scorer": {"url": "http://b.test/s"},
+        },
+    },
+    "generation": {"temperature": 0.0, "top_p": 0.5, "max_tokens": 64, "seed": 3},
+    "metrics": {"precision_match_threshold": 0.8, "n_generated_questions": 3},
+    "bootstrap": {"B": 50, "resample_size": 8, "seed": 1, "ci_level": 0.9, "checkpoints": [10, 50]},
+    "topicality": {"min_effect": 0.1},
+    "flags": {"contexts_included": False, "recall_source": "answer", "strict_parsing": True},
+    "parallelism": 2,
+    "seed": 4,
+    "record_format": "delimited",
+}
+
+# Wrong-typed stand-ins for a leaf, by the type of its valid value.
+WRONG_VALUES = {
+    bool: ["true", 0, None],
+    int: [True, 2.5, "2", [2]],
+    float: [False, "0.5", math.nan, math.inf, {}],
+    str: [5, True, ["x"]],
+    dict: [[], 5, "x"],
+    list: ["1234", {"0": 1.0}, 5],
+}
+
+
+def config_nodes(node, path=()):
+    """(path, value) of every node under `node`, list items included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,), child
+        yield from config_nodes(child, path + (key,))
+
+
+def mistyped_config(data) -> dict:
+    doc = copy.deepcopy(FULL_CONFIG)
+    nodes = list(config_nodes(doc))
+    if data.draw(st.booleans(), label="add unknown key"):
+        # keyword_channels maps any token to an axis, so it has no unknown keys
+        objects = [()] + [p for p, v in nodes if isinstance(v, dict) and p[-1] != "keyword_channels"]
+        path = data.draw(st.sampled_from(objects), label="object")
+        target = doc
+        for key in path:
+            target = target[key]
+        target["unknown_key"] = 1
+    else:
+        path, value = data.draw(st.sampled_from(nodes), label="leaf")
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = data.draw(st.sampled_from(WRONG_VALUES[type(value)]), label="wrong value")
+    return doc
+
+
+class TestConfigProperty:
+    def test_full_config_is_valid(self, tmp_path):
+        write_json(tmp_path / "config.json", FULL_CONFIG)
+        config = load_config(tmp_path / "config.json")
+        assert config.raw["providers"]["http"] == FULL_CONFIG["providers"]["http"]
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mistyped_or_unknown_key_exits_2_before_any_output(self, tmp_path, capsys, data):
+        doc = mistyped_config(data)
+        config = tmp_path / "config.json"
+        write_json(config, doc)
+        values = tmp_path / "values.json"
+        write_json(values, [0.1, 0.4, 0.3, 0.8] * 2)
+        out = tmp_path / f"out{next(self.runs)}"
+        capsys.readouterr()
+        assert run(["bootstrap", "--config", config, "--out", out, values]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    runs = itertools.count()
 
 
 class TestTopicality:
@@ -512,6 +713,21 @@ class TestSynth:
         spec_path = tmp_path / "spec.json"
         write_json(spec_path, {"topic_label": "cloud", "prompt_template": SYNTH_TEMPLATE, "count": 1})
         assert run(["synth", "--config", config, "--out", tmp_path / "o", spec_path]) == 3
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("prompt_template", 5), ("count", 2.7), ("count", "2"), ("count", True), ("topic_label", None),
+         ("seed", 1)],
+        ids=["template-number", "count-float", "count-string", "count-bool", "label-null", "unknown-key"],
+    )
+    def test_mistyped_spec_exits_2(self, tmp_path, capsys, field, value):
+        config = write_workspace(tmp_path, extra_scripts=synth_scripts())
+        spec_path = tmp_path / "spec.json"
+        write_json(spec_path, {"topic_label": "cloud", "prompt_template": SYNTH_TEMPLATE, "count": 3, field: value})
+        out = tmp_path / "o"
+        assert run(["synth", "--config", config, "--out", out, spec_path]) == 2
+        assert capsys.readouterr().err.startswith(f"error: synthetic spec {spec_path}: {field} ")
+        assert not out.exists()
 
     def test_count_zero_exits_2(self, tmp_path):
         config = write_workspace(tmp_path, extra_scripts=synth_scripts())

@@ -28,6 +28,7 @@ from ragmeter.judge import (
 )
 from ragmeter.metrics import (
     METRICS,
+    NonFiniteEmbeddingError,
     SetEvaluationError,
     SimilarityConfig,
     answer_relevance_score,
@@ -195,6 +196,19 @@ class TestAnswerRelevance:
         questions = GeneratedQuestions(("q-full", "q-half", "q-zero"), ("t",) * 3)
         assert answer_relevance_score("orig", questions, embedder) == 0.5
 
+    def test_huge_finite_vectors_are_not_refused(self):
+        # the squared norms overflow, but every component is finite
+        embedder = DictEmbedder({"orig": [1e200, 1e200], "q": [1e200, 1e200]}, 2)
+        questions = GeneratedQuestions(("q",), ("t",))
+        assert answer_relevance_score("orig", questions, embedder) == 1.0
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_embedding_refused(self, bad):
+        embedder = DictEmbedder({"orig": [1.0, 0.0], "q": [bad, 1.0]}, 2)
+        questions = GeneratedQuestions(("q",), ("t",))
+        with pytest.raises(NonFiniteEmbeddingError):
+            answer_relevance_score("orig", questions, embedder)
+
     def test_orthogonal_single_question_clamps_to_zero(self):
         embedder = DictEmbedder({"orig": [1.0, 0.0], "q": [-1.0, 0.0]}, 2)
         questions = GeneratedQuestions(("q",), ("t",))
@@ -302,6 +316,23 @@ class TestEvaluateRecord:
         assert vector.faithfulness.status == "ok"
         assert vector.retrieval_precision.status == "ok"
         assert vector.answer_relevance.status == "ok"
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_embedding_fails_only_embedding_metrics(self, bad):
+        class NonFiniteEmbedder(HashEmbedder):
+            def embed(self, text):
+                vec = super().embed(text)
+                vec[0] = bad
+                return vec
+
+        providers = ProviderBundle(full_providers().generator, NonFiniteEmbedder(64))
+        vector = evaluate_record(full_record(), providers)
+        assert vector.faithfulness.status == "ok"
+        assert vector.retrieval_recall.status == "ok"
+        for result in (vector.retrieval_precision, vector.answer_relevance):
+            assert result.status == "failed"
+            assert result.value is None
+            assert result.diagnostics["error"].startswith("NonFiniteEmbeddingError: ")
 
     def test_bit_deterministic(self):
         first = evaluate_record(full_record(), full_providers())
