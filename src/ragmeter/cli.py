@@ -14,9 +14,11 @@ in an upstream report, 6 invalid statistics parameters.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import os
+import reprlib
 import sys
 import types
 import typing
@@ -85,52 +87,69 @@ class RunConfig:
     record_format: str
 
 
-def _field_defaults(cls) -> dict:
-    return {f.name: f.default for f in fields(cls)}
-
-
 def _params(cls) -> dict:
     """The type of each keyword argument `cls` takes, from its type hints."""
-    return {name: hint for name, hint in typing.get_type_hints(cls.__init__).items() if name != "return"}
+    hints = typing.get_type_hints(cls.__init__)
+    hints.pop("return", None)
+    return hints
 
 
-_CONFIG_DEFAULTS = {
-    "providers": {"mode": "stub", "stub": {}, "http": {}},
-    "generation": _field_defaults(GenerationParams),
-    "metrics": _field_defaults(SimilarityConfig),
-    "bootstrap": {**_field_defaults(BootstrapConfig), "checkpoints": None},
-    "topicality": {"min_effect": topicality.DEFAULT_MIN_EFFECT},
-    "flags": {"contexts_included": True, "recall_source": "auto", "strict_parsing": True},
-    "parallelism": 1,
-    "seed": 0,
-    "record_format": "structured-lines",
-}
+def _defaulted(cls) -> dict:
+    """(type, default) of each field of the dataclass `cls`."""
+    hints = _params(cls)
+    return {f.name: (hints[f.name], f.default) for f in fields(cls)}
+
 
 # The JSON type of every config key. A dict is an object that may hold only
-# its keys; anything else is a type hint.
-_CONFIG_SCHEMA = {
+# its keys, and anything else is a type hint. A (type, default) pair is a key
+# every run has: a config that leaves it out gets the default.
+_CONFIG = {
     "providers": {
-        "mode": typing.Literal["stub", "http"],
-        "stub": {
+        "mode": (typing.Literal["stub", "http"], "stub"),
+        "stub": ({
             "scripts": str | None,
             "fallback": str,
             "embedder": _params(HashEmbedder),
             "scorer": _params(LinearPairScorer),
-        },
-        "http": {name: _params(EndpointConfig) for name in ("generator", "embedder", "scorer")},
+        }, {}),
+        "http": ({name: _params(EndpointConfig) for name in ("generator", "embedder", "scorer")}, {}),
     },
-    "generation": _params(GenerationParams),
-    "metrics": _params(SimilarityConfig),
-    "bootstrap": {**_params(BootstrapConfig), "checkpoints": list[int] | None},
-    "topicality": {"min_effect": float},
-    "flags": {"contexts_included": bool, "strict_parsing": bool,
-              "recall_source": typing.Literal[judge.RECALL_SOURCES]},
-    "parallelism": int,
-    "seed": int,
-    "record_format": typing.Literal[RECORD_FORMATS],
+    "generation": _defaulted(GenerationParams),
+    "metrics": _defaulted(SimilarityConfig),
+    "bootstrap": {**_defaulted(BootstrapConfig), "checkpoints": (list[int] | None, None)},
+    "topicality": {"min_effect": (float, topicality.DEFAULT_MIN_EFFECT)},
+    "flags": {
+        "contexts_included": (bool, True),
+        "recall_source": (typing.Literal[judge.RECALL_SOURCES], "auto"),
+        "strict_parsing": (bool, True),
+    },
+    "parallelism": (int, 1),
+    "seed": (int, 0),
+    "record_format": (typing.Literal[RECORD_FORMATS], "structured-lines"),
 }
 
+
+def _with_defaults(entry: dict, doc: dict) -> dict:
+    """`doc`, a checked config node, with the defaults of the `_CONFIG` node `entry` filled in."""
+    resolved = dict(doc)
+    for key, item in entry.items():
+        if isinstance(item, tuple):
+            resolved.setdefault(key, copy.deepcopy(item[1]))  # a run may edit its echo
+        else:
+            resolved[key] = _with_defaults(item, doc.get(key, {}))
+    return resolved
+
+
 _SCRIPTS_SCHEMA = {"scripts": list[{"match": str | list[str], "responses": list[str]}]}
+
+# An evaluate report as aggregate reads it back: only the records are used.
+_REPORT_SCHEMA = {
+    "label": object, "means": object, "failure_counts": object,
+    "records": list[{
+        "id": str, "query": str, "answer": str, "contexts": list[str], "ground_truth": str | None,
+        "metrics": {metric: {"value": float | None, "status": str} for metric in METRICS},
+    }],
+}
 
 _UNIONS = (typing.Union, types.UnionType)
 _NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string", type(None): "null"}
@@ -149,13 +168,15 @@ def _mismatch(value: object, schema: object) -> tuple[str, object, object] | Non
     The answer is (the path below `value`, the schema expected there, the
     value found there); the schema is None for a key that is not allowed.
     Types are exact, except that an int is accepted where a float is
-    expected, and a float must be finite.
+    expected, and a float must be finite. `object` accepts any value, and a
+    (type, default) pair is checked as its type.
     """
-    if type(schema) is type:  # bool, int, float, str or NoneType
-        if schema is float:
-            fits = _is_number(value) and math.isfinite(value)
-        else:
-            fits = isinstance(value, schema) and (schema is bool or not isinstance(value, bool))
+    if isinstance(schema, tuple):
+        return _mismatch(value, schema[0])
+    if schema is float:
+        fits = _is_number(value) and math.isfinite(value)
+    elif type(schema) is type:  # object, bool, int, str or NoneType
+        fits = isinstance(value, schema) and (schema in (object, bool) or not isinstance(value, bool))
     elif isinstance(schema, dict):
         fits = isinstance(value, dict)
         for name, item in value.items() if fits else ():
@@ -177,13 +198,14 @@ def _mismatch(value: object, schema: object) -> tuple[str, object, object] | Non
     return None if fits else ("", schema, value)
 
 
-def _check(value: object, schema: object, where: str = "") -> None:
-    """Raise ConfigError, prefixed by `where` and naming the dotted key, where `value` departs from `schema`."""
+def _check(value: object, schema: object, source: str) -> None:
+    """Raise ConfigError naming the dotted key where `value`, read from `source`, fails `schema`."""
     found = _mismatch(value, schema)
     if found:
         path, expected, got = found
-        rule = "is not a recognized key" if expected is None else f"must be {_describe(expected)}, got {got!r}"
-        raise ConfigError(f"{where}{path.lstrip('.') or 'the top level'} {rule}")
+        rule = (f"must be {_describe(expected)}, got {reprlib.repr(got)}" if expected is not None
+                else "is not a recognized key")
+        raise ConfigError(f"{path.lstrip('.') or 'the top level'} {rule} (in {source})")
 
 
 def _describe(schema: object) -> str:
@@ -204,8 +226,16 @@ def _read_json(path: str | Path, what: str, schema: object = None) -> object:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc.msg} (line {exc.lineno})") from None
     if schema is not None:
-        _check(doc, schema, f"{what} {path}: ")
+        _check(doc, schema, f"{what} {path}")
     return doc
+
+
+def _build(cls, where: str, /, *args, **kwargs):
+    """`cls(*args, **kwargs)`, with a ConfigError prefixed by `where` if `cls` refuses the settings."""
+    try:
+        return cls(*args, **kwargs)
+    except (TypeError, ValueError) as exc:  # a missing required setting or one out of range
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def load_config(path: str | Path, *, seed: int | None = None, parallelism: int | None = None,
@@ -214,15 +244,14 @@ def load_config(path: str | Path, *, seed: int | None = None, parallelism: int |
 
     A manifest written by a previous run is also accepted: its embedded
     `config` object is used, which makes any run reproducible from its
-    manifest alone. Every key is checked against `_CONFIG_SCHEMA` first.
+    manifest alone. Every key is checked against `_CONFIG` first.
     """
     path = Path(path)
     doc = _read_json(path, "config")
     if isinstance(doc, dict) and "config" in doc and "command" in doc:  # a previous run's manifest
         doc = doc["config"]
-    _check(doc, _CONFIG_SCHEMA)
-    raw = {key: {**default, **doc.get(key, {})} if isinstance(default, dict) else doc.get(key, default)
-           for key, default in _CONFIG_DEFAULTS.items()}
+    _check(doc, _CONFIG, f"config {path}")
+    raw = _with_defaults(_CONFIG, doc)
     if seed is not None:
         raw["seed"] = seed
         raw["bootstrap"]["seed"] = seed
@@ -237,24 +266,22 @@ def load_config(path: str | Path, *, seed: int | None = None, parallelism: int |
         # the echoed config is location-independent: a manifest replays from any directory
         stub["scripts"] = str((path.parent / stub["scripts"]).resolve())
     flags = raw["flags"]
-    try:
-        return RunConfig(
-            raw=raw,
-            providers_mode=raw["providers"]["mode"],
-            generation=GenerationParams(**raw["generation"]),
-            similarity=SimilarityConfig(**raw["metrics"]),
-            bootstrap=BootstrapConfig(**{k: v for k, v in raw["bootstrap"].items() if k != "checkpoints"}),
-            checkpoints=raw["bootstrap"]["checkpoints"],
-            min_effect=float(raw["topicality"]["min_effect"]),
-            parallelism=raw["parallelism"],
-            seed=raw["seed"],
-            contexts_included=flags["contexts_included"],
-            recall_source=flags["recall_source"],
-            strict_parsing=flags["strict_parsing"],
-            record_format=raw["record_format"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid config value: {exc}") from None
+    return RunConfig(
+        raw=raw,
+        providers_mode=raw["providers"]["mode"],
+        generation=_build(GenerationParams, "generation", **raw["generation"]),
+        similarity=_build(SimilarityConfig, "metrics", **raw["metrics"]),
+        bootstrap=_build(BootstrapConfig, "bootstrap",
+                         **{k: v for k, v in raw["bootstrap"].items() if k != "checkpoints"}),
+        checkpoints=raw["bootstrap"]["checkpoints"],
+        min_effect=float(raw["topicality"]["min_effect"]),
+        parallelism=raw["parallelism"],
+        seed=raw["seed"],
+        contexts_included=flags["contexts_included"],
+        recall_source=flags["recall_source"],
+        strict_parsing=flags["strict_parsing"],
+        record_format=raw["record_format"],
+    )
 
 
 def _load_scripts(config: RunConfig) -> ScriptedGenerator:
@@ -263,10 +290,8 @@ def _load_scripts(config: RunConfig) -> ScriptedGenerator:
     transcripts: dict = {}
     entries = _read_json(path, "scripts file", _SCRIPTS_SCHEMA).get("scripts", []) if path else []
     for index, entry in enumerate(entries):
-        if "match" not in entry or not entry.get("responses"):
-            raise ConfigError(
-                f"scripts file {path}: entry {index} needs 'match' and a non-empty 'responses' list"
-            )
+        if "match" not in entry or "responses" not in entry:  # ScriptedGenerator refuses empty responses
+            raise ConfigError(f"scripts file {path}: entry {index} needs 'match' and 'responses'")
         match = entry["match"]
         key = (match,) if isinstance(match, str) else tuple(match)
         if key in transcripts:  # until now one key per entry, in entry order
@@ -275,21 +300,18 @@ def _load_scripts(config: RunConfig) -> ScriptedGenerator:
                 f"have the same match {match!r}"
             )
         transcripts[key] = entry["responses"]
-    try:
-        return ScriptedGenerator(transcripts, strict=config.strict_parsing, fallback=stub.get("fallback", ""))
-    except ValueError as exc:
-        raise ConfigError(f"scripts file {path}: {exc}") from None
+    return _build(ScriptedGenerator, f"scripts file {path}", transcripts,
+                  strict=config.strict_parsing, fallback=stub.get("fallback", ""))
 
 
 def build_providers(config: RunConfig) -> ProviderBundle:
     """Construct the generator/embedder/scorer trio the config describes."""
     if config.providers_mode == "stub":
         stub = config.raw["providers"]["stub"]
-        try:
-            embedder = HashEmbedder(**{"dimension": 256, **stub.get("embedder", {})})
-            scorer = LinearPairScorer(**{"weights": (1.0,) * 4, **stub.get("scorer", {})})
-        except ValueError as exc:
-            raise ConfigError(f"invalid stub provider config: {exc}") from None
+        embedder = _build(HashEmbedder, "providers.stub.embedder",
+                          **{"dimension": 256, **stub.get("embedder", {})})
+        scorer = _build(LinearPairScorer, "providers.stub.scorer",
+                        **{"weights": (1.0,) * 4, **stub.get("scorer", {})})
         return ProviderBundle(_load_scripts(config), embedder, scorer)
 
     http = config.raw["providers"]["http"]
@@ -297,10 +319,7 @@ def build_providers(config: RunConfig) -> ProviderBundle:
     def endpoint(name: str, **defaults) -> EndpointConfig:
         if "url" not in http.get(name, {}):
             raise ConfigError(f"providers.http.{name} must define at least a url")
-        try:
-            return EndpointConfig(**{**defaults, **http[name]})
-        except ValueError as exc:
-            raise ConfigError(f"providers.http.{name}: {exc}") from None
+        return _build(EndpointConfig, f"providers.http.{name}", **{**defaults, **http[name]})
 
     return ProviderBundle(
         HttpGenerator(endpoint("generator")),
@@ -402,50 +421,31 @@ def cmd_evaluate(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def _vector_from_report(entry: dict) -> tuple[EvalRecord, MetricVector]:
-    if not isinstance(entry, dict):
-        raise ConfigError(f"metrics report entry must be an object: {entry!r}")
-    metrics = entry.get("metrics", {})
-    if not isinstance(metrics, dict):
-        raise ConfigError(f"metrics report entry {entry.get('id')!r} has non-object 'metrics'")
+    """The record and metric vector of a checked metrics report entry."""
     for required in ("id", "query", "answer"):
         if not entry.get(required):
-            raise ConfigError(f"metrics report entry missing {required!r}: {entry!r}")
-    contexts = entry.get("contexts", [])
-    if not isinstance(contexts, list) or not all(
-        isinstance(text, str) for text in (entry["query"], entry["answer"], *contexts)
-    ):
-        raise ConfigError(
-            f"metrics report entry {entry['id']!r}: query and answer must be strings, contexts a list of strings"
-        )
+            raise ConfigError(f"metrics report entry missing {required!r}: {reprlib.repr(entry)}")
     record = EvalRecord(
-        id=str(entry["id"]),
+        id=entry["id"],
         query=entry["query"],
         answer=entry["answer"],
-        contexts=tuple(contexts),
+        contexts=tuple(entry.get("contexts", ())),
         ground_truth=entry.get("ground_truth"),
     )
     results = {}
     for metric in METRICS:
-        cell = metrics.get(metric)
-        if cell is not None and not isinstance(cell, dict):
-            raise ConfigError(f"metric {metric!r} of record {record.id!r} must be an object")
-        if not cell or cell.get("value") is None:
+        cell = entry.get("metrics", {}).get(metric, {})
+        if cell.get("value") is None:
             raise aggregation.MissingMetricError(metric, record.id)
-        if not _is_number(cell["value"]):
-            raise ConfigError(f"metric {metric!r} of record {record.id!r} has non-numeric value {cell['value']!r}")
         results[metric] = MetricResult(float(cell["value"]), cell.get("status", "ok"))
-    return record, MetricVector(record.id, results["faithfulness"], results["answer_relevance"],
-                                results["retrieval_recall"], results["retrieval_precision"])
+    return record, MetricVector(record.id, **results)
 
 
 def cmd_aggregate(args: argparse.Namespace, config: RunConfig) -> int:
     providers = build_providers(config)
     if providers.scorer is None:
         raise ConfigError("aggregate requires a pair scorer in the provider config")
-    report = _read_json(args.metrics_report, "metrics report")
-    entries = report.get("records", []) if isinstance(report, dict) else None
-    if not isinstance(entries, list):
-        raise ConfigError(f"metrics report {args.metrics_report} must be an object whose 'records' is a list")
+    entries = _read_json(args.metrics_report, "metrics report", _REPORT_SCHEMA).get("records", [])
     if not entries:
         raise EmptyInputError(f"metrics report {args.metrics_report} has no records")
     scored = []
@@ -566,10 +566,7 @@ def cmd_topicality(args: argparse.Namespace, config: RunConfig) -> int:
 
 def cmd_synth(args: argparse.Namespace, config: RunConfig) -> int:
     doc = _read_json(args.spec, "synthetic spec", _params(SyntheticSpec))
-    try:
-        spec = SyntheticSpec(**doc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"synthetic spec {args.spec}: {exc}") from None
+    spec = _build(SyntheticSpec, f"synthetic spec {args.spec}", **doc)
     providers = build_providers(config)
     result = generate_synthetic(
         spec, providers.generator, params=config.generation, parallelism=config.parallelism
@@ -594,27 +591,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for fn, summary, positional, spec in (
-        (cmd_evaluate, "score a record file on the four metrics",
-         "records", {"help": "record file (structured-lines or delimited)"}),
-        (cmd_aggregate, "consolidate a metrics report into ranked logits",
-         "metrics_report", {"help": "metrics.json produced by evaluate"}),
-        (cmd_bootstrap, "bootstrap statistics over a metric values file",
-         "values", {"help": "JSON array of metric values (or object with 'values')"}),
-        (cmd_topicality, "contrastive analysis over 2+ record files",
-         "records", {"nargs": "+", "help": "two or more record files"}),
-        (cmd_synth, "generate a synthetic record set from a spec file",
-         "spec", {"help": "JSON file with topic_label, prompt_template, count"}),
-    ):
-        p = sub.add_parser(fn.__name__.removeprefix("cmd_"), help=summary)
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="JSON config file (or a previous manifest)")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override run and bootstrap seed")
         p.add_argument("--parallelism", type=int, default=None, help="override parallelism limit")
         p.add_argument("--providers", choices=["stub", "http"], default=None,
                        help="override provider mode")
-        p.add_argument(positional, **spec)
-        p.set_defaults(fn=fn)
+
+    p = sub.add_parser("evaluate", help="score a record file on the four metrics")
+    common(p)
+    p.add_argument("records", help="record file (structured-lines or delimited)")
+    p.set_defaults(fn=cmd_evaluate)
+
+    p = sub.add_parser("aggregate", help="consolidate a metrics report into ranked logits")
+    common(p)
+    p.add_argument("metrics_report", help="metrics.json produced by evaluate")
+    p.set_defaults(fn=cmd_aggregate)
+
+    p = sub.add_parser("bootstrap", help="bootstrap statistics over a metric values file")
+    common(p)
+    p.add_argument("values", help="JSON array of metric values (or object with 'values')")
+    p.set_defaults(fn=cmd_bootstrap)
+
+    p = sub.add_parser("topicality", help="contrastive analysis over 2+ record files")
+    common(p)
+    p.add_argument("records", nargs="+", help="two or more record files")
+    p.set_defaults(fn=cmd_topicality)
+
+    p = sub.add_parser("synth", help="generate a synthetic record set from a spec file")
+    common(p)
+    p.add_argument("spec", help="JSON file with topic_label, prompt_template, count")
+    p.set_defaults(fn=cmd_synth)
     return parser
 
 

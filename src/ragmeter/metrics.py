@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -32,14 +32,7 @@ from ragmeter.judge import (
     recall_source_text,
     segment_sentences,
 )
-from ragmeter.providers import (
-    Embedder,
-    GenerationParams,
-    HashEmbedder,
-    HttpEmbedder,
-    ProviderBundle,
-    all_in_process,
-)
+from ragmeter.providers import Embedder, GenerationParams, ProviderBundle, all_in_process
 
 METRICS = ("faithfulness", "answer_relevance", "retrieval_recall", "retrieval_precision")
 
@@ -162,26 +155,14 @@ def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> 
     return min(1.0, max(-1.0, ratio))
 
 
-# Embedders that never return a non-finite vector: HashEmbedder raises on a
-# non-finite norm and HttpEmbedder on a non-finite response. The test is on
-# the exact type, since a subclass may override `embed`.
-_FINITE_EMBEDDERS = (HashEmbedder, HttpEmbedder)
-
-
-def _finite_embed(embedder: Embedder) -> Callable[[str], np.ndarray]:
-    """`embedder.embed`, raising NonFiniteEmbeddingError for a vector with a NaN or inf."""
-    if type(embedder) in _FINITE_EMBEDDERS:
-        return embedder.embed
-
-    def embed(text: str) -> np.ndarray:
-        vec = np.asarray(embedder.embed(text), dtype=float)
-        # a finite squared norm proves every component finite; only an
-        # overflow needs the elementwise test
-        if not math.isfinite(vec.dot(vec)) and not np.isfinite(vec).all():
-            raise NonFiniteEmbeddingError("embedder returned a vector with a NaN or infinite component")
-        return vec
-
-    return embed
+def _finite_embed(embedder: Embedder, text: str) -> np.ndarray:
+    """`embedder.embed(text)`, raising NonFiniteEmbeddingError for a vector with a NaN or inf."""
+    vec = np.asarray(embedder.embed(text), dtype=float)
+    # a finite squared norm proves every component finite; only an overflow
+    # needs the elementwise test
+    if not math.isfinite(vec.dot(vec)) and not np.isfinite(vec).all():
+        raise NonFiniteEmbeddingError("embedder returned a vector with a NaN or infinite component")
+    return vec
 
 
 def _precision_details(
@@ -196,7 +177,6 @@ def _precision_details(
     if not context_sentences:
         return 0.0, {"degenerate": "no_context_sentences"}
     candidates = list(extraction.candidate_sentences)
-    embed = _finite_embed(embedder)
     exact = {c.strip() for c in candidates}
     candidate_vectors = None
     relevant: list[str] = []
@@ -207,8 +187,8 @@ def _precision_details(
             similarities.append(1.0)
             continue
         if candidate_vectors is None:
-            candidate_vectors = [embed(c) for c in candidates]
-        best = max(cosine(embed(sentence), cv) for cv in candidate_vectors)
+            candidate_vectors = [_finite_embed(embedder, c) for c in candidates]
+        best = max(cosine(_finite_embed(embedder, sentence), cv) for cv in candidate_vectors)
         similarities.append(best)
         if best >= cfg.precision_match_threshold:
             relevant.append(sentence)
@@ -241,9 +221,8 @@ def precision_score(
 def _relevance_details(
     original_query: str, questions: GeneratedQuestions, embedder: Embedder
 ) -> tuple[float, dict]:
-    embed = _finite_embed(embedder)
-    query_vector = embed(original_query)
-    raw = [cosine(query_vector, embed(q)) for q in questions.questions]
+    query_vector = _finite_embed(embedder, original_query)
+    raw = [cosine(query_vector, _finite_embed(embedder, q)) for q in questions.questions]
     clamped = [min(max(c, 0.0), 1.0) for c in raw]
     score = math.fsum(clamped) / len(clamped)
     return score, {"generated_questions": list(questions.questions), "cosines": raw}

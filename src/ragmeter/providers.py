@@ -270,9 +270,7 @@ class HashEmbedder:
     Each token adds one unit to a sha256-hashed axis; tokens listed in
     `keyword_channels` additionally boost a dedicated axis so topical texts
     cluster. Vectors are L2-normalized; empty (token-free) text maps to the
-    all-zeros vector, whose cosine against anything is defined as 0. A text
-    whose norm is not finite (a NaN or infinite `keyword_boost`, or sums past
-    the float range) raises ValueError, so every vector returned is finite.
+    all-zeros vector, whose cosine against anything is defined as 0.
 
     The last text and its vector are kept, and a call with the same text
     answers from them: precision matching embeds each context sentence once
@@ -327,8 +325,6 @@ class HashEmbedder:
         if axes:
             vec = np.bincount(axes, weights, minlength=self.dimension)
             norm = math.sqrt(vec.dot(vec))
-            if not norm < math.inf:  # a NaN or inf boost, or sums past the float range
-                raise ValueError(f"keyword_boost {self._boost} gives {text[:40]!r} a non-finite norm")
             if norm > 0.0:
                 vec /= norm
         else:

@@ -212,11 +212,19 @@ class TestAggregate:
                           "metrics": {m: {"value": "0.5", "status": "ok"} for m in HIGH}}]},
             {"records": [{**report_entry("a", HIGH),
                           "metrics": {m: {"value": 10**400, "status": "ok"} for m in HIGH}}]},
+            {"records": [{**report_entry("a", HIGH),
+                          "metrics": {m: {"value": math.nan, "status": "ok"} for m in HIGH}}]},
             {"records": [{**report_entry("a", HIGH), "contexts": 5}]},
             {"records": [{**report_entry("a", HIGH), "query": 5}]},
+            {"records": [{**report_entry("a", HIGH), "id": 5}]},
+            {"records": [{**report_entry("a", HIGH), "ground_truth": 5}]},
+            {"records": [{**report_entry("a", HIGH), "answer": ""}]},
+            {"records": [{**report_entry("a", HIGH), "notes": "x"}]},
         ],
         ids=["report-list", "record-not-object", "metrics-not-object", "cell-not-object",
-             "value-list", "value-bool", "value-string", "value-beyond-float-range", "contexts-number", "query-number"],
+             "value-list", "value-bool", "value-string", "value-beyond-float-range", "value-nan",
+             "contexts-number", "query-number", "id-number", "ground-truth-number", "answer-empty",
+             "unknown-key"],
     )
     def test_malformed_report_exits_2(self, tmp_path, capsys, report):
         config = write_workspace(tmp_path)
@@ -349,7 +357,8 @@ class TestMalformedScripts:
         config = write_workspace(tmp_path)
         write_json(tmp_path / "scripts.json", {"scripts": 5})
         assert run(["evaluate", "--config", config, "--out", tmp_path / "o", tmp_path / "pos.jsonl"]) == 2
-        assert capsys.readouterr().err.endswith(": scripts must be a list of objects, got 5\n")
+        scripts = tmp_path / "scripts.json"
+        assert capsys.readouterr().err == f"error: scripts must be a list of objects, got 5 (in scripts file {scripts})\n"
 
     def test_needles_too_deep_for_the_pattern_exit_2(self, tmp_path, capsys):
         config = write_workspace(tmp_path)
@@ -544,6 +553,21 @@ class TestConfig:
         assert run(["evaluate", "--config", config, "--out", tmp_path / "o", tmp_path / "pos.jsonl"]) == 2
         assert "must be an object" in capsys.readouterr().err
 
+    def test_default_sections_are_not_shared_between_runs(self, tmp_path):
+        config = tmp_path / "config.json"
+        write_json(config, {})
+        load_config(config).raw["providers"]["stub"]["scripts"] = "edited.json"
+        assert load_config(config).raw["providers"]["stub"] == {}
+
+    def test_message_clips_the_value_and_names_the_file(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        write_json(config, list(range(5000)))
+        values = tmp_path / "values.json"
+        write_json(values, [0.5, 0.25])
+        assert run(["bootstrap", "--config", config, "--out", tmp_path / "o", values]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: the top level must be an object, got [0, 1, 2, 3, 4, 5, ...] (in config {config})\n"
+
 
 # A valid config that sets every key, so that every leaf can be mistyped.
 FULL_CONFIG = {
@@ -726,7 +750,9 @@ class TestSynth:
         write_json(spec_path, {"topic_label": "cloud", "prompt_template": SYNTH_TEMPLATE, "count": 3, field: value})
         out = tmp_path / "o"
         assert run(["synth", "--config", config, "--out", out, spec_path]) == 2
-        assert capsys.readouterr().err.startswith(f"error: synthetic spec {spec_path}: {field} ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} ")
+        assert err.endswith(f"(in synthetic spec {spec_path})\n")
         assert not out.exists()
 
     def test_count_zero_exits_2(self, tmp_path):
