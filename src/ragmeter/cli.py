@@ -261,6 +261,8 @@ def load_config(path: str | Path, *, seed: int | None = None, parallelism: int |
         raw["providers"]["mode"] = providers_mode
     if raw["parallelism"] < 1:
         raise ConfigError(f"parallelism must be at least 1, got {raw['parallelism']}")
+    if raw["topicality"]["min_effect"] < 0:
+        raise ConfigError(f"topicality.min_effect must be at least 0, got {raw['topicality']['min_effect']}")
     stub = raw["providers"]["stub"]
     if stub.get("scripts"):
         # the echoed config is location-independent: a manifest replays from any directory
@@ -339,7 +341,8 @@ def _provider_ids(providers: ProviderBundle) -> dict:
 
 
 def _json_text(doc: object) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """`doc` as strict JSON: a NaN or an infinity raises ValueError rather than being written."""
+    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False) + "\n"
 
 
 def _emit(args: argparse.Namespace, config: RunConfig, providers: ProviderBundle | None,

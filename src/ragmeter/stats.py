@@ -9,11 +9,18 @@ distribution.
 Resample `s` depends only on (seed, s, n, size), so value arrays of one
 length share their index draws: :func:`shared_resample_means` draws each
 index row once and takes every array's mean from it. Rows are drawn in
-chunks of about `CHUNK_ENTRIES` indices, which bounds the index and gather
-buffers near 256 KiB whatever n, size and the resample count are. The PCG64
+chunks of about `CHUNK_ENTRIES` indices, which bounds the draw and gather
+buffers near 336 KiB whatever n, size and the resample count are. The PCG64
 state `SeedSequence((seed, s))` gives resample `s` is computed directly,
 `SEED_BLOCK_ROWS` resamples at a time, and loaded into one generator per
 call, so no numpy seeding objects are built per resample.
+
+The indices are what `Generator.integers(0, n, size)` draws from that
+state: for n <= 2**32 that is Lemire's bounded-integer method on PCG64's
+32-bit stream, which :func:`resample_indices` applies to the raw 64-bit
+words of a whole chunk at once. The rare row holding a word the method
+rejects is redrawn by `Generator.integers` itself, as is every row when
+n > 2**32; the tests check the draw against numpy bit for bit.
 """
 
 from __future__ import annotations
@@ -22,15 +29,16 @@ import warnings
 from dataclasses import dataclass
 from itertools import islice
 from numbers import Integral
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 RECOMMENDED_MIN_N = 30
 RECOMMENDED_MIN_B = 1000
 CONVERGED_RELATIVE_CHANGE = 0.01
-# indices per chunk of resample rows, rows = max(1, CHUNK_ENTRIES // size):
-# the int64 index block and the float64 values gathered by it take 128 KiB each
+# indices per chunk of resample rows, rows = max(1, CHUNK_ENTRIES // size): the
+# 64-bit index block and the float64 values gathered by it take 128 KiB each, the
+# raw PCG64 words 64 KiB and the rejection mask 16 KiB
 CHUNK_ENTRIES = 16384
 # resample seed states computed per block: 2048 rows of 4 uint64 take 64 KiB
 SEED_BLOCK_ROWS = 2048
@@ -247,6 +255,13 @@ def _check_values(values) -> np.ndarray:
     return arr
 
 
+def _require_finite(what: str, **statistics: float) -> None:
+    """Raise ValueError naming each of `statistics` that is NaN or infinite, as overflowing values give."""
+    bad = ", ".join(f"{name}={value}" for name, value in statistics.items() if not np.isfinite(value))
+    if bad:
+        raise ValueError(f"{what} is not finite: {bad}")
+
+
 def _warn_guidance(n: int, B: int) -> None:
     if n < RECOMMENDED_MIN_N:
         warnings.warn(
@@ -264,15 +279,58 @@ def _warn_guidance(n: int, B: int) -> None:
         )
 
 
+def resample_indices(states: Iterable[np.ndarray], n: int, size: int) -> Iterator[np.ndarray]:
+    """Index rows `Generator.integers(0, n, size)` draws from the PCG64 each state row seeds.
+
+    `states` holds rows of :func:`seed_states`. Yields int64 blocks of up to
+    `max(1, CHUNK_ENTRIES // size)` rows, one per state row in order; every
+    block reuses the buffer of the one before. For n <= 2**32 numpy draws
+    Lemire's method on PCG64's 32-bit stream, the low half of each 64-bit
+    word first: index `(w * n) >> 32` from word `w`, which is rejected when
+    `(w * n) mod 2**32 < (2**32 - n) % n`. All rows take that from their
+    raw words at once; a row with a rejected word among its first `size`,
+    and every row when n > 2**32, is redrawn with `Generator.integers`.
+    """
+    rows = max(1, CHUNK_ENTRIES // size)
+    half = -(-size // 2)
+    # local to the call, so concurrent calls share no generator state
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    raw = np.empty((rows, half), "<u8")
+    words = raw.view("<u4")[:, :size]
+    index = np.empty((rows, size), "<u8")
+    leftover = index.view("<u4")[:, ::2]
+    rejected = np.empty((rows, size), bool)
+    threshold = (2**32 - n) % n if n <= 2**32 else None
+    states = iter(states)
+    while chunk := list(islice(states, rows)):
+        k = len(chunk)
+        if threshold is None:  # numpy's 64-bit method
+            redraw = range(k)
+        else:
+            for i, state in enumerate(chunk):
+                bit_generator.state = pcg64_state(state)
+                raw[i] = bit_generator.random_raw(half)
+            np.multiply(words[:k], np.uint64(n), out=index[:k])
+            redraw = ()
+            if threshold and np.less(leftover[:k], threshold, out=rejected[:k]).any():
+                redraw = np.flatnonzero(rejected[:k].any(axis=1))
+            np.right_shift(index[:k], 32, out=index[:k])
+        for i in redraw:
+            bit_generator.state = pcg64_state(chunk[i])
+            index[i] = rng.integers(0, n, size=size)
+        yield index[:k].view("<i8")
+
+
 def shared_resample_means(
     value_arrays: Sequence[Sequence[float] | np.ndarray], cfg: BootstrapConfig, count: int | None = None
 ) -> tuple[np.ndarray, ...]:
     """The first `count` resample means (default `cfg.B`) of each array, from one draw.
 
-    Every array must have the same length n. Resample `s` takes its indices
-    from the generator `resample_rng(cfg.seed, s)` returns, here one PCG64
-    whose state is set per resample, and depends only on (seed, s, n, size),
-    so each index row is drawn once and serves every array; the means equal
+    Every array must have the same length n. Resample `s` takes the indices
+    `resample_rng(cfg.seed, s).integers(0, n, size)` gives, drawn by
+    :func:`resample_indices`, and depends only on (seed, s, n, size), so
+    each index row is drawn once and serves every array; the means equal
     per-array :func:`resample_means` bit for bit. Rows are drawn in chunks
     of `max(1, CHUNK_ENTRIES // size)`. The arrays returned are read-only.
     """
@@ -284,22 +342,13 @@ def shared_resample_means(
         raise ValueError("value arrays must all have the same length")
     size = cfg.resample_size if cfg.resample_size is not None else n
     count = cfg.B if count is None else count
-    rows = max(1, CHUNK_ENTRIES // size)
     means = tuple(np.empty(count) for _ in arrays)
-    # local to the call, so concurrent calls share no generator state
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    seeded_rows = _seeded_rows(cfg.seed, count)
-
-    def draw(words: np.ndarray) -> np.ndarray:
-        bit_generator.state = pcg64_state(words)
-        return rng.integers(0, n, size=size)
-
-    for start in range(0, count, rows):
-        stop = min(start + rows, count)
-        block = np.stack([draw(words) for words in islice(seeded_rows, stop - start)])
+    start = 0
+    for block in resample_indices(_seeded_rows(cfg.seed, count), n, size):
+        stop = start + len(block)
         for arr, out in zip(arrays, means):
             out[start:stop] = arr[block].mean(axis=1)
+        start = stop
     for out in means:
         out.flags.writeable = False
     return means
@@ -328,7 +377,8 @@ def bootstrap_summary(
     Summarises the first `cfg.B` of `means`, which must come from
     :func:`resample_means` for the same values and config; they are drawn
     here when not given. B must be at least 2 (the B-1 variance
-    denominator is undefined otherwise). Emits
+    denominator is undefined otherwise). Raises ValueError when a statistic
+    is not finite, as values too large to average give. Emits
     :class:`BootstrapGuidanceWarning` for small n or B.
     """
     arr = _check_values(values)
@@ -347,12 +397,16 @@ def bootstrap_summary(
     else:
         boot_mean, boot_variance = float(means.mean()), float(means.var(ddof=1))
     alpha = (1.0 - cfg.ci_level) / 2.0
+    statistics = {
+        "empirical_mean": float(arr.mean()),
+        "boot_mean": boot_mean,
+        "boot_variance": boot_variance,
+        "ci_low": percentile(means, alpha),
+        "ci_high": percentile(means, 1.0 - alpha),
+    }
+    _require_finite("bootstrap summary", **statistics)
     return BootstrapSummary(
-        empirical_mean=float(arr.mean()),
-        boot_mean=boot_mean,
-        boot_variance=boot_variance,
-        ci_low=percentile(means, alpha),
-        ci_high=percentile(means, 1.0 - alpha),
+        **statistics,
         B=cfg.B,
         n=n,
         resample_size=size,
@@ -366,7 +420,8 @@ def convergence_trace(means: np.ndarray, checkpoints: Sequence[int]) -> Converge
 
     Each point is a prefix of `means`, the output of :func:`resample_means`.
     Converged means the relative change between the final two checkpoints
-    is below 1%.
+    is below 1%. Raises ValueError when a mean, standard error or that
+    change is not finite, which includes a change from a zero standard error.
     """
     if len(checkpoints) < 2:
         raise ValueError("need at least 2 checkpoints to monitor convergence")
@@ -376,6 +431,8 @@ def convergence_trace(means: np.ndarray, checkpoints: Sequence[int]) -> Converge
         raise ValueError("checkpoints must be >= 2")
     if checkpoints[-1] > len(means):
         raise ValueError(f"checkpoint {checkpoints[-1]} exceeds the {len(means)} resample means drawn")
+    if not np.all(np.isfinite(means[: checkpoints[-1]])):
+        raise ValueError("resample means must all be finite")
 
     def prefix_std(b: int) -> float:
         prefix = means[:b]
@@ -389,6 +446,8 @@ def convergence_trace(means: np.ndarray, checkpoints: Sequence[int]) -> Converge
         change = 0.0 if last == 0.0 else float("inf")
     else:
         change = abs(last - prev) / prev
+    _require_finite("convergence trace", **{f"std_error(B={p.B})": p.std_error for p in points},
+                    final_relative_change=change)
     return ConvergenceTrace(
         points=points,
         final_relative_change=change,
@@ -407,6 +466,7 @@ def unbiasedness_check(
     resamples, which is what makes the resample mean an unbiased estimator
     of the empirical mean. The default tolerance is
     3 * (sd / sqrt(n)) / sqrt(B), the 3-sigma band of the grand mean.
+    Raises ValueError when the delta or the tolerance is not finite.
     """
     arr = _check_values(values)
     n = arr.size
@@ -421,6 +481,7 @@ def unbiasedness_check(
         sd = float(arr.std(ddof=1)) if n > 1 else 0.0
         tolerance = float(3.0 * (sd / np.sqrt(n)) / np.sqrt(summary.B))
     delta = abs(summary.boot_mean - summary.empirical_mean)
+    _require_finite("unbiasedness check", delta=delta, tolerance=tolerance)
     return UnbiasednessReport(
         empirical_mean=summary.empirical_mean,
         boot_mean=summary.boot_mean,

@@ -37,6 +37,11 @@ def format_table(rows: list[list[str]]) -> str:
     return "\n".join("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)) for row in rows) + "\n"
 
 
+def _check_min_effect(min_effect: float) -> None:
+    if not min_effect >= 0:  # a negative effect would reduce "separated" to disjoint CIs
+        raise ValueError(f"min_effect must be at least 0, got {min_effect!r}")
+
+
 class TopicalityError(RuntimeError):
     """A query set could not be evaluated or summarized."""
 
@@ -75,8 +80,9 @@ def compare_summaries(
 
     Both summaries must use the same CI level. The delta is
     a.boot_mean - b.boot_mean; the verdict is "separated" only when the
-    CIs are disjoint and |delta| >= min_effect.
+    CIs are disjoint and |delta| >= min_effect, which must be at least 0.
     """
+    _check_min_effect(min_effect)
     if a.ci_level != b.ci_level:
         raise ValueError(f"mismatched ci_level: {a.ci_level} vs {b.ci_level}")
     delta = a.boot_mean - b.boot_mean
@@ -194,6 +200,7 @@ def run_topicality(
     """Evaluate each query set, bootstrap per metric, compare all set pairs."""
     if len(sets) < 2:
         raise ValueError(f"need at least 2 query sets, got {len(sets)}")
+    _check_min_effect(min_effect)
     boot_cfg = boot_cfg or BootstrapConfig()
     results: list[QuerySetResult] = []
     for record_set in sets:

@@ -279,6 +279,24 @@ class TestBootstrap:
         write_json(values_path, {"values": [0.1, 0.4, 0.3, 0.8] * 10})
         assert run(["bootstrap", "--config", config, "--out", tmp_path / "o", values_path]) == 0
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_overflowing_statistics_exit_6(self, tmp_path, capsys):
+        config = write_workspace(tmp_path)
+        values_path = tmp_path / "values.json"
+        write_json(values_path, [1e308, 1e308, 1.7e308, 1e308])
+        out = tmp_path / "o"
+        assert run(["bootstrap", "--config", config, "--out", out, values_path]) == 6
+        assert capsys.readouterr().err.startswith("error: bootstrap summary is not finite: empirical_mean=inf")
+        assert not out.exists()
+
+    def test_reports_are_strict_json(self):
+        from ragmeter.cli import _json_text
+
+        assert _json_text({"x": 1.5}) == '{\n  "x": 1.5\n}\n'
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                _json_text({"summary": {"boot_mean": bad}})
+
     @pytest.mark.parametrize("checkpoints, draws", [(None, 1200), ([100, 600, 2000], 2000)])
     def test_resample_means_drawn_once(self, tmp_path, monkeypatch, checkpoints, draws):
         config = write_workspace(tmp_path, bootstrap_b=1200)
@@ -687,6 +705,17 @@ class TestTopicality:
     def test_single_file_exits_2(self, tmp_path):
         config = write_workspace(tmp_path)
         assert run(["topicality", "--config", config, "--out", tmp_path / "o", tmp_path / "pos.jsonl"]) == 2
+
+    def test_negative_min_effect_exits_2(self, tmp_path, capsys):
+        config = write_workspace(tmp_path)
+        doc = json.loads(config.read_text())
+        doc["topicality"] = {"min_effect": -0.05}
+        write_json(config, doc)
+        out = tmp_path / "o"
+        records = [tmp_path / "pos.jsonl", tmp_path / "rand.jsonl"]
+        assert run(["topicality", "--config", config, "--out", out, *records]) == 2
+        assert capsys.readouterr().err.startswith("error: topicality.min_effect must be at least 0, got -0.05")
+        assert not out.exists()
 
 
 SYNTH_TEMPLATE = (

@@ -1,5 +1,7 @@
 """Tests for the seeded bootstrap engine."""
 
+import dataclasses
+import re
 import sys
 import threading
 import warnings
@@ -22,6 +24,7 @@ from ragmeter.stats import (
     pcg64_state,
     percentile,
     resample,
+    resample_indices,
     resample_means,
     resample_rng,
     seed_states,
@@ -68,6 +71,55 @@ class TestSeedStates:
         mirrored = resample_rng(2**64 + 3, 2**32 + 1).integers(0, 1000, size=64)
         seeded = np.random.default_rng(np.random.SeedSequence((2**64 + 3, 2**32 + 1))).integers(0, 1000, size=64)
         assert mirrored.tobytes() == seeded.tobytes()
+
+
+# small ranges, ranges where Lemire's method rejects up to half of all 32-bit
+# words (just above 2**31), few (just below 2**32), and numpy's 64-bit method
+RANGES = (
+    st.integers(1, 64)
+    | st.integers(2**31 - 2, 2**31 + 64)
+    | st.integers(2**32 - 64, 2**32)
+    | st.integers(2**32 + 1, 2**40)
+)
+
+
+class TestResampleIndices:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=SEEDS,
+        s=RESAMPLES,
+        rows=st.integers(min_value=1, max_value=6),
+        n=RANGES,
+        size=st.integers(min_value=1, max_value=40),
+        chunk=st.just(CHUNK_ENTRIES) | st.integers(min_value=1, max_value=64),
+    )
+    # at n = 2**31 + 1 almost every row of 64 words holds a rejected word; two chunks
+    @example(seed=11, s=0, rows=300, n=2**31 + 1, size=64, chunk=CHUNK_ENTRIES)
+    @example(seed=0, s=0, rows=6, n=2**31 + 1, size=33, chunk=40)
+    @example(seed=3, s=2**32 - 2, rows=4, n=2**32 - 1, size=7, chunk=CHUNK_ENTRIES)
+    @example(seed=1, s=5, rows=3, n=1, size=5, chunk=CHUNK_ENTRIES)
+    def test_equals_generator_integers_bitwise(self, seed, s, rows, n, size, chunk):
+        with mock.patch.object(stats, "CHUNK_ENTRIES", chunk):
+            blocks = resample_indices(seed_states(seed, s, s + rows), n, size)
+            drawn = np.concatenate([block.copy() for block in blocks])  # each block reuses one buffer
+        expected = np.stack([resample_rng(seed, s + j).integers(0, n, size=size) for j in range(rows)])
+        assert drawn.dtype == expected.dtype
+        assert drawn.tobytes() == expected.tobytes()
+
+    def test_shared_means_match_the_oracle_where_rows_are_redrawn(self, monkeypatch):
+        # (2**32 - n) % n = 954414, so about 1 row of 1000 words in 5 is redrawn
+        n, B, size, seed = 1_000_003, 40, 1000, 2024
+        values = np.random.default_rng(3).integers(0, 2**20, size=n) / 1024
+        seeded = []
+
+        def counting_state(words, real=stats.pcg64_state):
+            seeded.append(words)
+            return real(words)
+
+        monkeypatch.setattr(stats, "pcg64_state", counting_state)
+        (means,) = shared_resample_means([values], BootstrapConfig(B=B, resample_size=size, seed=seed))
+        assert len(seeded) > B  # some rows took the redraw
+        assert means.tobytes() == np.asarray(oracle_resample_means(values, B, size, seed)).tobytes()
 
 
 class TestBootstrapConfig:
@@ -391,3 +443,34 @@ class TestUnbiasednessCheck:
         report = unbiasedness_check(values, bootstrap_summary(values, BootstrapConfig(B=5000, seed=17)))
         assert report.passed
         assert report.delta <= 0.01
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+class TestNonFiniteStatistics:
+    def test_overflowing_values_refused(self):
+        with pytest.raises(ValueError, match="bootstrap summary is not finite: empirical_mean=inf"):
+            quiet_summary([1e308, 1e308, 1.7e308, 1e308], BootstrapConfig(B=100))
+
+    def test_overflowing_variance_refused(self):
+        # the means stay finite, their squared deviations do not
+        with pytest.raises(ValueError, match="boot_variance=inf"):
+            quiet_summary([1e200, -1e200] * 20, BootstrapConfig(B=100))
+
+    def test_trace_refuses_non_finite_means_and_changes(self):
+        with pytest.raises(ValueError, match="resample means must all be finite"):
+            convergence_trace(np.array([0.5, np.inf, 0.5, 0.5]), [2, 4])
+        with pytest.raises(ValueError, match=re.escape("std_error(B=4)=inf")):
+            convergence_trace(np.array([1e200, -1e200, 1e200, -1e200]), [2, 4])
+        # a standard error that rises from 0 is an infinite relative change
+        with pytest.raises(ValueError, match="final_relative_change=inf"):
+            convergence_trace(np.array([0.5, 0.5, 0.5, 0.5, 0.1, 0.9]), [4, 6])
+
+    def test_unbiasedness_refuses_non_finite_numbers(self):
+        values = beta_fixture()
+        summary = bootstrap_summary(values, BootstrapConfig(B=1000, seed=2))
+        with pytest.raises(ValueError, match="tolerance=inf"):
+            unbiasedness_check(values, summary, tolerance=float("inf"))
+        with pytest.raises(ValueError, match="tolerance=nan"):
+            unbiasedness_check(values, summary, tolerance=float("nan"))
+        with pytest.raises(ValueError, match="delta=inf"):
+            unbiasedness_check(values, dataclasses.replace(summary, boot_mean=float("inf")))

@@ -1,6 +1,7 @@
 """Tests for contrastive query-set analysis."""
 
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -67,6 +68,12 @@ class TestCompareSummaries:
     def test_mismatched_ci_level_rejected(self):
         with pytest.raises(ValueError, match="ci_level"):
             compare_summaries(summary(0.5, 0.4, 0.6), summary(0.5, 0.4, 0.6, ci_level=0.9), 0.1)
+
+    @pytest.mark.parametrize("min_effect", [-0.1, -1e-12, float("nan")])
+    def test_negative_min_effect_rejected(self, min_effect):
+        # "separated" would then mean no more than disjoint CIs
+        with pytest.raises(ValueError, match="min_effect must be at least 0"):
+            compare_summaries(summary(0.7, 0.6, 0.8), summary(0.2, 0.1, 0.3), min_effect)
 
     def test_faithfulness_flagged_non_discriminative(self):
         comparison = compare_summaries(
@@ -146,6 +153,14 @@ class TestRunTopicality:
         only, scripts = engineered_query_set("solo", 4, "positive")
         with pytest.raises(ValueError, match="at least 2"):
             run_topicality([only], providers_for(scripts), boot_cfg=BOOT)
+
+    def test_negative_min_effect_rejected_before_any_provider_call(self):
+        positive, _ = engineered_query_set("pos", 4, "positive")
+        random_set, _ = engineered_query_set("rand", 4, "random")
+        providers = ProviderBundle(mock.Mock(spec=ScriptedGenerator), mock.Mock(spec=HashEmbedder))
+        with pytest.raises(ValueError, match="min_effect must be at least 0, got -0.2"):
+            run_topicality([positive, random_set], providers, min_effect=-0.2)
+        assert providers.generator.mock_calls == providers.embedder.mock_calls == []
 
     def test_report_renders_mean_plus_minus_error_cells(self):
         positive, pos_scripts = engineered_query_set("pos", 10, "positive")
