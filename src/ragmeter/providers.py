@@ -16,8 +16,6 @@ import random
 import re
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
@@ -416,6 +414,11 @@ Transport = Callable[[str, bytes, Mapping[str, str], float], tuple[int, bytes]]
 
 
 def _urllib_transport(url: str, payload: bytes, headers: Mapping[str, str], timeout: float):
+    # imported on first use: urllib.request loads http.client, email, ssl and socket,
+    # which stub runs and injected transports never need
+    import urllib.error
+    import urllib.request
+
     request = urllib.request.Request(url, data=payload, headers=dict(headers), method="POST")
     try:
         with urllib.request.urlopen(request, timeout=timeout) as response:

@@ -255,6 +255,12 @@ def _check_values(values) -> np.ndarray:
     return arr
 
 
+# Values too large to average overflow the means and statistics drawn from them.
+# The functions computing those are decorated with this (each call sets its own
+# error state, so calls may nest or run in threads), and _require_finite reports it.
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
+
 def _require_finite(what: str, **statistics: float) -> None:
     """Raise ValueError naming each of `statistics` that is NaN or infinite, as overflowing values give."""
     bad = ", ".join(f"{name}={value}" for name, value in statistics.items() if not np.isfinite(value))
@@ -262,21 +268,30 @@ def _require_finite(what: str, **statistics: float) -> None:
         raise ValueError(f"{what} is not finite: {bad}")
 
 
-def _warn_guidance(n: int, B: int) -> None:
-    if n < RECOMMENDED_MIN_N:
+def _summary_input(values: Sequence[float] | np.ndarray, cfg: BootstrapConfig) -> np.ndarray:
+    """`values` as an array once they and `cfg` admit a summary; warns about small n or B.
+
+    The checks and guidance warnings of :func:`bootstrap_summary`, which
+    makes them before it draws; :func:`_summary_from_means` computes the rest.
+    """
+    arr = _check_values(values)
+    if cfg.B < 2:
+        raise ValueError("B=1 leaves the B-1 variance denominator undefined; use B >= 2")
+    if arr.size < RECOMMENDED_MIN_N:
         warnings.warn(
-            f"sample size n={n} is below the recommended minimum of {RECOMMENDED_MIN_N}; "
+            f"sample size n={arr.size} is below the recommended minimum of {RECOMMENDED_MIN_N}; "
             "standard-error and CI estimates may be unstable",
             BootstrapGuidanceWarning,
             stacklevel=3,
         )
-    if B < RECOMMENDED_MIN_B:
+    if cfg.B < RECOMMENDED_MIN_B:
         warnings.warn(
-            f"bootstrap size B={B} is below the recommended minimum of {RECOMMENDED_MIN_B}; "
+            f"bootstrap size B={cfg.B} is below the recommended minimum of {RECOMMENDED_MIN_B}; "
             "monitor convergence before trusting the statistics",
             BootstrapGuidanceWarning,
             stacklevel=3,
         )
+    return arr
 
 
 def resample_indices(states: Iterable[np.ndarray], n: int, size: int) -> Iterator[np.ndarray]:
@@ -322,6 +337,7 @@ def resample_indices(states: Iterable[np.ndarray], n: int, size: int) -> Iterato
         yield index[:k].view("<i8")
 
 
+@_quiet_overflow
 def shared_resample_means(
     value_arrays: Sequence[Sequence[float] | np.ndarray], cfg: BootstrapConfig, count: int | None = None
 ) -> tuple[np.ndarray, ...]:
@@ -381,13 +397,16 @@ def bootstrap_summary(
     is not finite, as values too large to average give. Emits
     :class:`BootstrapGuidanceWarning` for small n or B.
     """
-    arr = _check_values(values)
-    if cfg.B < 2:
-        raise ValueError("B=1 leaves the B-1 variance denominator undefined; use B >= 2")
+    arr = _summary_input(values, cfg)
+    return _summary_from_means(arr, cfg, resample_means(arr, cfg) if means is None else means)
+
+
+@_quiet_overflow
+def _summary_from_means(arr: np.ndarray, cfg: BootstrapConfig, means: np.ndarray) -> BootstrapSummary:
+    """The summary of values `arr` that passed :func:`_summary_input`, from their resample means."""
     n = arr.size
     size = cfg.resample_size if cfg.resample_size is not None else n
-    _warn_guidance(n, cfg.B)
-    means = (resample_means(arr, cfg) if means is None else means)[: cfg.B]
+    means = means[: cfg.B]
     if means.size != cfg.B:
         raise ValueError(f"need {cfg.B} resample means, got {means.size}")
     if np.all(means == means[0]):
@@ -415,6 +434,7 @@ def bootstrap_summary(
     )
 
 
+@_quiet_overflow
 def convergence_trace(means: np.ndarray, checkpoints: Sequence[int]) -> ConvergenceTrace:
     """Standard error of the resample means at increasing bootstrap sizes.
 
@@ -455,6 +475,7 @@ def convergence_trace(means: np.ndarray, checkpoints: Sequence[int]) -> Converge
     )
 
 
+@_quiet_overflow
 def unbiasedness_check(
     values: Sequence[float] | np.ndarray,
     summary: BootstrapSummary,

@@ -4,6 +4,12 @@ Evaluates two or more query sets against the same repository, bootstraps
 each metric per set, and compares the bootstrap distributions pairwise.
 Two sets are "separated" on a metric when their percentile CIs are
 disjoint and the mean delta clears a minimum effect size.
+
+Each set's values are checked, and its guidance warnings emitted, as soon
+as the set is evaluated, before the next set makes a provider call. The
+bootstrap runs after the last set: every (set, metric) value list of one
+length shares one draw of resample indices, so a run draws once per
+distinct n.
 """
 
 from __future__ import annotations
@@ -11,6 +17,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from ragmeter.corpus import RecordSet
 from ragmeter.metrics import (
@@ -21,7 +29,14 @@ from ragmeter.metrics import (
     evaluate_set,
 )
 from ragmeter.providers import GenerationParams, ProviderBundle
-from ragmeter.stats import BootstrapConfig, BootstrapSummary, bootstrap_summary, shared_resample_means
+from ragmeter.stats import (
+    BootstrapConfig,
+    BootstrapSummary,
+    _summary_from_means,
+    _summary_input,
+    bootstrap_summary,  # not called here; benchmarks/tracing.py wraps it under this module
+    shared_resample_means,
+)
 
 DEFAULT_MIN_EFFECT = 0.1
 
@@ -149,16 +164,15 @@ class TopicalityReport:
         return format_table(rows) + "\n".join(lines) + "\n"
 
 
-def summarize_set_metrics(
-    evaluation: SetEvaluation, boot_cfg: BootstrapConfig
-) -> QuerySetResult:
-    """Bootstrap every metric of an evaluated set with one shared config.
+# per query set: its label, its successful values per metric and its failure counts
+_SetValues = tuple[str, Mapping[str, tuple[float, ...]], Mapping[str, int]]
 
-    Metrics with the same number of successful values (all four, unless
-    some records failed a metric) share one draw of resample indices:
-    resample `s` depends only on (seed, s, n, size), so one chunked draw per
-    distinct n gives each metric the means its own draw would. Draws are
-    never shared across sets.
+
+def _set_values(evaluation: SetEvaluation, boot_cfg: BootstrapConfig) -> _SetValues:
+    """An evaluated set's successful values per metric, checked and warned about now.
+
+    Raises TopicalityError for a metric with no successful value, and emits
+    the guidance warnings :func:`bootstrap_summary` would for each metric.
     """
     values: dict[str, tuple[float, ...]] = {}
     for metric in METRICS:
@@ -172,18 +186,49 @@ def summarize_set_metrics(
                 f"set {evaluation.label!r}: no successful values for metric {metric}"
             )
         values[metric] = metric_values
-    by_n: dict[int, list[str]] = {}
-    for metric, metric_values in values.items():
-        by_n.setdefault(len(metric_values), []).append(metric)
-    means = {}
-    for group in by_n.values():
-        means.update(zip(group, shared_resample_means([values[m] for m in group], boot_cfg)))
-    return QuerySetResult(
-        label=evaluation.label,
-        values=values,
-        summaries={m: bootstrap_summary(values[m], boot_cfg, means=means[m]) for m in METRICS},
-        failure_counts=evaluation.failure_counts,
-    )
+    for metric_values in values.values():
+        _summary_input(metric_values, boot_cfg)
+    return evaluation.label, values, evaluation.failure_counts
+
+
+def _summarize(sets: Sequence[_SetValues], boot_cfg: BootstrapConfig) -> list[QuerySetResult]:
+    """Bootstrap every metric of every set, with one draw of resample indices per distinct n.
+
+    Resample `s` depends only on (seed, s, n, size), so the value lists of
+    one length share a draw and each gets the means its own draw would. No
+    guidance warning is emitted here; :func:`_set_values` emitted them.
+    """
+    values_of = {(i, metric): values[metric] for i, (_, values, _) in enumerate(sets) for metric in METRICS}
+    by_n: dict[int, list[tuple[int, str]]] = {}
+    for key, metric_values in values_of.items():
+        by_n.setdefault(len(metric_values), []).append(key)
+    summaries: dict[tuple[int, str], BootstrapSummary] = {}
+    for keys in by_n.values():
+        arrays = [np.asarray(values_of[key], dtype=float) for key in keys]
+        for key, arr, means in zip(keys, arrays, shared_resample_means(arrays, boot_cfg)):
+            summaries[key] = _summary_from_means(arr, boot_cfg, means)
+    return [
+        QuerySetResult(
+            label=label,
+            values=values,
+            summaries={metric: summaries[i, metric] for metric in METRICS},
+            failure_counts=failure_counts,
+        )
+        for i, (label, values, failure_counts) in enumerate(sets)
+    ]
+
+
+def summarize_set_metrics(
+    evaluation: SetEvaluation, boot_cfg: BootstrapConfig
+) -> QuerySetResult:
+    """Bootstrap every metric of one evaluated set with one shared config.
+
+    The one-set form of what :func:`run_topicality` does for all its sets:
+    metrics with the same number of successful values (all four, unless
+    some records failed a metric) share one draw of resample indices, and
+    each summary equals :func:`bootstrap_summary` of that metric's values.
+    """
+    return _summarize([_set_values(evaluation, boot_cfg)], boot_cfg)[0]
 
 
 def run_topicality(
@@ -197,12 +242,17 @@ def run_topicality(
     parallelism: int = 1,
     recall_source: str = "auto",
 ) -> TopicalityReport:
-    """Evaluate each query set, bootstrap per metric, compare all set pairs."""
+    """Evaluate each query set, bootstrap per metric, compare all set pairs.
+
+    A set with a metric no record computed raises TopicalityError before
+    the next set is evaluated. The resample indices are drawn once per
+    distinct number of values, after the last set, for every set and metric.
+    """
     if len(sets) < 2:
         raise ValueError(f"need at least 2 query sets, got {len(sets)}")
     _check_min_effect(min_effect)
     boot_cfg = boot_cfg or BootstrapConfig()
-    results: list[QuerySetResult] = []
+    set_values: list[_SetValues] = []
     for record_set in sets:
         try:
             evaluation = evaluate_set(
@@ -215,7 +265,9 @@ def run_topicality(
             )
         except SetEvaluationError as exc:
             raise TopicalityError(f"set {record_set.label!r} failed: {exc}") from exc
-        results.append(summarize_set_metrics(evaluation, boot_cfg))
+        set_values.append(_set_values(evaluation, boot_cfg))
+        del evaluation  # the summaries need only its values, so memory does not grow per set
+    results = _summarize(set_values, boot_cfg)
     comparisons = tuple(
         compare_summaries(
             a.summaries[metric],

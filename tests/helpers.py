@@ -3,15 +3,28 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 
+import ragmeter
 from ragmeter.corpus import EvalRecord
 from ragmeter.judge import recall_source_text, segment_sentences
 from ragmeter.metrics import MetricResult, MetricVector
 from ragmeter.providers import ScriptMissError
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """`python *args` in a child interpreter that imports the ragmeter this process imported."""
+    package_root = str(Path(ragmeter.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": pythonpath})
+
 
 # Prompt-type markers: template phrases unique to each of the four prompts.
 FAITH_MARK = "Consider the given context and following statements"

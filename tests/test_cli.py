@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import engineered_query_set, scripts_to_json
+from helpers import engineered_query_set, run_python, scripts_to_json
 from oracle import oracle_resample_means
 import ragmeter
 from ragmeter import stats
@@ -288,6 +288,17 @@ class TestBootstrap:
         assert run(["bootstrap", "--config", config, "--out", out, values_path]) == 6
         assert capsys.readouterr().err.startswith("error: bootstrap summary is not finite: empirical_mean=inf")
         assert not out.exists()
+
+    def test_overflow_error_is_the_only_complaint(self, tmp_path):
+        # run as a program, where numpy's RuntimeWarnings would reach stderr
+        config = write_workspace(tmp_path)
+        values_path = tmp_path / "values.json"
+        write_json(values_path, [1e308, 1e308, 1.7e308, 1e308])
+        proc = run_python("-m", "ragmeter.cli", "bootstrap", "--config", str(config),
+                          "--out", str(tmp_path / "o"), str(values_path))
+        assert proc.returncode == 6
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("error: bootstrap summary is not finite")
 
     def test_reports_are_strict_json(self):
         from ragmeter.cli import _json_text

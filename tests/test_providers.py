@@ -1,13 +1,15 @@
 """Tests for the provider stubs and HTTP adapters."""
 
+import http.server
 import json
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import ReferenceScriptedGenerator, reference_embed, reference_token_axis
+from helpers import ReferenceScriptedGenerator, reference_embed, reference_token_axis, run_python
 from ragmeter.metrics import cosine
 from ragmeter.providers import (
     EndpointConfig,
@@ -440,3 +442,67 @@ class TestHttpAdapters:
         assert len(delays) == 2
         assert 0.125 <= delays[0] <= 0.375
         assert 0.25 <= delays[1] <= 0.75
+
+
+def test_import_loads_no_http_stack():
+    proc = run_python("-c", (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import ragmeter.cli\n"
+        "print(sorted({'urllib.request', 'http.client', 'ssl'} & (set(sys.modules) - before)))\n"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+class _LoopbackHandler(http.server.BaseHTTPRequestHandler):
+    """Answers POST /generate with an echo completion and any other path with 404."""
+
+    def do_POST(self):
+        prompt = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["prompt"]
+        if self.path == "/generate":
+            status, body = 200, json.dumps({"completion": f"echo: {prompt}"}).encode("utf-8")
+        else:
+            status, body = 404, b'{"error": "no route"}'
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def loopback_url(monkeypatch):
+    # requests to the loopback server must not be routed through a proxy
+    for var in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    server = http.server.HTTPServer(("127.0.0.1", 0), _LoopbackHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+class TestDefaultTransport:
+    """HTTP adapters built without a transport post through urllib."""
+
+    def _generator(self, url):
+        return HttpGenerator(EndpointConfig(url=url, timeout=10.0), sleep=lambda _: None)
+
+    def test_ok_response_is_read(self, loopback_url):
+        assert self._generator(f"{loopback_url}/generate").complete("hello") == "echo: hello"
+
+    def test_error_status_raises_http_error(self, loopback_url):
+        with pytest.raises(ProviderHTTPError) as caught:
+            self._generator(f"{loopback_url}/missing").complete("hello")
+        assert caught.value.status == 404
+        assert "no route" in caught.value.body

@@ -474,3 +474,20 @@ class TestNonFiniteStatistics:
             unbiasedness_check(values, summary, tolerance=float("nan"))
         with pytest.raises(ValueError, match="delta=inf"):
             unbiasedness_check(values, dataclasses.replace(summary, boot_mean=float("inf")))
+
+
+def test_overflow_is_reported_by_value_error_alone():
+    """Values too large to average raise no numpy RuntimeWarning before the ValueError."""
+    wide = np.array([1e200, -1e200] * 20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("ignore", BootstrapGuidanceWarning)
+        with pytest.raises(ValueError, match="bootstrap summary is not finite: empirical_mean=inf"):
+            bootstrap_summary([1e308, 1e308, 1.7e308, 1e308], BootstrapConfig(B=100))
+        with pytest.raises(ValueError, match="boot_variance=inf"):
+            bootstrap_summary(wide, BootstrapConfig(B=100))
+        with pytest.raises(ValueError, match=re.escape("std_error(B=4)=inf")):
+            convergence_trace(wide[:4], [2, 4])
+        summary = bootstrap_summary(np.zeros(40), BootstrapConfig(B=100))
+        with pytest.raises(ValueError, match="tolerance=inf"):
+            unbiasedness_check(wide, summary)

@@ -8,9 +8,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import engineered_query_set
-from ragmeter.metrics import METRICS, MetricResult, MetricVector, SetEvaluation
+from ragmeter.corpus import RecordSet
+from ragmeter.metrics import METRICS, MetricResult, MetricVector, SetEvaluation, evaluate_set
 from ragmeter.providers import HashEmbedder, ProviderBundle, ScriptedGenerator
-from ragmeter.stats import BootstrapConfig, BootstrapGuidanceWarning, BootstrapSummary, bootstrap_summary
+from ragmeter.stats import (
+    BootstrapConfig,
+    BootstrapGuidanceWarning,
+    BootstrapSummary,
+    bootstrap_summary,
+    shared_resample_means,
+)
 from ragmeter.topicality import (
     TopicalityError,
     compare_summaries,
@@ -218,3 +225,81 @@ class TestSummarizeSetMetrics:
                 values = [row[i] for row in rows if row[i] is not None]
                 assert result.values[metric] == tuple(values)
                 assert result.summaries[metric] == bootstrap_summary(values, cfg)
+
+
+def set_evaluation(label: str, rows) -> SetEvaluation:
+    """An evaluated set whose records hold `rows` of metric values; None marks a failed metric."""
+    vectors = tuple(
+        MetricVector(f"{label}-r{k}", *(
+            MetricResult.failed(RuntimeError("judge down")) if v is None else MetricResult(v, "ok")
+            for v in row
+        ))
+        for k, row in enumerate(rows)
+    )
+    return SetEvaluation(label, vectors, means={}, failure_counts={})
+
+
+METRIC_ROW = st.tuples(*[st.floats(min_value=0.0, max_value=1.0)] * len(METRICS))
+# the first record computes every metric; the others may fail any, giving that metric a smaller n
+SET_ROWS = st.tuples(
+    METRIC_ROW,
+    st.lists(st.tuples(*[st.none() | st.floats(min_value=0.0, max_value=1.0)] * len(METRICS)), max_size=11),
+).map(lambda rows: [rows[0], *rows[1]])
+
+
+class TestDrawSharedAcrossSets:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sets=st.lists(SET_ROWS, min_size=2, max_size=4),
+        B=st.integers(min_value=2, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**32),
+        resample_size=st.none() | st.integers(min_value=1, max_value=12),
+    )
+    # n = 3 in both sets, except recall with 2 in the second
+    @example(sets=[[(0.5, 0.25, 1.0, 0.0)] * 3, [(1.0, 0.5, 0.0, 0.5), (0.0, 0.75, None, 1.0), (0.25,) * 4]],
+             B=50, seed=3, resample_size=None)
+    def test_run_equals_independent_summaries(self, sets, B, seed, resample_size):
+        evaluations = {f"s{k}": set_evaluation(f"s{k}", rows) for k, rows in enumerate(sets)}
+        cfg = BootstrapConfig(B=B, resample_size=resample_size, seed=seed)
+
+        def fake_evaluate(record_set, *args, **kwargs):
+            return evaluations[record_set.label]
+
+        draw = mock.Mock(wraps=shared_resample_means)
+        with mock.patch("ragmeter.topicality.evaluate_set", fake_evaluate), \
+                mock.patch("ragmeter.topicality.shared_resample_means", draw), warnings.catch_warnings():
+            warnings.simplefilter("ignore", BootstrapGuidanceWarning)
+            report = run_topicality([RecordSet(label, ()) for label in evaluations], mock.Mock(), boot_cfg=cfg)
+            lengths = set()
+            for result, rows in zip(report.set_results, sets, strict=True):
+                for i, metric in enumerate(METRICS):
+                    values = [row[i] for row in rows if row[i] is not None]
+                    lengths.add(len(values))
+                    assert result.values[metric] == tuple(values)
+                    assert result.summaries[metric] == bootstrap_summary(values, cfg)
+        assert draw.call_count == len(lengths)
+
+    def test_one_draw_per_distinct_n(self):
+        sets_and_scripts = [engineered_query_set(label, size, "positive") for label, size in
+                            (("a", 6), ("b", 4), ("c", 6))]
+        draw = mock.Mock(wraps=shared_resample_means)
+        with mock.patch("ragmeter.topicality.shared_resample_means", draw):
+            quiet_run([s for s, _ in sets_and_scripts],
+                      providers_for(*(scripts for _, scripts in sets_and_scripts)), boot_cfg=BOOT)
+        drawn = sorted((len(arrays), {len(a) for a in arrays}) for (arrays, _), _ in draw.call_args_list)
+        assert drawn == [(len(METRICS), {4}), (2 * len(METRICS), {6})]
+
+    def test_set_without_values_raises_before_next_set_is_evaluated(self):
+        healthy, scripts = engineered_query_set("ok", 4, "positive")
+        doomed, _ = engineered_query_set("doomed", 4, "random")  # scripts withheld: every metric fails
+        later, later_scripts = engineered_query_set("later", 4, "adjacent")
+        spy = mock.Mock(wraps=evaluate_set)
+        with mock.patch("ragmeter.topicality.evaluate_set", spy), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TopicalityError, match="doomed"):
+                run_topicality([healthy, doomed, later], providers_for(scripts, later_scripts), boot_cfg=BOOT)
+        assert [call.args[0].label for call in spy.call_args_list] == ["ok", "doomed"]
+        # the first set's guidance came before the failure: n=4 and B=300 for each of its metrics
+        guidance = [w for w in caught if issubclass(w.category, BootstrapGuidanceWarning)]
+        assert len(guidance) == 2 * len(METRICS)
