@@ -10,12 +10,11 @@ from __future__ import annotations
 import json
 import random
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ragmeter.providers import GenerationParams, TextGenerator, all_in_process
+from ragmeter.providers import GenerationParams, TextGenerator, run_calls
 
 
 class QrelsFormatError(ValueError):
@@ -218,7 +217,12 @@ def _record_from_json_line(line: str, line_no: int) -> EvalRecord:
         raise ValueError(f"line {line_no}: invalid JSON ({exc.msg})") from None
     if not isinstance(doc, dict):
         raise ValueError(f"line {line_no}: expected an object, got {type(doc).__name__}")
-    record_id = str(doc.get("id", "")).strip()
+    record_id = doc.get("id", "")
+    if isinstance(record_id, bool) or not isinstance(record_id, (str, int)):
+        raise ValueError(
+            f"line {line_no}: record id must be a string or an integer, got {json.dumps(record_id)}"
+        )
+    record_id = str(record_id).strip()
     if not record_id:
         raise ValueError(f"line {line_no}: missing record id")
     for required in ("query", "answer"):
@@ -351,43 +355,35 @@ def generate_synthetic(
 
     Answers are left empty so a RAG run can fill them in later. Transcripts
     that lack a parseable Passage or Question section are skipped and
-    reported in the result. A generator failure aborts the run with
-    :class:`SyntheticGenerationError` naming the completed count.
-    `parallelism` bounds concurrent generator calls; an in-process
+    reported in the result. `parallelism` below 1 raises ValueError before
+    any generator call.
+
+    The calls go through :func:`~ragmeter.providers.run_calls`:
+    `parallelism` bounds concurrent generator calls, and an in-process
     generator always runs on the calling thread, so cycling scripted
-    responses arrive in request order. `parallelism` below 1 raises
-    ValueError before any generator call.
+    responses arrive in request order. A generator failure aborts the run
+    with :class:`SyntheticGenerationError`, whose `completed` counts the
+    generator calls that succeeded: on the calling thread those before the
+    failure, where the run stops; on a pool, all of them, since every call
+    runs.
     """
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-    transcripts: list[str | None] = [None] * spec.count
+    completed: list[int] = []
 
     def run_one(index: int) -> str:
-        return generator.complete(spec.prompt_template, params)
+        transcript = generator.complete(spec.prompt_template, params)
+        completed.append(index)
+        return transcript
 
-    if parallelism > 1 and not all_in_process(generator):
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            futures = [pool.submit(run_one, i) for i in range(spec.count)]
-            failure: BaseException | None = None
-            for i, future in enumerate(futures):
-                try:
-                    transcripts[i] = future.result()
-                except Exception as exc:
-                    failure = failure or exc
-            if failure is not None:
-                completed = sum(1 for t in transcripts if t is not None)
-                raise SyntheticGenerationError(completed, failure)
-    else:
-        for i in range(spec.count):
-            try:
-                transcripts[i] = run_one(i)
-            except Exception as exc:
-                raise SyntheticGenerationError(i, exc) from exc
+    try:
+        transcripts = run_calls(run_one, range(spec.count), parallelism, generator)
+    except Exception as exc:
+        raise SyntheticGenerationError(len(completed), exc) from exc
 
     records: list[EvalRecord] = []
     skipped: list[SkippedTranscript] = []
     for i, transcript in enumerate(transcripts):
-        assert transcript is not None
         parsed = _parse_synthetic_transcript(transcript)
         if isinstance(parsed, str):
             skipped.append(SkippedTranscript(index=i, reason=parsed, transcript=transcript))
@@ -404,5 +400,5 @@ def generate_synthetic(
     return SyntheticResult(
         records=RecordSet(label=spec.topic_label, records=tuple(records)),
         skipped=tuple(skipped),
-        raw_transcripts=tuple(t for t in transcripts if t is not None),
+        raw_transcripts=tuple(transcripts),
     )

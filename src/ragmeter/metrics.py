@@ -9,7 +9,6 @@ as zero.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -32,7 +31,7 @@ from ragmeter.judge import (
     recall_source_text,
     segment_sentences,
 )
-from ragmeter.providers import Embedder, GenerationParams, ProviderBundle, all_in_process
+from ragmeter.providers import Embedder, GenerationParams, ProviderBundle, run_calls
 
 METRICS = ("faithfulness", "answer_relevance", "retrieval_recall", "retrieval_precision")
 
@@ -259,55 +258,39 @@ def evaluate_record(
     cfg = cfg or SimilarityConfig()
     generator, embedder = providers.generator, providers.embedder
 
-    try:
+    # each step returns (score, details); a "degenerate" detail marks the score degenerate
+    def faithfulness() -> tuple[float, dict]:
         statements = segment_sentences(record.answer)
         prompt = build_faithfulness_prompt(record, statements)
         transcript = generator.complete(prompt, params)
         verdicts = parse_faithfulness_verdicts(transcript, len(statements), statements)
-        faithfulness = MetricResult(
-            faithfulness_score(verdicts),
-            STATUS_OK,
-            {"statements": statements, "verdicts": list(verdicts.verdicts), "transcript": transcript},
-        )
-    except Exception as exc:
-        faithfulness = MetricResult.failed(exc)
+        return faithfulness_score(verdicts), {
+            "statements": statements, "verdicts": list(verdicts.verdicts), "transcript": transcript
+        }
 
-    if not record.contexts:
-        recall = MetricResult(0.0, STATUS_DEGENERATE, {"degenerate": "no_contexts"})
-        precision = MetricResult(0.0, STATUS_DEGENERATE, {"degenerate": "no_contexts"})
-    else:
-        try:
-            source_text = recall_source_text(record, recall_source)
-            sentences = segment_sentences(source_text)
-            prompt = build_recall_prompt(record, recall_source)
-            transcript = generator.complete(prompt, params)
-            classification = parse_recall_classification(transcript, len(sentences), sentences)
-            recall = MetricResult(
-                recall_score(classification),
-                STATUS_OK,
-                {
-                    "sentences": sentences,
-                    "supported": list(classification.supported),
-                    "transcript": transcript,
-                },
-            )
-        except Exception as exc:
-            recall = MetricResult.failed(exc)
+    def recall() -> tuple[float, dict]:
+        source_text = recall_source_text(record, recall_source)
+        sentences = segment_sentences(source_text)
+        prompt = build_recall_prompt(record, recall_source)
+        transcript = generator.complete(prompt, params)
+        classification = parse_recall_classification(transcript, len(sentences), sentences)
+        return recall_score(classification), {
+            "sentences": sentences,
+            "supported": list(classification.supported),
+            "transcript": transcript,
+        }
 
-        try:
-            prompt = build_precision_prompt(record)
-            transcript = generator.complete(prompt, params)
-            extraction = parse_precision_extraction(transcript)
-            score, details = _precision_details(extraction, record.contexts, embedder, cfg)
-            status = STATUS_DEGENERATE if "degenerate" in details else STATUS_OK
-            details["candidates"] = list(extraction.candidate_sentences)
-            details["insufficient"] = extraction.insufficient
-            details["transcript"] = transcript
-            precision = MetricResult(score, status, details)
-        except Exception as exc:
-            precision = MetricResult.failed(exc)
+    def precision() -> tuple[float, dict]:
+        prompt = build_precision_prompt(record)
+        transcript = generator.complete(prompt, params)
+        extraction = parse_precision_extraction(transcript)
+        score, details = _precision_details(extraction, record.contexts, embedder, cfg)
+        details["candidates"] = list(extraction.candidate_sentences)
+        details["insufficient"] = extraction.insufficient
+        details["transcript"] = transcript
+        return score, details
 
-    try:
+    def relevance() -> tuple[float, dict]:
         prompt = build_question_gen_prompt(record.answer)
         transcripts = [generator.complete(prompt, params) for _ in range(cfg.n_generated_questions)]
         questions = GeneratedQuestions(
@@ -315,22 +298,26 @@ def evaluate_record(
         )
         score, details = _relevance_details(record.query, questions, embedder)
         details["transcripts"] = transcripts
-        relevance = MetricResult(score, STATUS_OK, details)
-    except Exception as exc:
-        relevance = MetricResult.failed(exc)
+        return score, details
 
-    return MetricVector(
-        record_id=record.id,
-        faithfulness=faithfulness,
-        answer_relevance=relevance,
-        retrieval_recall=recall,
-        retrieval_precision=precision,
-    )
-
-
-def _all_failed_vector(record: EvalRecord, exc: Exception) -> MetricVector:
-    failed = MetricResult.failed(exc)
-    return MetricVector(record.id, failed, failed, failed, failed)
+    results: dict[str, MetricResult] = {}
+    for metric, step, needs_contexts in (
+        ("faithfulness", faithfulness, False),
+        ("retrieval_recall", recall, True),
+        ("retrieval_precision", precision, True),
+        ("answer_relevance", relevance, False),
+    ):
+        if needs_contexts and not record.contexts:
+            score, details = 0.0, {"degenerate": "no_contexts"}
+        else:
+            try:
+                score, details = step()
+            except Exception as exc:
+                results[metric] = MetricResult.failed(exc)
+                continue
+        status = STATUS_DEGENERATE if "degenerate" in details else STATUS_OK
+        results[metric] = MetricResult(score, status, details)
+    return MetricVector(record_id=record.id, **results)
 
 
 def evaluate_set(
@@ -344,11 +331,12 @@ def evaluate_set(
 ) -> SetEvaluation:
     """Evaluate every record with bounded parallelism and report set means.
 
-    `parallelism` bounds concurrent provider calls. Records run on the
-    calling thread when every provider in the bundle is in process (see
-    :func:`~ragmeter.providers.all_in_process`), since threads would only
-    contend for the interpreter. Means are taken per metric over records
-    whose metric succeeded.
+    Records go through :func:`~ragmeter.providers.run_calls`: `parallelism`
+    bounds concurrent records, and a bundle made only of in-process
+    providers runs them on the calling thread, since threads would only
+    contend for the interpreter. A record whose evaluation raises gets
+    every metric failed. Means are taken per metric over records whose
+    metric succeeded.
     Raises :class:`SetEvaluationError` for an empty set or when every
     record failed outright, and ValueError for `parallelism` below 1.
     """
@@ -359,23 +347,13 @@ def evaluate_set(
 
     def run_one(record: EvalRecord) -> MetricVector:
         try:
-            return evaluate_record(
-                record,
-                providers,
-                cfg,
-                params=params,
-                recall_source=recall_source,
-            )
+            return evaluate_record(record, providers, cfg, params=params, recall_source=recall_source)
         except Exception as exc:
-            return _all_failed_vector(record, exc)
+            failed = MetricResult.failed(exc)
+            return MetricVector(record.id, failed, failed, failed, failed)
 
-    if parallelism > 1 and not all_in_process(
-        providers.generator, providers.embedder, providers.scorer
-    ):
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            vectors = tuple(pool.map(run_one, record_set.records))
-    else:
-        vectors = tuple(run_one(record) for record in record_set.records)
+    vectors = tuple(run_calls(run_one, record_set.records, parallelism,
+                              providers.generator, providers.embedder, providers.scorer))
 
     if all(
         all(vector.result(m).status == STATUS_FAILED for m in METRICS) for vector in vectors

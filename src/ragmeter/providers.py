@@ -16,8 +16,9 @@ import random
 import re
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, Protocol, Sequence, TypeVar
 
 import numpy as np
 
@@ -109,6 +110,29 @@ def all_in_process(*providers: object) -> bool:
     `None` entries (an absent optional provider) are ignored.
     """
     return all(getattr(type(p), "in_process", False) for p in providers if p is not None)
+
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+
+def run_calls(
+    fn: Callable[[T], R], items: Iterable[T], parallelism: int, *providers: object
+) -> list[R]:
+    """`[fn(item) for item in items]`, with at most `parallelism` calls at once.
+
+    The calls run on the calling thread, in item order, when `parallelism`
+    is 1 or every provider `fn` uses is in process (:func:`all_in_process`);
+    the first call that raises stops the run. Otherwise every item is
+    submitted to a pool of `parallelism` threads, and once every call has
+    finished the first exception in item order is raised. Either way the
+    results come back in item order.
+    """
+    if parallelism == 1 or all_in_process(*providers):
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        futures = [pool.submit(fn, item) for item in items]
+    return [future.result() for future in futures]
 
 
 # `re` parses nested groups recursively; deeper needle tries are refused up front
@@ -408,6 +432,8 @@ class EndpointConfig:
     def __post_init__(self):
         if self.dialect not in ("prompt", "messages"):
             raise ValueError(f"unknown dialect {self.dialect!r}")
+        if not self.timeout > 0:
+            raise ValueError(f"timeout must be > 0, got {self.timeout}")
 
 
 Transport = Callable[[str, bytes, Mapping[str, str], float], tuple[int, bytes]]

@@ -227,15 +227,6 @@ def resample_rng(seed: int, s: int) -> np.random.Generator:
     return np.random.Generator(bit_generator)
 
 
-def resample(values: Sequence[float] | np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
-    """`size` uniform draws with replacement, deterministic given `rng`."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot resample an empty value list")
-    indices = rng.integers(0, arr.size, size=size)
-    return arr[indices]
-
-
 def percentile(values: Sequence[float] | np.ndarray, p: float) -> float:
     """Linear-interpolation quantile at rank p * (n - 1) over sorted values."""
     arr = np.asarray(values, dtype=float)

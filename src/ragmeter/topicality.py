@@ -244,12 +244,17 @@ def run_topicality(
 ) -> TopicalityReport:
     """Evaluate each query set, bootstrap per metric, compare all set pairs.
 
-    A set with a metric no record computed raises TopicalityError before
-    the next set is evaluated. The resample indices are drawn once per
+    Two sets with the same label raise ValueError before any provider
+    call. A set with a metric no record computed raises TopicalityError
+    before the next set is evaluated. The resample indices are drawn once per
     distinct number of values, after the last set, for every set and metric.
     """
     if len(sets) < 2:
         raise ValueError(f"need at least 2 query sets, got {len(sets)}")
+    labels = [record_set.label for record_set in sets]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ValueError(f"two query sets are labelled {label!r}")
     _check_min_effect(min_effect)
     boot_cfg = boot_cfg or BootstrapConfig()
     set_values: list[_SetValues] = []

@@ -107,6 +107,14 @@ def reference_cosine(u, v) -> float:
     return min(1.0, max(-1.0, float(np.dot(u, v) / (nu * nv))))
 
 
+def resample(values, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Loop reference for one resample: `size` uniform draws with replacement from `rng`."""
+    arr = np.asarray(values, dtype=float)
+    if arr.size == 0:
+        raise ValueError("cannot resample an empty value list")
+    return arr[rng.integers(0, arr.size, size=size)]
+
+
 def reference_segment_sentences(text: str) -> list[str]:
     """Character-loop reference for `judge.segment_sentences`."""
     segments: list[str] = []

@@ -96,6 +96,33 @@ class TestEvaluate:
         broken.write_text('{"id": "r1", "query": "q"}\n', encoding="utf-8")
         assert run(["evaluate", "--config", config, "--out", tmp_path / "o", broken]) == 2
 
+    @pytest.mark.parametrize("record_id", ["null", "true", "1.5", '{"x": 1}'])
+    def test_record_id_neither_string_nor_integer_exits_2(self, tmp_path, capsys, record_id):
+        config = write_workspace(tmp_path)
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text(f'{{"id": {record_id}, "query": "q", "answer": "a"}}\n', encoding="utf-8")
+        assert run(["evaluate", "--config", config, "--out", tmp_path / "o", broken]) == 2
+        message = f"line 1: record id must be a string or an integer, got {record_id}"
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("timeout", [0, -1])
+    def test_non_positive_endpoint_timeout_exits_2(self, tmp_path, capsys, timeout):
+        config = write_workspace(tmp_path)
+        doc = json.loads(config.read_text())
+        doc["providers"] = {
+            "mode": "http",
+            "http": {
+                "generator": {"url": "http://127.0.0.1:1/generate", "timeout": timeout},
+                "embedder": {"url": "http://127.0.0.1:1/embed"},
+            },
+        }
+        write_json(config, doc)
+        out = tmp_path / "o"
+        assert run(["evaluate", "--config", config, "--out", out, tmp_path / "pos.jsonl"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: providers.http.generator: timeout must be > 0, got {timeout}\n"
+        assert not out.exists()
+
     def test_partial_failures_still_exit_0(self, tmp_path):
         positive, pos_scripts = engineered_query_set("pos", 4, "positive")
         lost, _ = engineered_query_set("lost", 2, "random")  # no scripts for these
@@ -726,6 +753,18 @@ class TestTopicality:
         records = [tmp_path / "pos.jsonl", tmp_path / "rand.jsonl"]
         assert run(["topicality", "--config", config, "--out", out, *records]) == 2
         assert capsys.readouterr().err.startswith("error: topicality.min_effect must be at least 0, got -0.05")
+        assert not out.exists()
+
+    def test_duplicate_labels_exit_2(self, tmp_path, capsys):
+        config = write_workspace(tmp_path)
+        records = []
+        for folder in ("a", "b"):
+            (tmp_path / folder).mkdir()
+            records.append(tmp_path / folder / "set.jsonl")
+            records[-1].write_text((tmp_path / "pos.jsonl").read_text(), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(["topicality", "--config", config, "--out", out, *records]) == 2
+        assert capsys.readouterr().err == "error: two query sets are labelled 'set'\n"
         assert not out.exists()
 
 

@@ -169,6 +169,28 @@ def test_load_record_set_reports_every_bad_row(tmp_path):
     assert excinfo.value.valid_count + len(excinfo.value.row_errors) == 4
 
 
+@pytest.mark.parametrize("record_id", ["null", "true", "1.5", '{"x": 1}'])
+def test_load_record_set_rejects_an_id_neither_string_nor_integer(tmp_path, record_id):
+    path = tmp_path / "records.jsonl"
+    path.write_text(
+        '{"id": "r1", "query": "q", "answer": "a"}\n'
+        f'{{"id": {record_id}, "query": "q", "answer": "a"}}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(RecordFileError) as excinfo:
+        load_record_set(path)
+    assert excinfo.value.row_errors == [
+        f"line 2: record id must be a string or an integer, got {record_id}"
+    ]
+    assert excinfo.value.valid_count == 1
+
+
+def test_load_record_set_stringifies_an_integer_id(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"id": 7, "query": "q", "answer": "a"}\n', encoding="utf-8")
+    assert load_record_set(path).records[0].id == "7"
+
+
 def test_load_record_set_delimited(tmp_path):
     path = tmp_path / "records.tsv"
     path.write_text(
@@ -284,6 +306,26 @@ def test_generate_synthetic_parallel():
     assert [r.id for r in result.records] == [f"par-{i:04d}" for i in range(1, 7)]
     assert [r.query for r in result.records] == [f"Question {i}?" for i in range(6)]
     assert threads == {threading.get_ident()}
+
+
+def test_generate_synthetic_pool_failure_counts_every_successful_call():
+    lock = threading.Lock()
+    calls = {"n": 0}
+
+    class FlakyRemoteGenerator:
+        def complete(self, prompt, params=None):
+            with lock:
+                calls["n"] += 1
+                call = calls["n"]
+            if call == 2:
+                raise RuntimeError("backend down")
+            return "Passage:\np\n\nQuestion:\nq?"
+
+    spec = SyntheticSpec(topic_label="cloud", prompt_template=SYNTH_TEMPLATE, count=5)
+    with pytest.raises(SyntheticGenerationError, match="backend down") as excinfo:
+        generate_synthetic(spec, FlakyRemoteGenerator(), parallelism=3)
+    assert excinfo.value.completed == 4
+    assert calls["n"] == 5
 
 
 @pytest.mark.parametrize("parallelism", [0, -3])

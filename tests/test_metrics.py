@@ -10,6 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    FAITH_MARK,
+    PRECISION_MARK,
+    QGEN_MARK,
+    RECALL_MARK,
     DictEmbedder,
     TIDES_CONTEXT,
     TIDES_QUESTION,
@@ -28,6 +32,7 @@ from ragmeter.judge import (
 )
 from ragmeter.metrics import (
     METRICS,
+    MetricResult,
     NonFiniteEmbeddingError,
     SetEvaluationError,
     SimilarityConfig,
@@ -45,6 +50,7 @@ from ragmeter.providers import (
     HttpEmbedder,
     HttpGenerator,
     ProviderBundle,
+    ProviderTimeoutError,
     ScriptedGenerator,
 )
 
@@ -333,6 +339,34 @@ class TestEvaluateRecord:
             assert result.status == "failed"
             assert result.value is None
             assert result.diagnostics["error"].startswith("NonFiniteEmbeddingError: ")
+
+    @pytest.mark.parametrize(
+        "metric, mark",
+        [
+            ("faithfulness", FAITH_MARK),
+            ("retrieval_recall", RECALL_MARK),
+            ("retrieval_precision", PRECISION_MARK),
+            ("answer_relevance", QGEN_MARK),
+        ],
+    )
+    def test_judge_failure_fails_only_its_metric(self, metric, mark):
+        healthy = evaluate_record(full_record(), full_providers())
+        backend = full_providers()
+
+        class OutageOnOnePrompt:
+            def complete(self, prompt, params=None):
+                if mark in prompt:
+                    raise ProviderTimeoutError("backend down")
+                return backend.generator.complete(prompt, params)
+
+        providers = ProviderBundle(OutageOnOnePrompt(), backend.embedder)
+        vector = evaluate_record(full_record(), providers)
+        assert vector.result(metric) == MetricResult(
+            None, "failed", {"error": "ProviderTimeoutError: backend down"}
+        )
+        for other in METRICS:
+            if other != metric:
+                assert vector.result(other) == healthy.result(other)
 
     def test_bit_deterministic(self):
         first = evaluate_record(full_record(), full_providers())

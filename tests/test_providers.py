@@ -28,6 +28,7 @@ from ragmeter.providers import (
     ScriptMissError,
     ScriptedGenerator,
     all_in_process,
+    run_calls,
 )
 
 
@@ -264,6 +265,86 @@ class TestInProcess:
         assert not all_in_process(ScriptedGenerator({}), HttpEmbedder(config))
         assert not all_in_process(ScriptedGenerator({}), self.Forwarding(embedder))
         assert not all_in_process(embedder, object())
+
+
+class Remote:
+    """A provider that does not declare itself in process."""
+
+
+class TestRunCalls:
+    def test_calling_thread_keeps_item_order(self):
+        calls = []
+
+        def fn(item):
+            calls.append((item, threading.get_ident()))
+            return item * 10
+
+        assert run_calls(fn, range(5), 1, Remote()) == [0, 10, 20, 30, 40]
+        assert calls == [(i, threading.get_ident()) for i in range(5)]
+
+    def test_pool_returns_item_order_whatever_the_finishing_order(self):
+        # item i finishes only after item i + 1, so the calls finish in reverse order
+        finished = [threading.Event() for _ in range(5)]
+        threads = set()
+
+        def fn(item):
+            threads.add(threading.get_ident())
+            if item < 4:
+                assert finished[item + 1].wait(5)
+            finished[item].set()
+            return item * 10
+
+        assert run_calls(fn, range(5), 5, Remote()) == [0, 10, 20, 30, 40]
+        assert threads and threading.get_ident() not in threads
+
+    def test_calling_thread_stops_at_the_first_failure(self):
+        calls = []
+
+        def fn(item):
+            calls.append(item)
+            if item == 2:
+                raise ProviderTimeoutError("backend down")
+            return item
+
+        with pytest.raises(ProviderTimeoutError, match="backend down"):
+            run_calls(fn, range(5), 1, Remote())
+        assert calls == [0, 1, 2]
+
+    def test_pool_runs_every_call_and_raises_the_first_failure_in_item_order(self):
+        # item 3 fails first; item 1 fails only after it, yet comes first in item order
+        third_failed = threading.Event()
+        calls = set()
+
+        def fn(item):
+            calls.add(item)
+            if item == 3:
+                third_failed.set()
+                raise ValueError("item 3")
+            if item == 1:
+                assert third_failed.wait(5)
+                raise ValueError("item 1")
+            return item
+
+        with pytest.raises(ValueError, match="^item 1$"):
+            run_calls(fn, range(5), 5, Remote())
+        assert calls == set(range(5))
+
+    def test_in_process_providers_stay_on_the_calling_thread(self):
+        threads = []
+
+        def fn(item):
+            threads.append(threading.get_ident())
+            return item
+
+        providers = (ScriptedGenerator({}), HashEmbedder(8), None)
+        assert run_calls(fn, range(6), 4, *providers) == list(range(6))
+        assert threads == [threading.get_ident()] * 6
+
+
+@pytest.mark.parametrize("timeout", [0, 0.0, -1, float("nan")])
+def test_endpoint_timeout_must_be_positive(timeout):
+    with pytest.raises(ValueError, match="timeout must be > 0"):
+        EndpointConfig(url="http://backend.test/generate", timeout=timeout)
 
 
 CANDIDATE = (

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import resample
 from oracle import enumerate_size2_resample_means, oracle_resample_means, oracle_resample_stats
 from ragmeter import stats
 from ragmeter.stats import (
@@ -23,7 +24,6 @@ from ragmeter.stats import (
     convergence_trace,
     pcg64_state,
     percentile,
-    resample,
     resample_indices,
     resample_means,
     resample_rng,

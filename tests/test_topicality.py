@@ -169,6 +169,15 @@ class TestRunTopicality:
             run_topicality([positive, random_set], providers, min_effect=-0.2)
         assert providers.generator.mock_calls == providers.embedder.mock_calls == []
 
+    def test_duplicate_label_rejected_before_any_provider_call(self):
+        positive, _ = engineered_query_set("pos", 4, "positive")
+        random_set, _ = engineered_query_set("rand", 4, "random")
+        twin = RecordSet(label="pos", records=random_set.records)
+        providers = ProviderBundle(mock.Mock(spec=ScriptedGenerator), mock.Mock(spec=HashEmbedder))
+        with pytest.raises(ValueError, match="two query sets are labelled 'pos'"):
+            run_topicality([positive, random_set, twin], providers)
+        assert providers.generator.mock_calls == providers.embedder.mock_calls == []
+
     def test_report_renders_mean_plus_minus_error_cells(self):
         positive, pos_scripts = engineered_query_set("pos", 10, "positive")
         random_set, rand_scripts = engineered_query_set("rand", 10, "random")
