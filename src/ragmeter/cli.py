@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import inspect
 import json
 import math
 import os
@@ -88,21 +89,21 @@ class RunConfig:
 
 
 def _params(cls) -> dict:
-    """The type of each keyword argument `cls` takes, from its type hints."""
+    """The type of each keyword argument `cls` takes, as a `(type,)` entry when it has no default."""
     hints = typing.get_type_hints(cls.__init__)
-    hints.pop("return", None)
-    return hints
+    return {name: (hints[name],) if param.default is param.empty else hints[name]
+            for name, param in inspect.signature(cls).parameters.items()}
 
 
 def _defaulted(cls) -> dict:
     """(type, default) of each field of the dataclass `cls`."""
-    hints = _params(cls)
+    hints = typing.get_type_hints(cls.__init__)
     return {f.name: (hints[f.name], f.default) for f in fields(cls)}
 
 
-# The JSON type of every config key. A dict is an object that may hold only
-# its keys, and anything else is a type hint. A (type, default) pair is a key
-# every run has: a config that leaves it out gets the default.
+# The JSON type of every config key. A dict is an object that may hold only its keys, and
+# anything else is a type hint. A (type,) entry is a key its object must hold. A (type, default)
+# pair is a key every run has: a config that leaves it out gets the default.
 _CONFIG = {
     "providers": {
         "mode": (typing.Literal["stub", "http"], "stub"),
@@ -140,13 +141,13 @@ def _with_defaults(entry: dict, doc: dict) -> dict:
     return resolved
 
 
-_SCRIPTS_SCHEMA = {"scripts": list[{"match": str | list[str], "responses": list[str]}]}
+_SCRIPTS_SCHEMA = {"scripts": list[{"match": (str | list[str],), "responses": (list[str],)}]}
 
 # An evaluate report as aggregate reads it back: only the records are used.
 _REPORT_SCHEMA = {
     "label": object, "means": object, "failure_counts": object,
     "records": list[{
-        "id": str, "query": str, "answer": str, "contexts": list[str], "ground_truth": str | None,
+        "id": (str,), "query": (str,), "answer": (str,), "contexts": list[str], "ground_truth": str | None,
         "metrics": {metric: {"value": float | None, "status": str} for metric in METRICS},
     }],
 }
@@ -165,11 +166,11 @@ def _is_number(value: object) -> bool:
 def _mismatch(value: object, schema: object) -> tuple[str, object, object] | None:
     """Where `value` departs from the JSON type `schema`, or None if it does not.
 
-    The answer is (the path below `value`, the schema expected there, the
-    value found there); the schema is None for a key that is not allowed.
-    Types are exact, except that an int is accepted where a float is
-    expected, and a float must be finite. `object` accepts any value, and a
-    (type, default) pair is checked as its type.
+    The answer is (the path below `value`, the schema expected there, the value found
+    there); the schema is None for a key that is not allowed, and the `(type,)` entry
+    itself for a required key that is missing. Types are exact, except that an int is
+    accepted where a float is expected, and a float must be finite. `object` accepts
+    any value, and a `(type,)` or (type, default) entry is checked as its type.
     """
     if isinstance(schema, tuple):
         return _mismatch(value, schema[0])
@@ -183,6 +184,9 @@ def _mismatch(value: object, schema: object) -> tuple[str, object, object] | Non
             found = _mismatch(item, schema[name]) if name in schema else ("", None, item)
             if found:
                 return f".{name}{found[0]}", found[1], found[2]
+        for name, item in schema.items() if fits else ():
+            if isinstance(item, tuple) and len(item) == 1 and name not in value:
+                return f".{name}", item, None
     else:
         origin, args = typing.get_origin(schema), typing.get_args(schema)
         if origin in _UNIONS:
@@ -203,8 +207,8 @@ def _check(value: object, schema: object, source: str) -> None:
     found = _mismatch(value, schema)
     if found:
         path, expected, got = found
-        rule = (f"must be {_describe(expected)}, got {reprlib.repr(got)}" if expected is not None
-                else "is not a recognized key")
+        rule = ("is not a recognized key" if expected is None else "is required" if isinstance(expected, tuple)
+                else f"must be {_describe(expected)}, got {reprlib.repr(got)}")
         raise ConfigError(f"{path.lstrip('.') or 'the top level'} {rule} (in {source})")
 
 
@@ -221,7 +225,7 @@ def _read_json(path: str | Path, what: str, schema: object = None) -> object:
     """The parsed JSON file `path`, checked against `schema` when one is given."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc.msg} (line {exc.lineno})") from None
@@ -234,7 +238,7 @@ def _build(cls, where: str, /, *args, **kwargs):
     """`cls(*args, **kwargs)`, with a ConfigError prefixed by `where` if `cls` refuses the settings."""
     try:
         return cls(*args, **kwargs)
-    except (TypeError, ValueError) as exc:  # a missing required setting or one out of range
+    except ValueError as exc:  # a setting out of range
         raise ConfigError(f"{where}: {exc}") from None
 
 
@@ -292,8 +296,6 @@ def _load_scripts(config: RunConfig) -> ScriptedGenerator:
     transcripts: dict = {}
     entries = _read_json(path, "scripts file", _SCRIPTS_SCHEMA).get("scripts", []) if path else []
     for index, entry in enumerate(entries):
-        if "match" not in entry or "responses" not in entry:  # ScriptedGenerator refuses empty responses
-            raise ConfigError(f"scripts file {path}: entry {index} needs 'match' and 'responses'")
         match = entry["match"]
         key = (match,) if isinstance(match, str) else tuple(match)
         if key in transcripts:  # until now one key per entry, in entry order
@@ -310,17 +312,15 @@ def build_providers(config: RunConfig) -> ProviderBundle:
     """Construct the generator/embedder/scorer trio the config describes."""
     if config.providers_mode == "stub":
         stub = config.raw["providers"]["stub"]
-        embedder = _build(HashEmbedder, "providers.stub.embedder",
-                          **{"dimension": 256, **stub.get("embedder", {})})
-        scorer = _build(LinearPairScorer, "providers.stub.scorer",
-                        **{"weights": (1.0,) * 4, **stub.get("scorer", {})})
+        embedder = _build(HashEmbedder, "providers.stub.embedder", **stub.get("embedder", {}))
+        scorer = _build(LinearPairScorer, "providers.stub.scorer", **stub.get("scorer", {}))
         return ProviderBundle(_load_scripts(config), embedder, scorer)
 
     http = config.raw["providers"]["http"]
 
     def endpoint(name: str, **defaults) -> EndpointConfig:
-        if "url" not in http.get(name, {}):
-            raise ConfigError(f"providers.http.{name} must define at least a url")
+        if name not in http:
+            raise ConfigError(f"providers.http.{name} is required in http mode")
         return _build(EndpointConfig, f"providers.http.{name}", **{**defaults, **http[name]})
 
     return ProviderBundle(
@@ -425,10 +425,10 @@ def cmd_evaluate(args: argparse.Namespace, config: RunConfig) -> int:
 
 def _vector_from_report(entry: dict) -> tuple[EvalRecord, MetricVector]:
     """The record and metric vector of a checked metrics report entry."""
-    for required in ("id", "query", "answer"):
-        if not entry.get(required):
-            raise ConfigError(f"metrics report entry missing {required!r}: {reprlib.repr(entry)}")
-    record = EvalRecord(
+    if not entry["answer"]:
+        raise ConfigError(f"metrics report entry {entry['id']!r} has an empty answer")
+    record = _build(
+        EvalRecord, "metrics report",
         id=entry["id"],
         query=entry["query"],
         answer=entry["answer"],

@@ -30,16 +30,17 @@ class RecordFileError(ValueError):
     """A record file with invalid rows or duplicate ids.
 
     Carries every row-level problem plus the count of rows that did parse,
-    so callers can verify no row was silently dropped.
+    so callers can verify no row was silently dropped. The message names
+    the file, `source`.
     """
 
-    def __init__(self, row_errors: Sequence[str], valid_count: int):
+    def __init__(self, row_errors: Sequence[str], valid_count: int, source: str | Path):
         self.row_errors = list(row_errors)
         self.valid_count = valid_count
         summary = "; ".join(self.row_errors[:5])
         if len(self.row_errors) > 5:
             summary += f"; ... ({len(self.row_errors)} problems total)"
-        super().__init__(f"record file invalid: {summary}")
+        super().__init__(f"record file {source} invalid: {summary}")
 
 
 class SyntheticGenerationError(RuntimeError):
@@ -284,22 +285,25 @@ def load_record_set(
     records: list[EvalRecord] = []
     errors: list[str] = []
     seen_ids: set[str] = set()
-    with path.open(encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            if not raw.strip():
-                continue
-            try:
-                record = parse_row(raw, line_no)
-            except ValueError as exc:
-                errors.append(str(exc))
-                continue
-            if record.id in seen_ids:
-                errors.append(f"line {line_no}: duplicate record id {record.id!r}")
-                continue
-            seen_ids.add(record.id)
-            records.append(record)
+    try:
+        with path.open(encoding="utf-8") as handle:
+            for line_no, raw in enumerate(handle, start=1):
+                if not raw.strip():
+                    continue
+                try:
+                    record = parse_row(raw, line_no)
+                except ValueError as exc:
+                    errors.append(str(exc))
+                    continue
+                if record.id in seen_ids:
+                    errors.append(f"line {line_no}: duplicate record id {record.id!r}")
+                    continue
+                seen_ids.add(record.id)
+                records.append(record)
+    except UnicodeDecodeError as exc:  # raised per decoded chunk, so no line number is known
+        errors.append(f"not UTF-8 text: {exc.reason} (byte 0x{exc.object[exc.start]:02x})")
     if errors:
-        raise RecordFileError(errors, valid_count=len(records))
+        raise RecordFileError(errors, valid_count=len(records), source=source)
     return RecordSet(label=label or path.stem, records=tuple(records))
 
 

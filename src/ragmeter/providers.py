@@ -305,7 +305,7 @@ class HashEmbedder:
 
     def __init__(
         self,
-        dimension: int,
+        dimension: int = 256,
         keyword_channels: Mapping[str, int] | None = None,
         *,
         keyword_boost: float = 4.0,
@@ -375,7 +375,7 @@ class LinearPairScorer:
     identifier = "stub:linear"
     in_process = True
 
-    def __init__(self, weights: Sequence[float], bias: float = 0.0):
+    def __init__(self, weights: Sequence[float] = (1.0,) * 4, bias: float = 0.0):
         if len(weights) != 4:
             raise ValueError(f"expected 4 weights, got {len(weights)}")
         self.weights = tuple(float(w) for w in weights)
@@ -434,6 +434,8 @@ class EndpointConfig:
             raise ValueError(f"unknown dialect {self.dialect!r}")
         if not self.timeout > 0:
             raise ValueError(f"timeout must be > 0, got {self.timeout}")
+        if self.timeout > threading.TIMEOUT_MAX:  # the most a socket timeout can take
+            raise ValueError(f"timeout must be at most {threading.TIMEOUT_MAX}, got {self.timeout}")
 
 
 Transport = Callable[[str, bytes, Mapping[str, str], float], tuple[int, bytes]]

@@ -340,6 +340,7 @@ def shared_resample_means(
     each index row is drawn once and serves every array; the means equal
     per-array :func:`resample_means` bit for bit. Rows are drawn in chunks
     of `max(1, CHUNK_ENTRIES // size)`. The arrays returned are read-only.
+    Raises ValueError when the means or the index buffers do not fit in memory.
     """
     arrays = [_check_values(values) for values in value_arrays]
     if not arrays:
@@ -349,13 +350,16 @@ def shared_resample_means(
         raise ValueError("value arrays must all have the same length")
     size = cfg.resample_size if cfg.resample_size is not None else n
     count = cfg.B if count is None else count
-    means = tuple(np.empty(count) for _ in arrays)
-    start = 0
-    for block in resample_indices(_seeded_rows(cfg.seed, count), n, size):
-        stop = start + len(block)
-        for arr, out in zip(arrays, means):
-            out[start:stop] = arr[block].mean(axis=1)
-        start = stop
+    try:
+        means = tuple(np.empty(count) for _ in arrays)
+        start = 0
+        for block in resample_indices(_seeded_rows(cfg.seed, count), n, size):
+            stop = start + len(block)
+            for arr, out in zip(arrays, means):
+                out[start:stop] = arr[block].mean(axis=1)
+            start = stop
+    except MemoryError:
+        raise ValueError(f"the means of {count} resamples of size {size} do not fit in memory") from None
     for out in means:
         out.flags.writeable = False
     return means

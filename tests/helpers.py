@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import re
 import subprocess
@@ -113,6 +114,18 @@ def resample(values, size: int, rng: np.random.Generator) -> np.ndarray:
     if arr.size == 0:
         raise ValueError("cannot resample an empty value list")
     return arr[rng.integers(0, arr.size, size=size)]
+
+
+def refuse_large_arrays(monkeypatch, limit: int = 10**8) -> None:
+    """Make `np.empty` raise MemoryError for more than `limit` entries, as a failed allocation does."""
+    empty = np.empty
+
+    def guarded(shape, *args, **kwargs):
+        if math.prod(shape if isinstance(shape, tuple) else (shape,)) > limit:
+            raise MemoryError(f"refused an array of shape {shape}")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", guarded)
 
 
 def reference_segment_sentences(text: str) -> list[str]:

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from dataclasses import fields
 from pathlib import Path
 
@@ -15,12 +16,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import engineered_query_set, run_python, scripts_to_json
+from helpers import engineered_query_set, refuse_large_arrays, run_python, scripts_to_json
 from oracle import oracle_resample_means
 import ragmeter
 from ragmeter import stats
 from ragmeter.cli import RunConfig, build_providers, load_config, main
 from ragmeter.corpus import generate_synthetic, save_record_set
+from ragmeter.providers import HashEmbedder, LinearPairScorer
 
 
 def write_json(path: Path, doc) -> None:
@@ -123,6 +125,23 @@ class TestEvaluate:
         assert err == f"error: providers.http.generator: timeout must be > 0, got {timeout}\n"
         assert not out.exists()
 
+    def test_endpoint_timeout_beyond_a_socket_timeout_exits_2(self, tmp_path, capsys):
+        config = write_workspace(tmp_path)
+        doc = json.loads(config.read_text())
+        doc["providers"] = {
+            "mode": "http",
+            "http": {
+                "generator": {"url": "http://127.0.0.1:1/generate", "timeout": 1e300},
+                "embedder": {"url": "http://127.0.0.1:1/embed"},
+            },
+        }
+        write_json(config, doc)
+        out = tmp_path / "o"
+        assert run(["evaluate", "--config", config, "--out", out, tmp_path / "pos.jsonl"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: providers.http.generator: timeout must be at most {threading.TIMEOUT_MAX}, got 1e+300\n"
+        assert not out.exists()
+
     def test_partial_failures_still_exit_0(self, tmp_path):
         positive, pos_scripts = engineered_query_set("pos", 4, "positive")
         lost, _ = engineered_query_set("lost", 2, "random")  # no scripts for these
@@ -205,6 +224,22 @@ class TestAggregate:
         write_metrics_report(report_path, [entry])
         assert run(["aggregate", "--config", config, "--out", tmp_path / "o", report_path]) == 5
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("answer", "", "metrics report entry 'a' has an empty answer"),
+         ("id", "", "metrics report: record id must be non-empty"),
+         ("query", " ", "metrics report: record 'a': query must be non-empty")],
+        ids=["empty-answer", "empty-id", "blank-query"],
+    )
+    def test_empty_record_field_exits_2(self, tmp_path, capsys, key, value, message):
+        config = write_workspace(tmp_path)
+        report_path = tmp_path / "metrics.json"
+        write_metrics_report(report_path, [{**report_entry("a", HIGH), key: value}])
+        out = tmp_path / "o"
+        assert run(["aggregate", "--config", config, "--out", out, report_path]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_offline_scorer_exits_3(self, tmp_path):
         config_path = tmp_path / "http.json"
         write_json(
@@ -279,6 +314,21 @@ class TestBootstrap:
         values_path = tmp_path / "values.json"
         write_json(values_path, [0.1, 0.2, 0.3])
         assert run(["bootstrap", "--config", config, "--out", tmp_path / "o", values_path]) == 6
+
+    @pytest.mark.parametrize("bootstrap", [{"B": 10**12}, {"B": 50, "checkpoints": [10, 10**12]}],
+                             ids=["B", "checkpoint"])
+    def test_unallocatable_means_exit_6_writing_nothing(self, tmp_path, capsys, monkeypatch, bootstrap):
+        refuse_large_arrays(monkeypatch)
+        config = write_workspace(tmp_path)
+        doc = json.loads(config.read_text())
+        doc["bootstrap"].update(bootstrap)
+        write_json(config, doc)
+        values_path = tmp_path / "values.json"
+        write_json(values_path, [0.1, 0.2, 0.3])
+        out = tmp_path / "o"
+        assert run(["bootstrap", "--config", config, "--out", out, values_path]) == 6
+        assert capsys.readouterr().err == "error: the means of 1000000000000 resamples of size 3 do not fit in memory\n"
+        assert not out.exists()
 
     def test_empty_values_exits_4(self, tmp_path):
         config = write_workspace(tmp_path)
@@ -609,6 +659,53 @@ class TestConfig:
         assert run(["evaluate", "--config", config, "--out", tmp_path / "o", tmp_path / "pos.jsonl"]) == 2
         assert "must be an object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stub", [{}, {"embedder": {}, "scorer": {}}], ids=["no-sections", "empty-sections"])
+    def test_stub_defaults_are_the_class_defaults(self, tmp_path, stub):
+        config = tmp_path / "config.json"
+        write_json(config, {"providers": {"stub": stub}})
+        providers = build_providers(load_config(config))
+        embedder, scorer = HashEmbedder(), LinearPairScorer()
+        assert providers.embedder.identifier == embedder.identifier == "stub:hash-256"
+        text = "Cloud sales grew quickly this year."
+        assert providers.embedder.embed(text).tolist() == embedder.embed(text).tolist()
+        assert vars(providers.scorer) == vars(scorer) == {"weights": (1.0,) * 4, "bias": 0.0}
+
+    def test_stub_mode_refuses_an_http_endpoint_without_url(self, tmp_path, capsys):
+        config = write_workspace(tmp_path)
+        doc = json.loads(config.read_text())
+        doc["providers"]["http"] = {"generator": {"model": "judge"}}
+        write_json(config, doc)
+        out = tmp_path / "o"
+        assert run(["evaluate", "--config", config, "--out", out, tmp_path / "pos.jsonl"]) == 2
+        assert capsys.readouterr().err == f"error: providers.http.generator.url is required (in config {config})\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("what", ["config", "values"])
+    def test_json_file_not_utf8_is_named(self, tmp_path, capsys, what):
+        config = write_workspace(tmp_path)
+        values = tmp_path / "values.json"
+        write_json(values, [0.1, 0.2, 0.3])
+        bad = {"config": config, "values": values}[what]
+        bad.write_bytes(b"\xff" + bad.read_bytes())
+        out = tmp_path / "o"
+        assert run(["bootstrap", "--config", config, "--out", out, values]) == 2
+        label = {"config": "config", "values": "values file"}[what]
+        reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+        assert capsys.readouterr().err == f"error: cannot read {label} {bad}: {reason}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "topicality"])
+    def test_record_file_not_utf8_is_named(self, tmp_path, capsys, command):
+        config = write_workspace(tmp_path)
+        bad = tmp_path / "rand.jsonl"
+        bad.write_bytes(b"\xff" + bad.read_bytes())
+        records = [bad] if command == "evaluate" else [tmp_path / "pos.jsonl", bad]
+        out = tmp_path / "o"
+        assert run([command, "--config", config, "--out", out, *records]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: record file {bad} invalid: not UTF-8 text: invalid start byte (byte 0xff)\n"
+        assert not out.exists()
+
     def test_default_sections_are_not_shared_between_runs(self, tmp_path):
         config = tmp_path / "config.json"
         write_json(config, {})
@@ -674,7 +771,9 @@ def config_nodes(node, path=()):
 def mistyped_config(data) -> dict:
     doc = copy.deepcopy(FULL_CONFIG)
     nodes = list(config_nodes(doc))
-    if data.draw(st.booleans(), label="add unknown key"):
+    change = data.draw(st.sampled_from(["add unknown key", "mistype a leaf", "delete a required key"]),
+                       label="change")
+    if change == "add unknown key":
         # keyword_channels maps any token to an axis, so it has no unknown keys
         objects = [()] + [p for p, v in nodes if isinstance(v, dict) and p[-1] != "keyword_channels"]
         path = data.draw(st.sampled_from(objects), label="object")
@@ -682,12 +781,15 @@ def mistyped_config(data) -> dict:
         for key in path:
             target = target[key]
         target["unknown_key"] = 1
-    else:
+    elif change == "mistype a leaf":
         path, value = data.draw(st.sampled_from(nodes), label="leaf")
         target = doc
         for key in path[:-1]:
             target = target[key]
         target[path[-1]] = data.draw(st.sampled_from(WRONG_VALUES[type(value)]), label="wrong value")
+    else:  # the endpoint urls are the only required config keys
+        endpoint = data.draw(st.sampled_from(sorted(doc["providers"]["http"])), label="endpoint")
+        del doc["providers"]["http"][endpoint]["url"]
     return doc
 
 
@@ -712,6 +814,47 @@ class TestConfigProperty:
         assert not out.exists()
 
     runs = itertools.count()
+
+
+REQUIRED_KEYS = [
+    ("scripts", "match"), ("scripts", "responses"),
+    ("endpoint", "generator"), ("endpoint", "embedder"), ("endpoint", "scorer"),
+    ("spec", "topic_label"), ("spec", "prompt_template"), ("spec", "count"),
+    ("report", "id"), ("report", "query"), ("report", "answer"),
+]
+
+
+@pytest.mark.parametrize("table, key", REQUIRED_KEYS, ids=[f"{table}-{key}" for table, key in REQUIRED_KEYS])
+def test_missing_required_key_exits_2_before_any_output(tmp_path, capsys, table, key):
+    config = write_workspace(tmp_path, extra_scripts=synth_scripts())
+    if table == "scripts":
+        scripts = tmp_path / "scripts.json"
+        doc = json.loads(scripts.read_text())
+        entry = {"match": "x", "responses": ["Question: abc"]}
+        del entry[key]
+        doc["scripts"].append(entry)
+        write_json(scripts, doc)
+        command, argv = "evaluate", [tmp_path / "pos.jsonl"]
+        path, source = f"scripts[{len(doc['scripts']) - 1}].{key}", f"scripts file {scripts.resolve()}"
+    elif table == "endpoint":
+        doc = json.loads(config.read_text())
+        doc["providers"]["http"] = {name: {"url": f"http://b.test/{name}"} for name in ("generator", "embedder", "scorer")}
+        del doc["providers"]["http"][key]["url"]
+        write_json(config, doc)
+        command, argv = "bootstrap", command_argv(tmp_path, "bootstrap")
+        path, source = f"providers.http.{key}.url", f"config {config}"
+    else:
+        command = "synth" if table == "spec" else "aggregate"
+        argv = command_argv(tmp_path, command)
+        doc = json.loads(argv[0].read_text())
+        del (doc if table == "spec" else doc["records"][1])[key]
+        write_json(argv[0], doc)
+        path = key if table == "spec" else f"records[1].{key}"
+        source = f"{'synthetic spec' if table == 'spec' else 'metrics report'} {argv[0]}"
+    out = tmp_path / "o"
+    assert run([command, "--config", config, "--out", out, *argv]) == 2
+    assert capsys.readouterr().err == f"error: {path} is required (in {source})\n"
+    assert not out.exists()
 
 
 class TestTopicality:
@@ -743,6 +886,16 @@ class TestTopicality:
     def test_single_file_exits_2(self, tmp_path):
         config = write_workspace(tmp_path)
         assert run(["topicality", "--config", config, "--out", tmp_path / "o", tmp_path / "pos.jsonl"]) == 2
+
+    def test_unallocatable_means_exit_2(self, tmp_path, capsys, monkeypatch):
+        refuse_large_arrays(monkeypatch)
+        config = write_workspace(tmp_path, bootstrap_b=10**12)
+        out = tmp_path / "o"
+        records = [tmp_path / "pos.jsonl", tmp_path / "rand.jsonl"]
+        assert run(["topicality", "--config", config, "--out", out, *records]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: the means of 1000000000000 resamples of size \d+ do not fit in memory\n", err)
+        assert not out.exists()
 
     def test_negative_min_effect_exits_2(self, tmp_path, capsys):
         config = write_workspace(tmp_path)

@@ -185,6 +185,16 @@ def test_load_record_set_rejects_an_id_neither_string_nor_integer(tmp_path, reco
     assert excinfo.value.valid_count == 1
 
 
+@pytest.mark.parametrize("fmt", ["structured-lines", "delimited"])
+def test_load_record_set_names_a_file_that_is_not_utf8(tmp_path, fmt):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(b'\xff{"id": "r1", "query": "q", "answer": "a"}\n')
+    with pytest.raises(RecordFileError) as excinfo:
+        load_record_set(path, fmt)
+    assert str(excinfo.value) == f"record file {path} invalid: not UTF-8 text: invalid start byte (byte 0xff)"
+    assert excinfo.value.valid_count == 0
+
+
 def test_load_record_set_stringifies_an_integer_id(tmp_path):
     path = tmp_path / "records.jsonl"
     path.write_text('{"id": 7, "query": "q", "answer": "a"}\n', encoding="utf-8")

@@ -347,6 +347,13 @@ def test_endpoint_timeout_must_be_positive(timeout):
         EndpointConfig(url="http://backend.test/generate", timeout=timeout)
 
 
+def test_endpoint_timeout_must_fit_a_socket_timeout():
+    with pytest.raises(ValueError, match=f"timeout must be at most {threading.TIMEOUT_MAX}, got 1e\\+300"):
+        EndpointConfig(url="http://backend.test/generate", timeout=1e300)
+    widest = EndpointConfig(url="http://backend.test/generate", timeout=threading.TIMEOUT_MAX)
+    assert widest.timeout == threading.TIMEOUT_MAX
+
+
 CANDIDATE = (
     "the answer relevancy score is: 0.25. "
     "the context precision score is: 0.5. "

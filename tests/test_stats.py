@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import resample
+from helpers import refuse_large_arrays, resample
 from oracle import enumerate_size2_resample_means, oracle_resample_means, oracle_resample_stats
 from ragmeter import stats
 from ragmeter.stats import (
@@ -491,3 +491,12 @@ def test_overflow_is_reported_by_value_error_alone():
         summary = bootstrap_summary(np.zeros(40), BootstrapConfig(B=100))
         with pytest.raises(ValueError, match="tolerance=inf"):
             unbiasedness_check(wide, summary)
+
+
+@pytest.mark.parametrize("count, size", [(10**12, None), (10, 10**12)], ids=["means", "index-buffers"])
+def test_unallocatable_buffers_raise_value_error(monkeypatch, count, size):
+    refuse_large_arrays(monkeypatch)
+    cfg = BootstrapConfig(B=10, resample_size=size)
+    message = f"the means of {count} resamples of size {size or 4} do not fit in memory"
+    with pytest.raises(ValueError, match=message):
+        shared_resample_means([[0.1, 0.2, 0.3, 0.4]], cfg, count)
