@@ -321,7 +321,12 @@ def build_providers(config: RunConfig) -> ProviderBundle:
     def endpoint(name: str, **defaults) -> EndpointConfig:
         if name not in http:
             raise ConfigError(f"providers.http.{name} is required in http mode")
-        return _build(EndpointConfig, f"providers.http.{name}", **{**defaults, **http[name]})
+        built = _build(EndpointConfig, f"providers.http.{name}", **{**defaults, **http[name]})
+        if built.auth_env and not os.environ.get(built.auth_env):  # the token itself is never echoed
+            raise ConfigError(
+                f"providers.http.{name}.auth_env: environment variable {built.auth_env!r} is not set or is empty"
+            )
+        return built
 
     return ProviderBundle(
         HttpGenerator(endpoint("generator")),
@@ -451,9 +456,9 @@ def cmd_aggregate(args: argparse.Namespace, config: RunConfig) -> int:
     entries = _read_json(args.metrics_report, "metrics report", _REPORT_SCHEMA).get("records", [])
     if not entries:
         raise EmptyInputError(f"metrics report {args.metrics_report} has no records")
+    pairs = [_vector_from_report(entry) for entry in entries]  # every record is checked before a scorer call
     scored = []
-    for entry in entries:
-        record, vector = _vector_from_report(entry)
+    for record, vector in pairs:
         enhanced = aggregation.enhance_answer(record, vector, config.contexts_included)
         scored.append((record.id, aggregation.aggregate(record, enhanced, providers.scorer)))
     ranked = aggregation.rank_records(scored)

@@ -337,8 +337,10 @@ def evaluate_set(
     contend for the interpreter. A record whose evaluation raises gets
     every metric failed. Means are taken per metric over records whose
     metric succeeded.
-    Raises :class:`SetEvaluationError` for an empty set or when every
-    record failed outright, and ValueError for `parallelism` below 1.
+    Raises :class:`SetEvaluationError` for an empty set, and when every
+    metric of every record failed, naming the first failure in record order:
+    its record id, metric and error text. Raises ValueError for
+    `parallelism` below 1.
     """
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
@@ -358,7 +360,11 @@ def evaluate_set(
     if all(
         all(vector.result(m).status == STATUS_FAILED for m in METRICS) for vector in vectors
     ):
-        raise SetEvaluationError(f"every record in set {record_set.label!r} failed")
+        first = vectors[0]
+        raise SetEvaluationError(
+            f"every record in set {record_set.label!r} failed; first failure: record "
+            f"{first.record_id!r} {METRICS[0]}: {first.result(METRICS[0]).diagnostics['error']}"
+        )
 
     means: dict[str, float | None] = {}
     failure_counts: dict[str, int] = {}

@@ -149,16 +149,23 @@ class ScriptedGenerator:
     prompts raise :class:`ScriptMissError` when strict, otherwise return the
     fallback text.
 
-    Matching is one scan of the prompt, whatever the number of entries. The
-    distinct non-empty needles are compiled once into a trie-shaped pattern
-    that matches the longest needle starting at a position, and each search
-    restarts one character after the last match start, so a needle that
-    occurs k times costs k pattern searches. The needles that are prefixes
-    of a found needle occur too. Only the entries listed under a found
-    needle are then checked; each entry is listed under its needle shared by
-    the fewest entries. The empty needle always occurs. A needle set whose
-    trie nests groups more than 100 deep, such as a chain of 1000 needles
-    each a prefix of the next, raises ``ValueError``.
+    The distinct non-empty needles are grouped by their first character, and
+    each group is compiled once into a trie-shaped pattern that matches the
+    longest needle of the group starting at a position. Every pattern starts
+    with a literal character, so `re` skips to its candidates with a
+    literal-prefix search instead of trying the pattern at every position.
+    Each search restarts one character after the last match start, so a
+    needle that occurs k times costs k pattern searches. The needles that
+    are prefixes of a found needle occur too. Only the entries listed under
+    a found needle are then checked; each entry is listed under its needle
+    shared by the fewest entries. The empty needle always occurs. A needle
+    group whose trie nests more than 100 groups deep, such as a chain of
+    1000 needles each a prefix of the next, raises ``ValueError``.
+
+    The last prompt and the entry it matched are kept, and a call with the
+    same prompt reuses that entry without a scan: a record asks for its
+    question transcripts with one prompt, back to back. Responses are still
+    consumed round-robin, one per call.
     """
 
     identifier = "stub:scripted"
@@ -196,12 +203,40 @@ class ScriptedGenerator:
                 self._keyed.setdefault(min(needles, key=lambda n: (shares[n], n)), []).append(slot)
             else:
                 self._always = min(self._always, slot)
-        self._pattern, self._prefixes = _needle_index(shares)
+        groups: dict[str, list[str]] = {}
+        for needle in shares:
+            groups.setdefault(needle[0], []).append(needle)
+        # a needle's prefixes start with its first character, so each group's
+        # prefix sets are complete
+        self._searches: list[Callable] = []
+        self._prefixes: dict[str, frozenset[str]] = {}
+        for group in groups.values():
+            pattern, prefixes = _needle_index(group)
+            self._searches.append(pattern.search)
+            self._prefixes.update(prefixes)
+        # (prompt, slot) of the last call, replaced in one assignment so a
+        # reader on another thread never pairs one call's prompt with another's slot
+        self._last: tuple[str | None, int] = (None, self._always)
 
     def complete(self, prompt: str, params: GenerationParams | None = None) -> str:
+        last_prompt, slot = self._last
+        if prompt != last_prompt:
+            slot = self._slot(prompt)
+            self._last = (prompt, slot)
+        if slot < len(self._entries):
+            responses = self._entries[slot][1]
+            with self._lock:
+                cursor = self._cursors[slot]
+                self._cursors[slot] = cursor + 1
+            return responses[cursor % len(responses)]
+        if self._strict:
+            raise ScriptMissError(prompt)
+        return self._fallback
+
+    def _slot(self, prompt: str) -> int:
+        """The slot of the first entry whose needles all occur in `prompt`, else `len(entries)`."""
         found: set[str] = set()
-        if self._pattern is not None:
-            search = self._pattern.search
+        for search in self._searches:
             match = search(prompt)
             while match is not None:
                 found |= self._prefixes[match.group()]
@@ -214,19 +249,11 @@ class ScriptedGenerator:
                 if self._entries[candidate][0] <= found:
                     slot = candidate
                     break
-        if slot < len(self._entries):
-            responses = self._entries[slot][1]
-            with self._lock:
-                cursor = self._cursors[slot]
-                self._cursors[slot] = cursor + 1
-            return responses[cursor % len(responses)]
-        if self._strict:
-            raise ScriptMissError(prompt)
-        return self._fallback
+        return slot
 
 
-def _needle_index(needles: Iterable[str]) -> tuple[re.Pattern | None, dict[str, frozenset[str]]]:
-    """A trie-shaped pattern over non-empty needles, and each needle's needle prefixes.
+def _needle_index(needles: Iterable[str]) -> tuple[re.Pattern, dict[str, frozenset[str]]]:
+    """A trie-shaped pattern over one or more non-empty needles, and each needle's needle prefixes.
 
     At a position the pattern matches the longest needle that starts there;
     the other needles starting there are its prefixes. The pattern is built
@@ -240,8 +267,6 @@ def _needle_index(needles: Iterable[str]) -> tuple[re.Pattern | None, dict[str, 
         for char in needle:
             node = node.setdefault(char, {})
         node[end] = needle
-    if not root:
-        return None, {}
     prefixes: dict[str, frozenset[str]] = {}
     parts: list[str] = []
     # a node's pattern is its edges as alternatives, in a group when there

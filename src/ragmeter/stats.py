@@ -350,8 +350,8 @@ def shared_resample_means(
         raise ValueError("value arrays must all have the same length")
     size = cfg.resample_size if cfg.resample_size is not None else n
     count = cfg.B if count is None else count
+    means = means_buffers(len(arrays), count, size)
     try:
-        means = tuple(np.empty(count) for _ in arrays)
         start = 0
         for block in resample_indices(_seeded_rows(cfg.seed, count), n, size):
             stop = start + len(block)
@@ -359,10 +359,27 @@ def shared_resample_means(
                 out[start:stop] = arr[block].mean(axis=1)
             start = stop
     except MemoryError:
-        raise ValueError(f"the means of {count} resamples of size {size} do not fit in memory") from None
+        raise _no_room(count, size) from None
     for out in means:
         out.flags.writeable = False
     return means
+
+
+def means_buffers(arrays: int, count: int, size: int) -> tuple[np.ndarray, ...]:
+    """`arrays` uninitialised buffers of `count` resample means each, one allocation per buffer.
+
+    Raises ValueError naming `count` and the resample `size` when one cannot
+    be allocated. An allocation the operating system overcommits lazily
+    succeeds here and can still fail when its pages are first written.
+    """
+    try:
+        return tuple(np.empty(count) for _ in range(arrays))
+    except MemoryError:
+        raise _no_room(count, size) from None
+
+
+def _no_room(count: int, size: int) -> ValueError:
+    return ValueError(f"the means of {count} resamples of size {size} do not fit in memory")
 
 
 def resample_means(

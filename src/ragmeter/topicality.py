@@ -35,6 +35,7 @@ from ragmeter.stats import (
     _summary_from_means,
     _summary_input,
     bootstrap_summary,  # not called here; benchmarks/tracing.py wraps it under this module
+    means_buffers,
     shared_resample_means,
 )
 
@@ -248,6 +249,12 @@ def run_topicality(
     call. A set with a metric no record computed raises TopicalityError
     before the next set is evaluated. The resample indices are drawn once per
     distinct number of values, after the last set, for every set and metric.
+
+    Before the first set is evaluated, one buffer of `B` means per set and
+    metric is allocated and released, the most the bootstrap holds at once;
+    a failure raises ValueError before any provider call. An allocation the
+    operating system overcommits lazily cannot be checked ahead of time: it
+    succeeds here and fails only when the bootstrap writes its pages.
     """
     if len(sets) < 2:
         raise ValueError(f"need at least 2 query sets, got {len(sets)}")
@@ -257,6 +264,8 @@ def run_topicality(
             raise ValueError(f"two query sets are labelled {label!r}")
     _check_min_effect(min_effect)
     boot_cfg = boot_cfg or BootstrapConfig()
+    size = boot_cfg.resample_size or max(len(record_set.records) for record_set in sets)
+    means_buffers(len(sets) * len(METRICS), boot_cfg.B, size)
     set_values: list[_SetValues] = []
     for record_set in sets:
         try:

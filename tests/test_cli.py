@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 from helpers import engineered_query_set, refuse_large_arrays, run_python, scripts_to_json
 from oracle import oracle_resample_means
 import ragmeter
-from ragmeter import stats
+from ragmeter import providers, stats
 from ragmeter.cli import RunConfig, build_providers, load_config, main
-from ragmeter.corpus import generate_synthetic, save_record_set
-from ragmeter.providers import HashEmbedder, LinearPairScorer
+from ragmeter.corpus import RecordSet, generate_synthetic, save_record_set
+from ragmeter.providers import HashEmbedder, LinearPairScorer, ScriptedGenerator
 
 
 def write_json(path: Path, doc) -> None:
@@ -58,6 +58,19 @@ def write_workspace(tmp_path: Path, *, bootstrap_b: int = 300, extra_scripts: di
 
 def run(args: list[str]) -> int:
     return main([str(a) for a in args])
+
+
+def count_calls(monkeypatch, cls, method: str) -> list:
+    """Record the arguments of every call of `cls.method`, which still runs."""
+    calls = []
+    original = getattr(cls, method)
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, method, counting)
+    return calls
 
 
 class TestEvaluate:
@@ -155,6 +168,20 @@ class TestEvaluate:
         report = json.loads((out / "metrics.json").read_text())
         assert report["failure_counts"]["faithfulness"] == 2
 
+    def test_every_record_failed_exits_2_naming_the_first_failure(self, tmp_path, capsys):
+        config = write_workspace(tmp_path)
+        lost, _ = engineered_query_set("lost", 2, "random")  # no scripts for these
+        records = tmp_path / "lost.jsonl"
+        save_record_set(lost, records)
+        out = tmp_path / "o"
+        assert run(["evaluate", "--config", config, "--out", out, records]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: every record in set 'lost' failed; first failure: record 'lost-000' faithfulness: "
+            "ScriptMissError: no script matches prompt starting "
+        )
+        assert not out.exists()
+
     def test_providers_flag_overrides_config(self, tmp_path):
         config = write_workspace(tmp_path)
         doc = json.loads(config.read_text())
@@ -223,6 +250,19 @@ class TestAggregate:
         report_path = tmp_path / "metrics.json"
         write_metrics_report(report_path, [entry])
         assert run(["aggregate", "--config", config, "--out", tmp_path / "o", report_path]) == 5
+
+    def test_missing_metric_in_a_later_record_exits_5_before_any_scorer_call(self, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, LinearPairScorer, "score")
+        config = write_workspace(tmp_path)
+        lacking = report_entry("b", HIGH)
+        lacking["metrics"]["faithfulness"] = {"value": None, "status": "failed"}
+        report_path = tmp_path / "metrics.json"
+        write_metrics_report(report_path, [report_entry("a", HIGH), lacking])
+        assert run(["aggregate", "--config", config, "--out", tmp_path / "o", report_path]) == 5
+        assert calls == []
+        write_metrics_report(report_path, [report_entry("a", HIGH), report_entry("b", LOW)])
+        assert run(["aggregate", "--config", config, "--out", tmp_path / "o", report_path]) == 0
+        assert len(calls) == 2
 
     @pytest.mark.parametrize(
         "key, value, message",
@@ -897,6 +937,18 @@ class TestTopicality:
         assert re.fullmatch(r"error: the means of 1000000000000 resamples of size \d+ do not fit in memory\n", err)
         assert not out.exists()
 
+    def test_unallocatable_means_exit_2_before_any_provider_call(self, tmp_path, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, ScriptedGenerator, "complete")
+        refuse_large_arrays(monkeypatch)
+        records = [tmp_path / "pos.jsonl", tmp_path / "rand.jsonl"]
+        config = write_workspace(tmp_path, bootstrap_b=10**12)
+        assert run(["topicality", "--config", config, "--out", tmp_path / "o", *records]) == 2
+        assert "do not fit in memory" in capsys.readouterr().err
+        assert calls == []
+        config = write_workspace(tmp_path, bootstrap_b=10**3)
+        assert run(["topicality", "--config", config, "--out", tmp_path / "o", *records]) == 0
+        assert calls
+
     def test_negative_min_effect_exits_2(self, tmp_path, capsys):
         config = write_workspace(tmp_path)
         doc = json.loads(config.read_text())
@@ -1047,6 +1099,43 @@ def test_auth_token_value_never_in_config_echo(tmp_path, monkeypatch):
     echoed = json.dumps(config.raw)
     assert "SCORER_TOKEN" in echoed
     assert "super-secret-value" not in echoed
+
+
+@pytest.mark.parametrize("token", [None, ""], ids=["unset", "empty"])
+@pytest.mark.parametrize("endpoint", ["generator", "embedder", "scorer"])
+def test_auth_env_without_a_token_exits_2_before_any_call(tmp_path, capsys, monkeypatch, endpoint, token):
+    posts = []
+
+    def transport(url, payload, headers, timeout):
+        posts.append(url)
+        return 200, b"{}"
+
+    monkeypatch.setattr(providers, "_urllib_transport", transport)
+    monkeypatch.setenv("GOOD_TOKEN", "good-secret-value")
+    if token is None:
+        monkeypatch.delenv("BAD_TOKEN", raising=False)
+    else:
+        monkeypatch.setenv("BAD_TOKEN", token)
+    config = write_workspace(tmp_path)
+    doc = json.loads(config.read_text())
+    http = {name: {"url": f"http://b.test/{name}", "auth_env": "GOOD_TOKEN"}
+            for name in ("generator", "embedder", "scorer")}
+    http[endpoint]["auth_env"] = "BAD_TOKEN"
+    doc["providers"] = {"mode": "http", "http": http}
+    write_json(config, doc)
+    out = tmp_path / "o"
+    assert run(["evaluate", "--config", config, "--out", out, tmp_path / "pos.jsonl"]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: providers.http.{endpoint}.auth_env: "
+                   "environment variable 'BAD_TOKEN' is not set or is empty\n")
+    assert posts == []
+    assert not out.exists()
+    # with the token set the same run reaches the transport, whose empty replies fail every record
+    monkeypatch.setenv("BAD_TOKEN", "now-set")
+    assert run(["evaluate", "--config", config, "--out", out, tmp_path / "pos.jsonl"]) == 2
+    err = capsys.readouterr().err
+    assert posts and "first failure: record 'pos-000'" in err
+    assert "good-secret-value" not in err and "now-set" not in err
 
 
 def test_module_entry_point(tmp_path):

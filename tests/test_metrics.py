@@ -454,6 +454,19 @@ class TestEvaluateSet:
         with pytest.raises(SetEvaluationError):
             evaluate_set(RecordSet(label="doomed", records=(record,)), providers)
 
+    def test_all_failed_names_the_first_failure_in_record_order(self):
+        records = tuple(
+            EvalRecord(id=record_id, query="q?", answer=f"Answer {record_id}.", contexts=("some context.",))
+            for record_id in ("b", "a")
+        )
+        providers = ProviderBundle(ScriptedGenerator({}), HashEmbedder(64))
+        with pytest.raises(SetEvaluationError) as excinfo:
+            evaluate_set(RecordSet(label="doomed", records=records), providers, parallelism=2)
+        assert str(excinfo.value).startswith(
+            "every record in set 'doomed' failed; first failure: record 'b' faithfulness: "
+            "ScriptMissError: no script matches prompt starting "
+        )
+
     def test_parallel_matches_serial(self):
         record_set, providers_serial = two_record_set()
         _, providers_parallel = two_record_set()

@@ -100,6 +100,12 @@ class TestScriptedGenerator:
     @example(transcripts={("a", "a"): "x", ("b", "a", "b"): ["y", "z"]}, prompts=["a", "ab", "b", "ba"], strict=True)
     # the empty matcher matches every prompt
     @example(transcripts={"a": "x", (): ["e", "f"], "b": "y"}, prompts=["b", "a", "", "c", "ab"], strict=True)
+    # needles with different first characters, each searched by its own pattern, in one prompt
+    @example(
+        transcripts={("ab", ".b", "é"): ["x", "y"], ".b": "z", ("b", "$a"): "w", "a": ["u", "v"]},
+        prompts=["é.bab", "$ab", ".bab", "ab.b$a", "ba", "aé"],
+        strict=True,
+    )
     @settings(max_examples=300, deadline=None)
     @given(
         transcripts=st.dictionaries(
@@ -113,9 +119,6 @@ class TestScriptedGenerator:
         strict=st.booleans(),
     )
     def test_matches_the_loop_reference(self, transcripts, prompts, strict):
-        generator = ScriptedGenerator(transcripts, strict=strict, fallback="fallback")
-        reference = ReferenceScriptedGenerator(transcripts, strict=strict, fallback="fallback")
-
         def outcome(complete, prompt):
             try:
                 return complete(prompt)
@@ -129,8 +132,22 @@ class TestScriptedGenerator:
             prompts[i % len(prompts)] + "".join((matcher,) if isinstance(matcher, str) else matcher)
             for i, matcher in enumerate(transcripts)
         ]
-        for prompt in prompts + spliced:
-            assert outcome(generator.complete, prompt) == outcome(reference.complete, prompt)
+        # replayed once as drawn and once with every prompt sent twice in a
+        # row, where the second call reuses the entry the first one matched
+        for replay in (prompts + spliced, [p for p in prompts + spliced for _ in range(2)]):
+            generator = ScriptedGenerator(transcripts, strict=strict, fallback="fallback")
+            reference = ReferenceScriptedGenerator(transcripts, strict=strict, fallback="fallback")
+            for prompt in replay:
+                assert outcome(generator.complete, prompt) == outcome(reference.complete, prompt)
+
+    def test_repeated_prompt_keeps_the_round_robin(self):
+        transcripts = {"a": ["a1", "a2", "a3"], "b": ["b1", "b2"], ("a", "b"): "ab"}
+        generator = ScriptedGenerator(transcripts)
+        reference = ReferenceScriptedGenerator(transcripts)
+        prompts = ["a", "a", "b", "a"]
+        responses = [generator.complete(prompt) for prompt in prompts]
+        assert responses == [reference.complete(prompt) for prompt in prompts]
+        assert responses == ["a1", "a2", "b1", "a3"]
 
     def test_too_deep_needle_trie_raises_value_error(self):
         chain = {"a" * length: "r" for length in range(1, 1001)}
