@@ -297,7 +297,10 @@ def _load_scripts(config: RunConfig) -> ScriptedGenerator:
     entries = _read_json(path, "scripts file", _SCRIPTS_SCHEMA).get("scripts", []) if path else []
     for index, entry in enumerate(entries):
         match = entry["match"]
-        key = (match,) if isinstance(match, str) else tuple(match)
+        # an entry answers by its distinct non-empty needles alone, so a later
+        # entry with the same ones could never answer
+        needles = {match} if isinstance(match, str) else set(match)
+        key = tuple(sorted(needles - {""}))
         if key in transcripts:  # until now one key per entry, in entry order
             raise ConfigError(
                 f"scripts file {path}: entries {list(transcripts).index(key)} and {index} "

@@ -135,10 +135,6 @@ def run_calls(
     return [future.result() for future in futures]
 
 
-# `re` parses nested groups recursively; deeper needle tries are refused up front
-_MAX_NESTING = 100
-
-
 class ScriptedGenerator:
     """Test double returning canned transcripts keyed by prompt substrings.
 
@@ -150,17 +146,16 @@ class ScriptedGenerator:
     fallback text.
 
     The distinct non-empty needles are grouped by their first character, and
-    each group is compiled once into a trie-shaped pattern that matches the
-    longest needle of the group starting at a position. Every pattern starts
-    with a literal character, so `re` skips to its candidates with a
-    literal-prefix search instead of trying the pattern at every position.
-    Each search restarts one character after the last match start, so a
-    needle that occurs k times costs k pattern searches. The needles that
-    are prefixes of a found needle occur too. Only the entries listed under
-    a found needle are then checked; each entry is listed under its needle
-    shared by the fewest entries. The empty needle always occurs. A needle
-    group whose trie nests more than 100 groups deep, such as a chain of
-    1000 needles each a prefix of the next, raises ``ValueError``.
+    each group is compiled once into one alternation of its needles, longest
+    first, so at a position the pattern matches the longest needle of the
+    group that starts there. `re` factors out the group's common prefix, so
+    every pattern starts with a literal character and `re` skips to its
+    candidates with a literal-prefix search instead of trying the pattern at
+    every position. Each search restarts one character after the last match
+    start, so a needle that occurs k times costs k pattern searches. The
+    needles that are prefixes of a found needle occur too. Only the entries
+    listed under a found needle are then checked; each entry is listed under
+    its needle shared by the fewest entries. The empty needle always occurs.
 
     The last prompt and the entry it matched are kept, and a call with the
     same prompt reuses that entry without a scan: a record asks for its
@@ -253,54 +248,23 @@ class ScriptedGenerator:
 
 
 def _needle_index(needles: Iterable[str]) -> tuple[re.Pattern, dict[str, frozenset[str]]]:
-    """A trie-shaped pattern over one or more non-empty needles, and each needle's needle prefixes.
+    """A pattern over one or more non-empty needles, and each needle's needle prefixes.
 
-    At a position the pattern matches the longest needle that starts there;
-    the other needles starting there are its prefixes. The pattern is built
-    with an explicit stack, not recursion, and its group nesting is checked
-    against `_MAX_NESTING` before `re` parses it.
+    The pattern is the needles as alternatives, longest first, so at a
+    position it matches the longest needle that starts there; the other
+    needles starting there are its prefixes.
     """
-    end = ""  # key marking a node where a needle ends; edges are single characters
-    root: dict = {}
-    for needle in needles:
-        node = root
-        for char in needle:
-            node = node.setdefault(char, {})
-        node[end] = needle
     prefixes: dict[str, frozenset[str]] = {}
-    parts: list[str] = []
-    # a node's pattern is its edges as alternatives, in a group when there
-    # are several or when a needle also ends there (then the group is optional)
-    stack: list = [(root, [], 0)]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
-            continue
-        node, ends, depth = item
-        if end in node:
-            ends = ends + [node[end]]
-            prefixes[node[end]] = frozenset(ends)
-        edges = [char for char in node if char]
-        if not edges:
-            continue
-        grouped = end in node or len(edges) > 1
-        if grouped:
-            depth += 1
-            if depth > _MAX_NESTING:
-                raise ValueError(f"script needles nest more than {_MAX_NESTING} groups deep")
-        todo: list = ["(?:"] if grouped else []
-        for i, char in enumerate(edges):
-            if i:
-                todo.append("|")
-            todo += [re.escape(char), (node[char], ends, depth)]
-        if grouped:
-            todo.append(")?" if end in node else ")")
-        stack.extend(reversed(todo))
-    try:
-        return re.compile("".join(parts)), prefixes
-    except (re.error, RecursionError) as exc:
-        raise ValueError(f"script needles do not compile to a pattern: {exc}") from None
+    # a needle's prefixes sort before it, and every needle sorted between
+    # them starts with that prefix too, so the stack holds a chain of prefixes
+    stack: list[str] = []
+    for needle in sorted(needles):
+        while stack and not needle.startswith(stack[-1]):
+            stack.pop()
+        prefixes[needle] = (prefixes[stack[-1]] if stack else frozenset()) | {needle}
+        stack.append(needle)
+    longest_first = sorted(prefixes, key=len, reverse=True)
+    return re.compile("|".join(map(re.escape, longest_first))), prefixes
 
 
 def _token_axis(token: str, dimension: int) -> int:

@@ -297,16 +297,13 @@ def resample_indices(states: Iterable[np.ndarray], n: int, size: int) -> Iterato
     raw words at once; a row with a rejected word among its first `size`,
     and every row when n > 2**32, is redrawn with `Generator.integers`.
     """
-    rows = max(1, CHUNK_ENTRIES // size)
-    half = -(-size // 2)
+    raw, index, rejected = _index_buffers(size)
+    rows, half = raw.shape
     # local to the call, so concurrent calls share no generator state
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
-    raw = np.empty((rows, half), "<u8")
     words = raw.view("<u4")[:, :size]
-    index = np.empty((rows, size), "<u8")
     leftover = index.view("<u4")[:, ::2]
-    rejected = np.empty((rows, size), bool)
     threshold = (2**32 - n) % n if n <= 2**32 else None
     states = iter(states)
     while chunk := list(islice(states, rows)):
@@ -350,7 +347,7 @@ def shared_resample_means(
         raise ValueError("value arrays must all have the same length")
     size = cfg.resample_size if cfg.resample_size is not None else n
     count = cfg.B if count is None else count
-    means = means_buffers(len(arrays), count, size)
+    means = draw_buffers(len(arrays), count, size)
     try:
         start = 0
         for block in resample_indices(_seeded_rows(cfg.seed, count), n, size):
@@ -365,17 +362,28 @@ def shared_resample_means(
     return means
 
 
-def means_buffers(arrays: int, count: int, size: int) -> tuple[np.ndarray, ...]:
+def draw_buffers(arrays: int, count: int, size: int) -> tuple[np.ndarray, ...]:
     """`arrays` uninitialised buffers of `count` resample means each, one allocation per buffer.
 
-    Raises ValueError naming `count` and the resample `size` when one cannot
-    be allocated. An allocation the operating system overcommits lazily
-    succeeds here and can still fail when its pages are first written.
+    The index buffers :func:`resample_indices` needs for rows of `size`
+    indices are allocated beside them and released, so a draw that cannot
+    hold them fails here, before it starts. Raises ValueError naming `count`
+    and `size` when a buffer cannot be allocated. An allocation the
+    operating system overcommits lazily succeeds here and can still fail
+    when its pages are first written.
     """
     try:
-        return tuple(np.empty(count) for _ in range(arrays))
+        means = tuple(np.empty(count) for _ in range(arrays))
+        _index_buffers(size)
     except MemoryError:
         raise _no_room(count, size) from None
+    return means
+
+
+def _index_buffers(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The raw-word, index and rejection buffers of :func:`resample_indices`, for rows of `size` indices."""
+    rows = max(1, CHUNK_ENTRIES // size)
+    return np.empty((rows, -(-size // 2)), "<u8"), np.empty((rows, size), "<u8"), np.empty((rows, size), bool)
 
 
 def _no_room(count: int, size: int) -> ValueError:

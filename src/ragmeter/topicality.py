@@ -35,7 +35,7 @@ from ragmeter.stats import (
     _summary_from_means,
     _summary_input,
     bootstrap_summary,  # not called here; benchmarks/tracing.py wraps it under this module
-    means_buffers,
+    draw_buffers,
     shared_resample_means,
 )
 
@@ -251,10 +251,11 @@ def run_topicality(
     distinct number of values, after the last set, for every set and metric.
 
     Before the first set is evaluated, one buffer of `B` means per set and
-    metric is allocated and released, the most the bootstrap holds at once;
-    a failure raises ValueError before any provider call. An allocation the
-    operating system overcommits lazily cannot be checked ahead of time: it
-    succeeds here and fails only when the bootstrap writes its pages.
+    metric and the index buffers of one draw are allocated and released, the
+    most the bootstrap holds at once; a failure raises ValueError before any
+    provider call. An allocation the operating system overcommits lazily
+    cannot be checked ahead of time: it succeeds here and fails only when
+    the bootstrap writes its pages.
     """
     if len(sets) < 2:
         raise ValueError(f"need at least 2 query sets, got {len(sets)}")
@@ -264,8 +265,9 @@ def run_topicality(
             raise ValueError(f"two query sets are labelled {label!r}")
     _check_min_effect(min_effect)
     boot_cfg = boot_cfg or BootstrapConfig()
-    size = boot_cfg.resample_size or max(len(record_set.records) for record_set in sets)
-    means_buffers(len(sets) * len(METRICS), boot_cfg.B, size)
+    # a draw has at least one value, so empty sets stand for the smallest draw
+    size = boot_cfg.resample_size or max(len(record_set.records) for record_set in sets) or 1
+    draw_buffers(len(sets) * len(METRICS), boot_cfg.B, size)
     set_values: list[_SetValues] = []
     for record_set in sets:
         try:

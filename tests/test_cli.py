@@ -482,8 +482,10 @@ class TestMalformedScripts:
 
     @pytest.mark.parametrize(
         "first, second",
-        [("x", ["x"]), (["x"], "x"), (["x", "y"], ["x", "y"])],
-        ids=["string-then-list", "list-then-string", "two-needles"],
+        [("x", ["x"]), (["x"], "x"), (["x", "y"], ["x", "y"]), (["b", "a"], ["a", "b"]), ("x", ["x", "x"]),
+         ("", [])],
+        ids=["string-then-list", "list-then-string", "two-needles", "reordered", "repeated-needle",
+             "empty-string-then-empty-list"],
     )
     def test_duplicate_match_exits_2(self, tmp_path, capsys, first, second):
         config = write_workspace(tmp_path)
@@ -506,15 +508,15 @@ class TestMalformedScripts:
         scripts = tmp_path / "scripts.json"
         assert capsys.readouterr().err == f"error: scripts must be a list of objects, got 5 (in scripts file {scripts})\n"
 
-    def test_needles_too_deep_for_the_pattern_exit_2(self, tmp_path, capsys):
+    def test_long_prefix_chain_behind_the_valid_entries_changes_no_report(self, tmp_path):
         config = write_workspace(tmp_path)
+        assert run(["evaluate", "--config", config, "--out", tmp_path / "plain", tmp_path / "pos.jsonl"]) == 0
         valid = json.loads((tmp_path / "scripts.json").read_text())["scripts"]
         chain = [{"match": "a" * length, "responses": ["Question: abc"]} for length in range(1, 1001)]
         write_json(tmp_path / "scripts.json", {"scripts": valid + chain})
         out = tmp_path / "o"
-        assert run(["evaluate", "--config", config, "--out", out, tmp_path / "pos.jsonl"]) == 2
-        assert "nest more than" in capsys.readouterr().err
-        assert not out.exists()
+        assert run(["evaluate", "--config", config, "--out", out, tmp_path / "pos.jsonl"]) == 0
+        assert (out / "metrics.json").read_bytes() == (tmp_path / "plain" / "metrics.json").read_bytes()
 
 
 class TestConfig:
@@ -948,6 +950,21 @@ class TestTopicality:
         config = write_workspace(tmp_path, bootstrap_b=10**3)
         assert run(["topicality", "--config", config, "--out", tmp_path / "o", *records]) == 0
         assert calls
+
+    def test_unallocatable_index_buffers_exit_2_before_any_provider_call(self, tmp_path, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, ScriptedGenerator, "complete")
+        refuse_large_arrays(monkeypatch)
+        config = write_workspace(tmp_path)
+        doc = json.loads(config.read_text())
+        doc["bootstrap"]["resample_size"] = 10**12
+        write_json(config, doc)
+        out = tmp_path / "o"
+        records = [tmp_path / "pos.jsonl", tmp_path / "rand.jsonl"]
+        assert run(["topicality", "--config", config, "--out", out, *records]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: the means of 300 resamples of size 1000000000000 do not fit in memory\n"
+        assert calls == []
+        assert not out.exists()
 
     def test_negative_min_effect_exits_2(self, tmp_path, capsys):
         config = write_workspace(tmp_path)

@@ -106,6 +106,21 @@ class TestScriptedGenerator:
         prompts=["é.bab", "$ab", ".bab", "ab.b$a", "ba", "aé"],
         strict=True,
     )
+    # the longest needle of a group fails partway while a shorter one matches at the same position
+    @example(transcripts={"abcd": "x", "abx": ["y", "z"], "ab": "w"}, prompts=["abxab", "abcab", "abcd"], strict=True)
+    @example(transcripts={("abcd", "ab"): "x", ("abx", "ab"): "y"}, prompts=["abxab", "abcab", "abcdabx"], strict=True)
+    # needles that share only their first character
+    @example(
+        transcripts={("ab", "a.", "a$"): "x", "a(": ["y", "z"], "a.": "w"},
+        prompts=["ab", "a.a$", "a$ab", "a(", "aba.a$", "a"],
+        strict=False,
+    )
+    # a needle equal to its group's common prefix
+    @example(
+        transcripts={("a.b", "a.c"): "x", "a.": ["y", "z"], "a.c": "w"},
+        prompts=["a.b", "a.ca.b", "a.", "a.c", "a"],
+        strict=True,
+    )
     @settings(max_examples=300, deadline=None)
     @given(
         transcripts=st.dictionaries(
@@ -149,11 +164,12 @@ class TestScriptedGenerator:
         assert responses == [reference.complete(prompt) for prompt in prompts]
         assert responses == ["a1", "a2", "b1", "a3"]
 
-    def test_too_deep_needle_trie_raises_value_error(self):
-        chain = {"a" * length: "r" for length in range(1, 1001)}
-        with pytest.raises(ValueError, match="nest more than"):
-            ScriptedGenerator(chain)
-        ScriptedGenerator(dict(list(chain.items())[:100]))  # within the limit
+    def test_long_prefix_chain_matches_the_loop_reference(self):
+        chain = {"a" * length: f"r{length}" for length in range(1, 1001)}
+        generator = ScriptedGenerator(chain, strict=False, fallback="fallback")
+        reference = ReferenceScriptedGenerator(chain, strict=False, fallback="fallback")
+        for prompt in ["a" * 500, "b", "x" + "a" * 1000, "a" * 1000, "ba"]:
+            assert generator.complete(prompt) == reference.complete(prompt)
 
 
 class TestHashEmbedder:
