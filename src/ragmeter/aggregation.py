@@ -3,19 +3,19 @@
 The four metric scores are rendered into fixed prose statements appended to
 the answer; a pair scorer then maps (query, enhanced answer) to one logit.
 Logits are the primary output; the logistic-normalized value is carried
-alongside.
+alongside. :func:`aggregate_set` scores a whole report and ranks it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from ragmeter.corpus import EvalRecord
 from ragmeter.judge import load_template, render
 from ragmeter.metrics import METRICS, MetricVector
-from ragmeter.providers import PairScorer
+from ragmeter.providers import PairScorer, run_calls
 
 DEFAULT_SCORER_MODEL = "ms-marco-MiniLM-L-12-v2"
 
@@ -101,3 +101,28 @@ def aggregate(record: EvalRecord, enhanced: EnhancedAnswer, scorer: PairScorer) 
 def rank_records(scores: Iterable[tuple[str, AggregateScore]]) -> list[tuple[str, AggregateScore]]:
     """Descending by logit; ties broken by record id ascending."""
     return sorted(scores, key=lambda item: (-item[1].logit, item[0]))
+
+
+def aggregate_set(
+    pairs: Sequence[tuple[EvalRecord, MetricVector]],
+    scorer: PairScorer,
+    *,
+    contexts_included: bool = True,
+    parallelism: int = 1,
+) -> list[tuple[str, AggregateScore]]:
+    """Enhance and score every (record, metric vector) pair, then rank them.
+
+    The pairs go through :func:`~ragmeter.providers.run_calls`: `parallelism`
+    bounds concurrent scorer calls, an in-process scorer runs on the calling
+    thread, and the first failure in record order is raised. The ranking is
+    that of :func:`rank_records`, so it does not depend on `parallelism`.
+    Raises ValueError for `parallelism` below 1, before any scorer call.
+    """
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+
+    def score_one(pair: tuple[EvalRecord, MetricVector]) -> tuple[str, AggregateScore]:
+        record, vector = pair
+        return record.id, aggregate(record, enhance_answer(record, vector, contexts_included), scorer)
+
+    return rank_records(run_calls(score_one, pairs, parallelism, scorer))

@@ -148,7 +148,7 @@ _REPORT_SCHEMA = {
     "label": object, "means": object, "failure_counts": object,
     "records": list[{
         "id": (str,), "query": (str,), "answer": (str,), "contexts": list[str], "ground_truth": str | None,
-        "metrics": {metric: {"value": float | None, "status": str} for metric in METRICS},
+        "metrics": {metric: {"value": float | None, "status": str, "error": str} for metric in METRICS},
     }],
 }
 
@@ -387,6 +387,14 @@ def _fmt_value(value: float | None) -> str:
     return "-" if value is None else f"{value:.4f}"
 
 
+def _metric_cell(result: MetricResult) -> dict:
+    """A metric's value and status, and the error of a failed one, as `metrics.json` holds them."""
+    cell = {"value": result.value, "status": result.status}
+    if "error" in result.diagnostics:
+        cell["error"] = result.diagnostics["error"]
+    return cell
+
+
 def cmd_evaluate(args: argparse.Namespace, config: RunConfig) -> int:
     providers = build_providers(config)
     record_set = load_record_set(args.records, config.record_format)
@@ -407,10 +415,7 @@ def cmd_evaluate(args: argparse.Namespace, config: RunConfig) -> int:
         "records": [
             {
                 **record.to_dict(),
-                "metrics": {
-                    m: {"value": vector.result(m).value, "status": vector.result(m).status}
-                    for m in METRICS
-                },
+                "metrics": {m: _metric_cell(vector.result(m)) for m in METRICS},
             }
             for record, vector in zip(record_set.records, evaluation.vectors)
         ],
@@ -456,15 +461,21 @@ def cmd_aggregate(args: argparse.Namespace, config: RunConfig) -> int:
     providers = build_providers(config)
     if providers.scorer is None:
         raise ConfigError("aggregate requires a pair scorer in the provider config")
-    entries = _read_json(args.metrics_report, "metrics report", _REPORT_SCHEMA).get("records", [])
+    path = args.metrics_report
+    entries = _read_json(path, "metrics report", _REPORT_SCHEMA).get("records", [])
     if not entries:
-        raise EmptyInputError(f"metrics report {args.metrics_report} has no records")
-    pairs = [_vector_from_report(entry) for entry in entries]  # every record is checked before a scorer call
-    scored = []
-    for record, vector in pairs:
-        enhanced = aggregation.enhance_answer(record, vector, config.contexts_included)
-        scored.append((record.id, aggregation.aggregate(record, enhanced, providers.scorer)))
-    ranked = aggregation.rank_records(scored)
+        raise EmptyInputError(f"metrics report {path} has no records")
+    # every record is checked before a scorer call
+    first_index: dict[str, int] = {}
+    for index, entry in enumerate(entries):
+        earlier = first_index.setdefault(entry["id"], index)
+        if earlier != index:
+            raise ConfigError(
+                f"metrics report {path}: entries {earlier} and {index} have the same id {entry['id']!r}"
+            )
+    pairs = [_vector_from_report(entry) for entry in entries]
+    ranked = aggregation.aggregate_set(pairs, providers.scorer, contexts_included=config.contexts_included,
+                                       parallelism=config.parallelism)
     report = {
         "contexts_included": config.contexts_included,
         "ranked": [
@@ -476,7 +487,7 @@ def cmd_aggregate(args: argparse.Namespace, config: RunConfig) -> int:
     for position, (record_id, score) in enumerate(ranked, start=1):
         rows.append([str(position), record_id, f"{score.logit:.4f}", f"{score.normalized:.6f}"])
     _emit(
-        args, config, providers, [str(args.metrics_report)],
+        args, config, providers, [str(path)],
         {"aggregate.json": _json_text(report), "aggregate.txt": topicality.format_table(rows)},
         extra={
             "statement_order": [

@@ -153,9 +153,11 @@ class ScriptedGenerator:
     candidates with a literal-prefix search instead of trying the pattern at
     every position. Each search restarts one character after the last match
     start, so a needle that occurs k times costs k pattern searches. The
-    needles that are prefixes of a found needle occur too. Only the entries
-    listed under a found needle are then checked; each entry is listed under
-    its needle shared by the fewest entries. The empty needle always occurs.
+    needles that are prefixes of a found needle occur too: each needle links
+    to its longest needle prefix, and the links of a match are followed up to
+    a needle already found. Only the entries listed under a found needle are
+    then checked; each entry is listed under its needle shared by the fewest
+    entries. The empty needle always occurs.
 
     The last prompt and the entry it matched are kept, and a call with the
     same prompt reuses that entry without a scan: a record asks for its
@@ -201,14 +203,14 @@ class ScriptedGenerator:
         groups: dict[str, list[str]] = {}
         for needle in shares:
             groups.setdefault(needle[0], []).append(needle)
-        # a needle's prefixes start with its first character, so each group's
-        # prefix sets are complete
+        # a needle's prefixes start with its first character, so each group
+        # holds the parent of each of its needles that has one
         self._searches: list[Callable] = []
-        self._prefixes: dict[str, frozenset[str]] = {}
+        self._parents: dict[str, str] = {}
         for group in groups.values():
-            pattern, prefixes = _needle_index(group)
+            pattern, parents = _needle_index(group)
             self._searches.append(pattern.search)
-            self._prefixes.update(prefixes)
+            self._parents.update(parents)
         # (prompt, slot) of the last call, replaced in one assignment so a
         # reader on another thread never pairs one call's prompt with another's slot
         self._last: tuple[str | None, int] = (None, self._always)
@@ -231,10 +233,16 @@ class ScriptedGenerator:
     def _slot(self, prompt: str) -> int:
         """The slot of the first entry whose needles all occur in `prompt`, else `len(entries)`."""
         found: set[str] = set()
+        parents = self._parents
         for search in self._searches:
             match = search(prompt)
             while match is not None:
-                found |= self._prefixes[match.group()]
+                needle = match.group()
+                found.add(needle)
+                # found holds the parent of each needle it holds, so the walk
+                # stops at the first needle found before
+                while needle in parents and (needle := parents[needle]) not in found:
+                    found.add(needle)
                 match = search(prompt, match.start() + 1)
         slot = self._always
         for needle in found:
@@ -247,24 +255,28 @@ class ScriptedGenerator:
         return slot
 
 
-def _needle_index(needles: Iterable[str]) -> tuple[re.Pattern, dict[str, frozenset[str]]]:
-    """A pattern over one or more non-empty needles, and each needle's needle prefixes.
+def _needle_index(needles: Iterable[str]) -> tuple[re.Pattern, dict[str, str]]:
+    """A pattern over one or more non-empty needles, and each needle's parent.
 
     The pattern is the needles as alternatives, longest first, so at a
     position it matches the longest needle that starts there; the other
-    needles starting there are its prefixes.
+    needles starting there are its prefixes. A needle's parent is its longest
+    proper prefix among the needles, so the parent links of a needle reach
+    each of its needle prefixes. A needle with no needle prefix has no parent.
     """
-    prefixes: dict[str, frozenset[str]] = {}
+    parents: dict[str, str] = {}
     # a needle's prefixes sort before it, and every needle sorted between
     # them starts with that prefix too, so the stack holds a chain of prefixes
     stack: list[str] = []
-    for needle in sorted(needles):
+    ordered = sorted(needles)
+    for needle in ordered:
         while stack and not needle.startswith(stack[-1]):
             stack.pop()
-        prefixes[needle] = (prefixes[stack[-1]] if stack else frozenset()) | {needle}
+        if stack:
+            parents[needle] = stack[-1]
         stack.append(needle)
-    longest_first = sorted(prefixes, key=len, reverse=True)
-    return re.compile("|".join(map(re.escape, longest_first))), prefixes
+    longest_first = sorted(ordered, key=len, reverse=True)
+    return re.compile("|".join(map(re.escape, longest_first))), parents
 
 
 def _token_axis(token: str, dimension: int) -> int:

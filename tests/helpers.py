@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,14 @@ import ragmeter
 from ragmeter.corpus import EvalRecord
 from ragmeter.judge import recall_source_text, segment_sentences
 from ragmeter.metrics import MetricResult, MetricVector
-from ragmeter.providers import ScriptMissError
+from ragmeter.providers import (
+    EndpointConfig,
+    HttpEmbedder,
+    HttpGenerator,
+    HttpPairScorer,
+    ProviderBundle,
+    ScriptMissError,
+)
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
     """`python *args` in a child interpreter that imports the ragmeter this process imported."""
@@ -46,6 +55,43 @@ class DictEmbedder:
     def embed(self, text: str) -> np.ndarray:
         vec = self._mapping.get(text)
         return np.zeros(self.dimension) if vec is None else vec
+
+
+def backend_transport(backend: ProviderBundle, threads: set):
+    """An in-memory `Transport` answering each route from the provider of `backend` behind it.
+
+    A URL ending in `/embed` answers as `backend.embedder`, one ending in
+    `/score` as `backend.scorer`, and any other as `backend.generator`. A
+    provider that raises answers 422 with the error, which the adapters raise
+    at once as `ProviderHTTPError`, with no retry. The thread of every call
+    is added to `threads`.
+    """
+
+    def transport(url, payload, headers, timeout):
+        threads.add(threading.get_ident())
+        request = json.loads(payload)
+        try:
+            if url.endswith("/embed"):
+                body = {"embedding": backend.embedder.embed(request["input"]).tolist()}
+            elif url.endswith("/score"):
+                body = {"score": backend.scorer.score(request["query"], request["candidate"])}
+            else:
+                body = {"completion": backend.generator.complete(request["prompt"])}
+        except Exception as exc:
+            return 422, f"{type(exc).__name__}: {exc}".encode("utf-8")
+        return 200, json.dumps(body).encode("utf-8")
+
+    return transport
+
+
+def http_bundle(backend: ProviderBundle, threads: set) -> ProviderBundle:
+    """HTTP adapters over an in-memory transport that answers from `backend` (see `backend_transport`)."""
+    transport = backend_transport(backend, threads)
+    return ProviderBundle(
+        HttpGenerator(EndpointConfig(url="http://backend.test/generate"), transport=transport),
+        HttpEmbedder(EndpointConfig(url="http://backend.test/embed"), transport=transport),
+        HttpPairScorer(EndpointConfig(url="http://backend.test/score"), transport=transport),
+    )
 
 
 def reference_token_axis(token: str, dimension: int) -> int:

@@ -1,6 +1,7 @@
 """Tests for answer enhancement, consolidation, and ranking."""
 
 import random
+import threading
 
 import pytest
 from hypothesis import example, given
@@ -23,6 +24,7 @@ from ragmeter.aggregation import (
     AggregationError,
     MissingMetricError,
     aggregate,
+    aggregate_set,
     enhance_answer,
     expit,
     rank_records,
@@ -213,3 +215,86 @@ class TestRankRecords:
                 i for i, _ in sorted(scored, key=lambda item: (-item[1].normalized, item[0]))
             ]
             assert by_logit == by_normalized
+
+
+def scored_pairs(n: int) -> list:
+    """n (record, vector) pairs; under unit weights record i's logit rises with i."""
+    return [
+        (EvalRecord(id=f"r{i}", query=f"Query {i}?", answer=f"Answer {i}."),
+         ok_vector(f"r{i}", i / n, 0.5, 0.5, 0.5))
+        for i in range(n)
+    ]
+
+
+class ReverseScorer:
+    """Scores as `LinearPairScorer()`, but the call for record i finishes only after that for record i + 1.
+
+    It does not declare `in_process`, so `run_calls` gives it a pool. A call
+    for a record listed in `failing` raises once its turn comes.
+    """
+
+    def __init__(self, n: int, failing=()):
+        self.failing = set(failing)
+        self.finished: list[int] = []
+        self.threads: set[int] = set()
+        self._done = [threading.Event() for _ in range(n)]
+        self._lock = threading.Lock()
+
+    def score(self, query: str, candidate: str) -> float:
+        i = int(query.split()[1].rstrip("?"))
+        if i + 1 < len(self._done) and not self._done[i + 1].wait(timeout=5):
+            raise TimeoutError(f"the call for record {i + 1} never finished")
+        with self._lock:
+            self.finished.append(i)
+            self.threads.add(threading.get_ident())
+        self._done[i].set()
+        if i in self.failing:
+            raise RuntimeError(f"backend refused record {i}")
+        return LinearPairScorer().score(query, candidate)
+
+
+class TestAggregateSet:
+    def test_ranks_records_like_one_aggregate_call_each(self):
+        pairs = scored_pairs(3)
+        scorer = LinearPairScorer((0.5, 2.0, -1.0, 3.0), bias=0.25)
+        expected = rank_records(
+            (record.id, aggregate(record, enhance_answer(record, vector, False), scorer))
+            for record, vector in pairs
+        )
+        assert aggregate_set(pairs, scorer, contexts_included=False) == expected
+        assert [record_id for record_id, _ in expected] == ["r2", "r1", "r0"]
+
+    def test_pool_finishing_in_reverse_returns_the_ranking(self):
+        pairs = scored_pairs(4)
+        scorer = ReverseScorer(4)
+        ranked = aggregate_set(pairs, scorer, parallelism=4)
+        assert scorer.finished == [3, 2, 1, 0]
+        assert threading.get_ident() not in scorer.threads
+        assert ranked == aggregate_set(pairs, LinearPairScorer())
+
+    def test_pool_raises_the_first_failure_in_record_order_after_every_call(self):
+        scorer = ReverseScorer(4, failing={1, 3})  # record 3 fails first in time
+        with pytest.raises(AggregationError, match="^scorer failed on record 'r1': backend refused record 1$"):
+            aggregate_set(scored_pairs(4), scorer, parallelism=4)
+        assert scorer.finished == [3, 2, 1, 0]
+
+    def test_in_process_scorer_runs_on_the_calling_thread_and_stops_at_the_first_failure(self):
+        calls = []
+
+        class RecordingScorer(LinearPairScorer):
+            def score(self, query, candidate):
+                calls.append((query, threading.get_ident()))
+                if query == "Query 1?":
+                    raise RuntimeError("refused")
+                return super().score(query, candidate)
+
+        with pytest.raises(AggregationError, match="record 'r1'"):
+            aggregate_set(scored_pairs(4), RecordingScorer(), parallelism=4)
+        assert calls == [("Query 0?", threading.get_ident()), ("Query 1?", threading.get_ident())]
+
+    @pytest.mark.parametrize("parallelism", [0, -3])
+    def test_parallelism_below_one_rejected_before_any_call(self, parallelism):
+        scorer = ReverseScorer(2)
+        with pytest.raises(ValueError, match=f"parallelism must be >= 1, got {parallelism}"):
+            aggregate_set(scored_pairs(2), scorer, parallelism=parallelism)
+        assert scorer.finished == []

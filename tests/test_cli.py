@@ -16,13 +16,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import engineered_query_set, refuse_large_arrays, run_python, scripts_to_json
+from helpers import (
+    RECALL_MARK,
+    backend_transport,
+    engineered_query_set,
+    refuse_large_arrays,
+    run_python,
+    scripts_to_json,
+)
 from oracle import oracle_resample_means
 import ragmeter
 from ragmeter import providers, stats
 from ragmeter.cli import RunConfig, build_providers, load_config, main
 from ragmeter.corpus import RecordSet, generate_synthetic, save_record_set
-from ragmeter.providers import HashEmbedder, LinearPairScorer, ScriptedGenerator
+from ragmeter.providers import HashEmbedder, LinearPairScorer, ProviderBundle, ScriptedGenerator
 
 
 def write_json(path: Path, doc) -> None:
@@ -168,6 +175,27 @@ class TestEvaluate:
         report = json.loads((out / "metrics.json").read_text())
         assert report["failure_counts"]["faithfulness"] == 2
 
+    def test_failed_metric_cell_names_its_error_and_aggregate_still_exits_5(self, tmp_path, monkeypatch):
+        config = write_workspace(tmp_path)
+        positive, scripts = engineered_query_set("pos", 3, "positive")
+        unscripted = [key for key in scripts if key[0] == RECALL_MARK][1]  # the recall prompt of pos-001
+        del scripts[unscripted]
+        write_json(tmp_path / "scripts.json", scripts_to_json(scripts))
+        save_record_set(positive, tmp_path / "three.jsonl")
+        out = tmp_path / "out"
+        assert run(["evaluate", "--config", config, "--out", out, tmp_path / "three.jsonl"]) == 0
+        records = json.loads((out / "metrics.json").read_text())["records"]
+        failed = records[1]["metrics"]["retrieval_recall"]
+        assert records[1]["id"] == "pos-001"
+        assert set(failed) == {"value", "status", "error"}
+        assert failed["value"] is None and failed["status"] == "failed"
+        assert failed["error"].startswith("ScriptMissError: no script matches prompt starting ")
+        cells = [cell for record in records for cell in record["metrics"].values()]
+        assert sum("error" in cell for cell in cells) == 1
+        calls = count_calls(monkeypatch, LinearPairScorer, "score")
+        assert run(["aggregate", "--config", config, "--out", tmp_path / "agg", out / "metrics.json"]) == 5
+        assert calls == []
+
     def test_every_record_failed_exits_2_naming_the_first_failure(self, tmp_path, capsys):
         config = write_workspace(tmp_path)
         lost, _ = engineered_query_set("lost", 2, "random")  # no scripts for these
@@ -280,6 +308,59 @@ class TestAggregate:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_duplicate_id_exits_2_before_any_scorer_call(self, tmp_path, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, LinearPairScorer, "score")
+        config = write_workspace(tmp_path)
+        report_path = tmp_path / "metrics.json"
+        write_metrics_report(report_path, [report_entry(record_id, HIGH) for record_id in "aba"])
+        out = tmp_path / "o"
+        assert run(["aggregate", "--config", config, "--out", out, report_path]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: metrics report {report_path}: entries 0 and 2 have the same id 'a'\n"
+        assert calls == []
+        assert not out.exists()
+
+    def test_http_scorer_calls_overlap_and_change_no_output(self, tmp_path, monkeypatch):
+        answer = backend_transport(ProviderBundle(None, None, LinearPairScorer()), set())
+        lock = threading.Lock()
+        barrier = threading.Barrier(2, timeout=5)
+        state = {"calls": 0, "in_flight": 0, "peak": 0, "overlap": False}
+
+        def transport(url, payload, headers, timeout):
+            assert url == "http://scorer.test/score"
+            with lock:
+                first_two = state["calls"] < 2
+                state["calls"] += 1
+                state["in_flight"] += 1
+                state["peak"] = max(state["peak"], state["in_flight"])
+            try:
+                if state["overlap"] and first_two:
+                    barrier.wait()  # returns only once two scorer calls are in flight
+                return answer(url, payload, headers, timeout)
+            finally:
+                with lock:
+                    state["in_flight"] -= 1
+
+        monkeypatch.setattr(providers, "_urllib_transport", transport)
+        config = tmp_path / "http.json"
+        write_json(config, {"providers": {"mode": "http", "http": {
+            name: {"url": f"http://scorer.test/{route}"}
+            for name, route in (("generator", "generate"), ("embedder", "embed"), ("scorer", "score"))
+        }}})
+        report_path = tmp_path / "metrics.json"
+        write_metrics_report(report_path, [
+            report_entry(f"r{i}", {metric: ((i * 7 + k) % 5) / 4 for k, metric in enumerate(HIGH)})
+            for i in range(8)
+        ])
+        serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+        assert run(["aggregate", "--config", config, "--parallelism", 1, "--out", serial, report_path]) == 0
+        assert (state["calls"], state["peak"]) == (8, 1)
+        state.update(calls=0, peak=0, overlap=True)
+        assert run(["aggregate", "--config", config, "--parallelism", 4, "--out", pooled, report_path]) == 0
+        assert state["calls"] == 8 and state["peak"] >= 2
+        for name in ("aggregate.json", "aggregate.txt"):
+            assert (pooled / name).read_bytes() == (serial / name).read_bytes()
+
     def test_offline_scorer_exits_3(self, tmp_path):
         config_path = tmp_path / "http.json"
         write_json(
@@ -322,11 +403,13 @@ class TestAggregate:
             {"records": [{**report_entry("a", HIGH), "ground_truth": 5}]},
             {"records": [{**report_entry("a", HIGH), "answer": ""}]},
             {"records": [{**report_entry("a", HIGH), "notes": "x"}]},
+            {"records": [{**report_entry("a", HIGH),
+                          "metrics": {m: {"value": None, "status": "failed", "error": 5} for m in HIGH}}]},
         ],
         ids=["report-list", "record-not-object", "metrics-not-object", "cell-not-object",
              "value-list", "value-bool", "value-string", "value-beyond-float-range", "value-nan",
              "contexts-number", "query-number", "id-number", "ground-truth-number", "answer-empty",
-             "unknown-key"],
+             "unknown-key", "error-number"],
     )
     def test_malformed_report_exits_2(self, tmp_path, capsys, report):
         config = write_workspace(tmp_path)

@@ -1,12 +1,11 @@
 """Tests for per-record scoring and set evaluation."""
 
-import json
 import math
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -17,10 +16,12 @@ from helpers import (
     DictEmbedder,
     TIDES_CONTEXT,
     TIDES_QUESTION,
+    http_bundle,
     precision_transcript,
     reference_cosine,
     scripts_for_record,
 )
+from ragmeter.aggregation import aggregate_set
 from ragmeter.corpus import EvalRecord, RecordSet
 from ragmeter.judge import (
     FaithfulnessVerdicts,
@@ -28,6 +29,7 @@ from ragmeter.judge import (
     PrecisionExtraction,
     RecallClassification,
     parse_precision_extraction,
+    recall_source_text,
     segment_sentences,
 )
 from ragmeter.metrics import (
@@ -45,10 +47,8 @@ from ragmeter.metrics import (
     recall_score,
 )
 from ragmeter.providers import (
-    EndpointConfig,
     HashEmbedder,
-    HttpEmbedder,
-    HttpGenerator,
+    LinearPairScorer,
     ProviderBundle,
     ProviderTimeoutError,
     ScriptedGenerator,
@@ -390,24 +390,6 @@ def two_record_set(generator_type=ScriptedGenerator, embedder_type=HashEmbedder)
     return RecordSet(label="pair", records=(r1, r2)), providers
 
 
-def http_bundle(backend: ProviderBundle, threads: set) -> ProviderBundle:
-    """HTTP adapters over an in-memory transport that answers from `backend`."""
-
-    def transport(url, payload, headers, timeout):
-        threads.add(threading.get_ident())
-        request = json.loads(payload)
-        if url.endswith("/embed"):
-            body = {"embedding": backend.embedder.embed(request["input"]).tolist()}
-        else:
-            body = {"completion": backend.generator.complete(request["prompt"])}
-        return 200, json.dumps(body).encode("utf-8")
-
-    return ProviderBundle(
-        HttpGenerator(EndpointConfig(url="http://backend.test/generate"), transport=transport),
-        HttpEmbedder(EndpointConfig(url="http://backend.test/embed"), transport=transport),
-    )
-
-
 class TestEvaluateSet:
     def test_means_over_records(self):
         record_set, providers = two_record_set()
@@ -507,6 +489,78 @@ class TestEvaluateSet:
         assert serial.means == parallel.means
         stub = evaluate_set(record_set, two_record_set()[1])
         assert [v.scores() for v in serial.vectors] == [v.scores() for v in stub.vectors]
+
+
+_WORDS = ("tide", "moon", "sun", "pull", "bone", "mass", "age", "coral", "reef", "newton")
+_sentence = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=5).map(lambda ws: " ".join(ws).capitalize())
+
+
+@st.composite
+def scripted_record_set(draw):
+    """(RecordSet, scripts): records whose judge calls the scripts mostly answer.
+
+    A record may lack one of its scripts, or get verdicts or classifications
+    of the wrong length, so failed and degenerate metrics occur too.
+    """
+    records, scripts = [], {}
+    for i in range(draw(st.integers(1, 4))):
+        contexts = draw(st.lists(st.lists(_sentence, min_size=1, max_size=3).map(". ".join), max_size=2))
+        record = EvalRecord(
+            id=f"r{i}",
+            query=draw(_sentence) + "?",
+            answer=". ".join(draw(st.lists(_sentence, min_size=1, max_size=3))) + ".",
+            contexts=tuple(contexts),
+            ground_truth=draw(st.none() | _sentence),
+        )
+        statements = segment_sentences(record.answer)
+        source = segment_sentences(recall_source_text(record))
+        context_sentences = [s for c in contexts for s in segment_sentences(c)]
+        extra = draw(st.sampled_from([0, 0, 0, -1, 1]))  # now and then one verdict too few or too many
+        record_scripts = scripts_for_record(
+            record,
+            faith=draw(st.lists(st.booleans(), min_size=max(1, len(statements) + extra),
+                                max_size=max(1, len(statements) + extra))),
+            recall=draw(st.lists(st.booleans(), min_size=len(source), max_size=len(source))),
+            precision=draw(st.lists(st.sampled_from(context_sentences), min_size=1, max_size=3) | st.none())
+            if context_sentences else "skip",
+            questions=draw(st.lists(_sentence.map(lambda q: q + "?"), min_size=1, max_size=3)),
+        )
+        dropped = draw(st.none() | st.sampled_from(list(record_scripts)))
+        scripts.update((key, value) for key, value in record_scripts.items() if key != dropped)
+        records.append(record)
+    return RecordSet(label="generated", records=tuple(records)), scripts
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scripted_record_set(), st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+       st.floats(-10.0, 10.0), st.booleans())
+def test_http_adapters_match_the_stubs(generated, weights, bias, contexts_included):
+    """Differential oracle: the HTTP adapters over a stub backend give the stub run's metrics and ranking."""
+    record_set, scripts = generated
+
+    def stub_bundle():
+        return ProviderBundle(ScriptedGenerator(scripts), HashEmbedder(64), LinearPairScorer(weights, bias))
+
+    def cells(evaluation):
+        return [[(vector.result(m).value, vector.result(m).status) for m in METRICS]
+                for vector in evaluation.vectors]
+
+    try:
+        stub = evaluate_set(record_set, stub_bundle())
+    except SetEvaluationError:  # every metric of every record failed
+        with pytest.raises(SetEvaluationError):
+            evaluate_set(record_set, http_bundle(stub_bundle(), set()))
+        return
+    http = evaluate_set(record_set, http_bundle(stub_bundle(), set()))
+    assert cells(http) == cells(stub)
+
+    pairs = [(record, vector) for record, vector in zip(record_set.records, stub.vectors)
+             if all(vector.result(m).value is not None for m in METRICS)]
+    expected = aggregate_set(pairs, LinearPairScorer(weights, bias), contexts_included=contexts_included)
+    for parallelism in (1, 4):
+        scorer = http_bundle(stub_bundle(), set()).scorer
+        assert aggregate_set(pairs, scorer, contexts_included=contexts_included,
+                             parallelism=parallelism) == expected
 
 
 @given(st.lists(st.booleans(), min_size=1, max_size=20), st.lists(st.booleans(), min_size=1, max_size=20))
