@@ -37,6 +37,7 @@ from ragmeter.corpus import (
     dumps_record_set,
     generate_synthetic,
     load_record_set,
+    record_from_fields,
 )
 from ragmeter.metrics import METRICS, MetricResult, MetricVector, SimilarityConfig
 from ragmeter.providers import (
@@ -436,18 +437,10 @@ def cmd_evaluate(args: argparse.Namespace, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _vector_from_report(entry: dict) -> tuple[EvalRecord, MetricVector]:
-    """The record and metric vector of a checked metrics report entry."""
-    if not entry["answer"]:
-        raise ConfigError(f"metrics report entry {entry['id']!r} has an empty answer")
-    record = _build(
-        EvalRecord, "metrics report",
-        id=entry["id"],
-        query=entry["query"],
-        answer=entry["answer"],
-        contexts=tuple(entry.get("contexts", ())),
-        ground_truth=entry.get("ground_truth"),
-    )
+def _vector_from_report(entry: dict, path: str) -> tuple[EvalRecord, MetricVector]:
+    """The record and metric vector of a checked entry of the metrics report `path`."""
+    record = _build(record_from_fields, f"metrics report {path}", entry["id"], entry["query"], entry["answer"],
+                    entry.get("contexts", []), entry.get("ground_truth"))
     results = {}
     for metric in METRICS:
         cell = entry.get("metrics", {}).get(metric, {})
@@ -466,14 +459,12 @@ def cmd_aggregate(args: argparse.Namespace, config: RunConfig) -> int:
     if not entries:
         raise EmptyInputError(f"metrics report {path} has no records")
     # every record is checked before a scorer call
+    pairs = [_vector_from_report(entry, path) for entry in entries]
     first_index: dict[str, int] = {}
-    for index, entry in enumerate(entries):
-        earlier = first_index.setdefault(entry["id"], index)
+    for index, (record, _) in enumerate(pairs):
+        earlier = first_index.setdefault(record.id, index)
         if earlier != index:
-            raise ConfigError(
-                f"metrics report {path}: entries {earlier} and {index} have the same id {entry['id']!r}"
-            )
-    pairs = [_vector_from_report(entry) for entry in entries]
+            raise ConfigError(f"metrics report {path}: entries {earlier} and {index} have the same id {record.id!r}")
     ranked = aggregation.aggregate_set(pairs, providers.scorer, contexts_included=config.contexts_included,
                                        parallelism=config.parallelism)
     report = {

@@ -211,60 +211,53 @@ def sample_without_replacement(items: Sequence, k: int, seed: int) -> list:
     return random.Random(seed).sample(list(items), k)
 
 
-def _record_from_json_line(line: str, line_no: int) -> EvalRecord:
+def record_from_fields(
+    record_id: str, query: object, answer: object, contexts: object, ground_truth: object
+) -> EvalRecord:
+    """The record one input row holds, under the rules every record file and report shares.
+
+    The id is stripped and must be non-empty. The query and the answer must
+    be non-blank strings, and the contexts a list of strings; all three are
+    kept verbatim. The ground truth must be a string or None, and a blank one
+    is read as None. A row that breaks a rule raises ValueError.
+    """
+    record_id = record_id.strip()
+    if not record_id:
+        raise ValueError("missing record id")
+    for name, value in (("query", query), ("answer", answer)):
+        if not isinstance(value, str) or not value.strip():
+            raise ValueError(f"record {record_id!r} missing {name}")
+    if not isinstance(contexts, list) or not all(isinstance(c, str) for c in contexts):
+        raise ValueError(f"record {record_id!r} contexts must be a list of strings")
+    if ground_truth is not None and not isinstance(ground_truth, str):
+        raise ValueError(f"record {record_id!r} ground_truth must be a string")
+    return EvalRecord(record_id, query, answer, tuple(contexts),
+                      ground_truth if ground_truth and ground_truth.strip() else None)
+
+
+def _json_fields(line: str) -> tuple:
     try:
         doc = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"line {line_no}: invalid JSON ({exc.msg})") from None
+        raise ValueError(f"invalid JSON ({exc.msg})") from None
     if not isinstance(doc, dict):
-        raise ValueError(f"line {line_no}: expected an object, got {type(doc).__name__}")
+        raise ValueError(f"expected an object, got {type(doc).__name__}")
     record_id = doc.get("id", "")
     if isinstance(record_id, bool) or not isinstance(record_id, (str, int)):
-        raise ValueError(
-            f"line {line_no}: record id must be a string or an integer, got {json.dumps(record_id)}"
-        )
-    record_id = str(record_id).strip()
-    if not record_id:
-        raise ValueError(f"line {line_no}: missing record id")
-    for required in ("query", "answer"):
-        value = doc.get(required)
-        if not isinstance(value, str) or not value.strip():
-            raise ValueError(f"line {line_no}: record {record_id!r} missing {required}")
-    contexts = doc.get("contexts", [])
-    if not isinstance(contexts, list) or not all(isinstance(c, str) for c in contexts):
-        raise ValueError(f"line {line_no}: record {record_id!r} contexts must be a list of strings")
-    ground_truth = doc.get("ground_truth")
-    if ground_truth is not None and not isinstance(ground_truth, str):
-        raise ValueError(f"line {line_no}: record {record_id!r} ground_truth must be a string")
-    return EvalRecord(
-        id=record_id,
-        query=doc["query"],
-        answer=doc["answer"],
-        contexts=tuple(contexts),
-        ground_truth=ground_truth or None,
-    )
+        raise ValueError(f"record id must be a string or an integer, got {json.dumps(record_id)}")
+    return str(record_id), doc.get("query"), doc.get("answer"), doc.get("contexts", []), doc.get("ground_truth")
 
 
-def _record_from_delimited_line(line: str, line_no: int) -> EvalRecord:
+def _delimited_fields(line: str) -> tuple:
     columns = line.rstrip("\n").split("\t")
     if len(columns) < 3:
-        raise ValueError(f"line {line_no}: expected at least id, query, answer columns")
-    record_id = columns[0].strip()
-    if not record_id:
-        raise ValueError(f"line {line_no}: missing record id")
-    query, answer = columns[1], columns[2]
-    if not query.strip():
-        raise ValueError(f"line {line_no}: record {record_id!r} missing query")
-    if not answer.strip():
-        raise ValueError(f"line {line_no}: record {record_id!r} missing answer")
-    ground_truth = columns[3] if len(columns) > 3 and columns[3] else None
-    contexts = tuple(c for c in columns[4:] if c)
-    return EvalRecord(
-        id=record_id, query=query, answer=answer, contexts=contexts, ground_truth=ground_truth
-    )
+        raise ValueError("expected at least id, query, answer columns")
+    return *columns[:3], [c for c in columns[4:] if c], columns[3] if len(columns) > 3 else None
 
 
-RECORD_FORMATS = ("structured-lines", "delimited")
+# The row reader of each record format: it splits a line into the fields of `record_from_fields`.
+_ROW_READERS = {"structured-lines": _json_fields, "delimited": _delimited_fields}
+RECORD_FORMATS = tuple(_ROW_READERS)
 
 
 def load_record_set(
@@ -274,29 +267,31 @@ def load_record_set(
 
     `structured-lines` is one JSON object per line with fields
     {id, query, answer, contexts[], ground_truth?}; `delimited` is
-    tab-separated `id, query, answer, ground_truth, context...` columns.
-    Every bad row is collected and reported via :class:`RecordFileError`;
-    nothing is silently dropped.
+    tab-separated `id, query, answer, ground_truth, context...` columns,
+    whose empty context columns are dropped. Both go through
+    :func:`record_from_fields`. A line of whitespace alone is blank, except
+    that a tab separates delimited columns, so a delimited line with one is
+    a row. Every bad row is collected and reported via
+    :class:`RecordFileError`; nothing is silently dropped.
     """
     if fmt not in RECORD_FORMATS:
         raise ValueError(f"unknown record format {fmt!r}; expected one of {RECORD_FORMATS}")
     path = Path(source)
-    parse_row = _record_from_json_line if fmt == "structured-lines" else _record_from_delimited_line
+    read_row = _ROW_READERS[fmt]
     records: list[EvalRecord] = []
     errors: list[str] = []
     seen_ids: set[str] = set()
     try:
         with path.open(encoding="utf-8") as handle:
             for line_no, raw in enumerate(handle, start=1):
-                if not raw.strip():
+                if not raw.strip() and not (read_row is _delimited_fields and "\t" in raw):
                     continue
                 try:
-                    record = parse_row(raw, line_no)
+                    record = record_from_fields(*read_row(raw))
+                    if record.id in seen_ids:
+                        raise ValueError(f"duplicate record id {record.id!r}")
                 except ValueError as exc:
-                    errors.append(str(exc))
-                    continue
-                if record.id in seen_ids:
-                    errors.append(f"line {line_no}: duplicate record id {record.id!r}")
+                    errors.append(f"line {line_no}: {exc}")
                     continue
                 seen_ids.add(record.id)
                 records.append(record)

@@ -332,11 +332,11 @@ def evaluate_set(
     """Evaluate every record with bounded parallelism and report set means.
 
     Records go through :func:`~ragmeter.providers.run_calls`: `parallelism`
-    bounds concurrent records, and a bundle made only of in-process
-    providers runs them on the calling thread, since threads would only
-    contend for the interpreter. A record whose evaluation raises gets
-    every metric failed. Means are taken per metric over records whose
-    metric succeeded.
+    bounds concurrent records, and a bundle whose generator and embedder
+    are in process runs them on the calling thread, since threads would only
+    contend for the interpreter; the scorer is never called here, so it
+    does not count. A record whose evaluation raises gets every metric
+    failed. Means are taken per metric over records whose metric succeeded.
     Raises :class:`SetEvaluationError` for an empty set, and when every
     metric of every record failed, naming the first failure in record order:
     its record id, metric and error text. Raises ValueError for
@@ -354,8 +354,7 @@ def evaluate_set(
             failed = MetricResult.failed(exc)
             return MetricVector(record.id, failed, failed, failed, failed)
 
-    vectors = tuple(run_calls(run_one, record_set.records, parallelism,
-                              providers.generator, providers.embedder, providers.scorer))
+    vectors = tuple(run_calls(run_one, record_set.records, parallelism, providers.generator, providers.embedder))
 
     if all(
         all(vector.result(m).status == STATUS_FAILED for m in METRICS) for vector in vectors

@@ -259,6 +259,12 @@ def _require_finite(what: str, **statistics: float) -> None:
         raise ValueError(f"{what} is not finite: {bad}")
 
 
+def _check_B(cfg: BootstrapConfig) -> None:
+    """Raise ValueError when `cfg.B` leaves the bootstrap variance undefined."""
+    if cfg.B < 2:
+        raise ValueError("B=1 leaves the B-1 variance denominator undefined; use B >= 2")
+
+
 def _summary_input(values: Sequence[float] | np.ndarray, cfg: BootstrapConfig) -> np.ndarray:
     """`values` as an array once they and `cfg` admit a summary; warns about small n or B.
 
@@ -266,8 +272,7 @@ def _summary_input(values: Sequence[float] | np.ndarray, cfg: BootstrapConfig) -
     makes them before it draws; :func:`_summary_from_means` computes the rest.
     """
     arr = _check_values(values)
-    if cfg.B < 2:
-        raise ValueError("B=1 leaves the B-1 variance denominator undefined; use B >= 2")
+    _check_B(cfg)
     if arr.size < RECOMMENDED_MIN_N:
         warnings.warn(
             f"sample size n={arr.size} is below the recommended minimum of {RECOMMENDED_MIN_N}; "
@@ -347,8 +352,8 @@ def shared_resample_means(
         raise ValueError("value arrays must all have the same length")
     size = cfg.resample_size if cfg.resample_size is not None else n
     count = cfg.B if count is None else count
-    means = draw_buffers(len(arrays), count, size)
     try:
+        means = tuple(np.empty(count) for _ in arrays)
         start = 0
         for block in resample_indices(_seeded_rows(cfg.seed, count), n, size):
             stop = start + len(block)

@@ -32,6 +32,7 @@ from ragmeter.providers import GenerationParams, ProviderBundle
 from ragmeter.stats import (
     BootstrapConfig,
     BootstrapSummary,
+    _check_B,
     _summary_from_means,
     _summary_input,
     bootstrap_summary,  # not called here; benchmarks/tracing.py wraps it under this module
@@ -245,9 +246,9 @@ def run_topicality(
 ) -> TopicalityReport:
     """Evaluate each query set, bootstrap per metric, compare all set pairs.
 
-    Two sets with the same label raise ValueError before any provider
-    call. A set with a metric no record computed raises TopicalityError
-    before the next set is evaluated. The resample indices are drawn once per
+    Two sets with the same label, and a `B` below 2, raise ValueError
+    before any provider call. A set with a metric no record computed raises
+    TopicalityError before the next set is evaluated. The resample indices are drawn once per
     distinct number of values, after the last set, for every set and metric.
 
     Before the first set is evaluated, one buffer of `B` means per set and
@@ -267,6 +268,7 @@ def run_topicality(
     boot_cfg = boot_cfg or BootstrapConfig()
     # a draw has at least one value, so empty sets stand for the smallest draw
     size = boot_cfg.resample_size or max(len(record_set.records) for record_set in sets) or 1
+    _check_B(boot_cfg)
     draw_buffers(len(sets) * len(METRICS), boot_cfg.B, size)
     set_values: list[_SetValues] = []
     for record_set in sets:

@@ -294,10 +294,12 @@ class TestAggregate:
 
     @pytest.mark.parametrize(
         "key, value, message",
-        [("answer", "", "metrics report entry 'a' has an empty answer"),
-         ("id", "", "metrics report: record id must be non-empty"),
-         ("query", " ", "metrics report: record 'a': query must be non-empty")],
-        ids=["empty-answer", "empty-id", "blank-query"],
+        [("answer", "", "record 'a' missing answer"),
+         ("id", "", "missing record id"),
+         ("query", " ", "record 'a' missing query"),
+         ("answer", " \t", "record 'a' missing answer"),
+         ("id", " ", "missing record id")],
+        ids=["empty-answer", "empty-id", "blank-query", "blank-answer", "blank-id"],
     )
     def test_empty_record_field_exits_2(self, tmp_path, capsys, key, value, message):
         config = write_workspace(tmp_path)
@@ -305,7 +307,7 @@ class TestAggregate:
         write_metrics_report(report_path, [{**report_entry("a", HIGH), key: value}])
         out = tmp_path / "o"
         assert run(["aggregate", "--config", config, "--out", out, report_path]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: metrics report {report_path}: {message}\n"
         assert not out.exists()
 
     def test_duplicate_id_exits_2_before_any_scorer_call(self, tmp_path, capsys, monkeypatch):
@@ -1011,6 +1013,16 @@ class TestTopicality:
     def test_single_file_exits_2(self, tmp_path):
         config = write_workspace(tmp_path)
         assert run(["topicality", "--config", config, "--out", tmp_path / "o", tmp_path / "pos.jsonl"]) == 2
+
+    def test_one_resample_exits_2_before_any_provider_call(self, tmp_path, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, ScriptedGenerator, "complete")
+        config = write_workspace(tmp_path, bootstrap_b=1)
+        out = tmp_path / "o"
+        records = [tmp_path / "pos.jsonl", tmp_path / "rand.jsonl"]
+        assert run(["topicality", "--config", config, "--out", out, *records]) == 2
+        assert capsys.readouterr().err == "error: B=1 leaves the B-1 variance denominator undefined; use B >= 2\n"
+        assert calls == []
+        assert not out.exists()
 
     def test_unallocatable_means_exit_2(self, tmp_path, capsys, monkeypatch):
         refuse_large_arrays(monkeypatch)

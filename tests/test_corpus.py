@@ -1,11 +1,13 @@
 """Tests for qrels parsing, record files, and the synthetic harness."""
 
+import json
 import threading
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import scripts_for_record
 from ragmeter.corpus import (
     EvalRecord,
     QrelsEntry,
@@ -19,11 +21,14 @@ from ragmeter.corpus import (
     generate_synthetic,
     load_record_set,
     parse_qrels,
+    record_from_fields,
     sample_without_replacement,
     save_record_set,
     serialize_qrels,
 )
-from ragmeter.providers import ScriptedGenerator
+from ragmeter.judge import segment_sentences
+from ragmeter.metrics import STATUS_OK, evaluate_record
+from ragmeter.providers import HashEmbedder, ProviderBundle, ScriptedGenerator
 
 
 def test_parse_qrels_basic():
@@ -211,6 +216,55 @@ def test_load_record_set_delimited(tmp_path):
     assert record_set.records[0].contexts == ("c1", "c2")
     assert record_set.records[0].ground_truth == "gt1"
     assert record_set.records[1].ground_truth is None
+
+
+# Row text either format can hold: no tab, no line break.
+_row_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"), max_size=6)
+_field = st.sampled_from(["", " ", "  padded  "]) | _row_text
+
+
+def _load_outcome(path, fmt):
+    """The records `path` loads to, or the row errors it is refused with."""
+    try:
+        return load_record_set(path, fmt).records
+    except RecordFileError as exc:
+        return exc.row_errors
+
+
+@settings(max_examples=200, deadline=None)
+@given(record_id=_field, query=_field, answer=_field, ground_truth=st.none() | _field,
+       contexts=st.lists(_row_text.filter(bool), max_size=3))
+def test_both_formats_load_the_same_fields_alike(tmp_path_factory, record_id, query, answer, ground_truth, contexts):
+    folder = tmp_path_factory.mktemp("rows")
+    doc = {"id": record_id, "query": query, "answer": answer, "contexts": contexts}
+    if ground_truth is not None:
+        doc["ground_truth"] = ground_truth
+    (folder / "rows.jsonl").write_text("\n" + json.dumps(doc) + "\n", encoding="utf-8")
+    optional = [ground_truth or "", *contexts] if ground_truth is not None or contexts else []
+    (folder / "rows.tsv").write_text("\n" + "\t".join([record_id, query, answer, *optional]) + "\n", encoding="utf-8")
+    try:
+        expected = (record_from_fields(record_id, query, answer, contexts, ground_truth),)
+    except ValueError as exc:
+        expected = [f"line 2: {exc}"]
+    assert _load_outcome(folder / "rows.jsonl", "structured-lines") == expected
+    assert _load_outcome(folder / "rows.tsv", "delimited") == expected
+
+
+@pytest.mark.parametrize("fmt, row", [
+    ("structured-lines", '{"id": "r1", "query": "Why?", "answer": "%s", "contexts": ["%s"], "ground_truth": " "}'),
+    ("delimited", "r1\tWhy?\t%s\t \t%s"),
+], ids=["structured-lines", "delimited"])
+def test_blank_ground_truth_is_absent_so_recall_judges_the_answer(tmp_path, fmt, row):
+    answer, context = "Tides follow the moon. The sun adds a pull.", "The moon pulls the sea."
+    path = tmp_path / "records.txt"
+    path.write_text(row % (answer, context) + "\n", encoding="utf-8")
+    record = load_record_set(path, fmt).records[0]
+    assert record == EvalRecord("r1", "Why?", answer, (context,))
+    scripts = scripts_for_record(record, faith=[True, True], recall=[True, False], precision=[context])
+    result = evaluate_record(record, ProviderBundle(ScriptedGenerator(scripts), HashEmbedder(64))).result(
+        "retrieval_recall")
+    assert result.status == STATUS_OK
+    assert result.diagnostics["sentences"] == segment_sentences(answer)
 
 
 def test_load_record_set_unknown_format(tmp_path):

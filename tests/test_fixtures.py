@@ -1,11 +1,15 @@
-"""Pinned checksums for versioned assets, and self-tests for the stats oracle.
+"""Pinned checksums for versioned assets, the names the benchmark tracer
+patches, and self-tests for the stats oracle.
 
 Any byte change to a shipped template or a golden file fails here first;
 template edits are breaking changes and must be made deliberately.
 """
 
+import ast
 import hashlib
+import importlib
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +57,27 @@ def test_golden_files_pinned():
     assert names == sorted(GOLDEN_CHECKSUMS)
     for name, expected in GOLDEN_CHECKSUMS.items():
         assert sha256((GOLDEN_DIR / name).read_bytes()) == expected, name
+
+
+TRACER = Path(__file__).parents[1] / "benchmarks" / "tracing.py"
+
+
+def tracer_targets() -> list[tuple[str, str]]:
+    """The (object path, attribute) pairs `TARGETS` in the benchmark tracer lists, read without importing it."""
+    for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]:
+            return [(path, attr) for path, attr, _span in ast.literal_eval(node.value)]
+    raise AssertionError(f"no TARGETS in {TRACER}")
+
+
+@pytest.mark.parametrize("path, attr", [*tracer_targets(), ("ragmeter.cli", "build_providers")])
+def test_every_name_the_tracer_patches_resolves(path, attr):
+    try:
+        owner = importlib.import_module(path)
+    except ModuleNotFoundError:  # a class inside a module, resolved as the tracer does
+        module, _, name = path.rpartition(".")
+        owner = getattr(importlib.import_module(module), name)
+    assert callable(getattr(owner, attr))
 
 
 class TestOracle:

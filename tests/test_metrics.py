@@ -47,7 +47,9 @@ from ragmeter.metrics import (
     recall_score,
 )
 from ragmeter.providers import (
+    EndpointConfig,
     HashEmbedder,
+    HttpPairScorer,
     LinearPairScorer,
     ProviderBundle,
     ProviderTimeoutError,
@@ -474,6 +476,26 @@ class TestEvaluateSet:
         evaluation = evaluate_set(record_set, providers, parallelism=4)
         assert evaluation.failure_counts["faithfulness"] == 0
         assert threads == {threading.get_ident()}
+
+    def test_remote_scorer_leaves_an_in_process_bundle_on_the_calling_thread(self):
+        threads, posts = set(), []
+
+        class RecordingGenerator(ScriptedGenerator):
+            def complete(self, prompt, params=None):
+                threads.add(threading.get_ident())
+                return super().complete(prompt, params)
+
+        def transport(url, payload, headers, timeout):
+            posts.append(url)
+            return 200, b'{"score": 0.0}'
+
+        record_set, providers = two_record_set(RecordingGenerator)
+        scorer = HttpPairScorer(EndpointConfig(url="http://scorer.test/score"), transport=transport)
+        bundled = ProviderBundle(providers.generator, providers.embedder, scorer)
+        evaluation = evaluate_set(record_set, bundled, parallelism=4)
+        assert threads == {threading.get_ident()}
+        assert posts == []
+        assert evaluation == evaluate_set(record_set, two_record_set()[1], parallelism=1)
 
     def test_http_parallel_matches_serial(self):
         record_set, backend_serial = two_record_set()

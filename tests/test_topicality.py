@@ -169,6 +169,14 @@ class TestRunTopicality:
             run_topicality([positive, random_set], providers, min_effect=-0.2)
         assert providers.generator.mock_calls == providers.embedder.mock_calls == []
 
+    def test_one_resample_rejected_before_any_provider_call(self):
+        positive, _ = engineered_query_set("pos", 4, "positive")
+        random_set, _ = engineered_query_set("rand", 4, "random")
+        providers = ProviderBundle(mock.Mock(spec=ScriptedGenerator), mock.Mock(spec=HashEmbedder))
+        with pytest.raises(ValueError, match="use B >= 2"):
+            run_topicality([positive, random_set], providers, boot_cfg=BootstrapConfig(B=1))
+        assert providers.generator.mock_calls == providers.embedder.mock_calls == []
+
     def test_duplicate_label_rejected_before_any_provider_call(self):
         positive, _ = engineered_query_set("pos", 4, "positive")
         random_set, _ = engineered_query_set("rand", 4, "random")
