@@ -19,7 +19,7 @@ from ragmeter.providers import (
     ScriptedGenerator,
     TextGenerator,
 )
-from ragmeter.stats import BootstrapConfig, BootstrapSummary, bootstrap_summary, convergence_trace, percentile, resample_means, shared_resample_means, unbiasedness_check
+from ragmeter.stats import BootstrapConfig, BootstrapSummary, bootstrap_summaries, bootstrap_summary, convergence_trace, percentile, resample_means, shared_resample_means, unbiasedness_check
 from ragmeter.topicality import TopicalityReport, compare_summaries, run_topicality
 
 __version__ = "0.1.0"
@@ -46,6 +46,7 @@ __all__ = [
     "TextGenerator",
     "TopicalityReport",
     "aggregate",
+    "bootstrap_summaries",
     "bootstrap_summary",
     "compare_summaries",
     "convergence_trace",

@@ -571,9 +571,12 @@ class HttpEmbedder(_HttpProvider):
         doc = self._post({"model": self.config.model, "input": text})
         value = _walk_response(doc, self.config.response_path or "embedding")
         try:
-            vector = np.asarray(value, dtype=float)
+            vector = np.asarray(value)
         except (TypeError, ValueError) as exc:
             raise ProviderResponseError(f"embedding field is not numeric: {exc}") from None
+        if vector.dtype.kind not in "iuf":  # JSON booleans, strings and numbers no float holds
+            raise ProviderResponseError(f"embedding field holds {vector.dtype}, not JSON numbers")
+        vector = vector.astype(float)
         if vector.ndim != 1 or vector.size == 0 or not np.all(np.isfinite(vector)):
             raise ProviderResponseError("embedding must be a non-empty finite 1-d vector")
         return vector
@@ -588,10 +591,12 @@ class HttpPairScorer(_HttpProvider):
             payload["model"] = self.config.model
         doc = self._post(payload)
         value = _walk_response(doc, self.config.response_path or "score")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ProviderResponseError(f"score field is {type(value).__name__}, not a number")
         try:
-            logit = float(value)  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            raise ProviderResponseError(f"score field is {type(value).__name__}, not a number") from None
+            logit = float(value)
+        except OverflowError:
+            raise ProviderResponseError("score is too large for a float") from None
         if not math.isfinite(logit):
             raise ProviderResponseError(f"score is not finite: {logit}")
         return logit

@@ -265,11 +265,11 @@ def _check_B(cfg: BootstrapConfig) -> None:
         raise ValueError("B=1 leaves the B-1 variance denominator undefined; use B >= 2")
 
 
-def _summary_input(values: Sequence[float] | np.ndarray, cfg: BootstrapConfig) -> np.ndarray:
+def check_summary_input(values: Sequence[float] | np.ndarray, cfg: BootstrapConfig) -> np.ndarray:
     """`values` as an array once they and `cfg` admit a summary; warns about small n or B.
 
-    The checks and guidance warnings of :func:`bootstrap_summary`, which
-    makes them before it draws; :func:`_summary_from_means` computes the rest.
+    :func:`bootstrap_summary` makes these checks before it draws, and callers
+    of :func:`bootstrap_summaries`, which warns about nothing, make them per list.
     """
     arr = _check_values(values)
     _check_B(cfg)
@@ -367,22 +367,20 @@ def shared_resample_means(
     return means
 
 
-def draw_buffers(arrays: int, count: int, size: int) -> tuple[np.ndarray, ...]:
-    """`arrays` uninitialised buffers of `count` resample means each, one allocation per buffer.
+def check_draw(cfg: BootstrapConfig, arrays: int, size: int) -> None:
+    """Raise ValueError, before a bootstrap of `arrays` value lists starts, when it could not finish.
 
-    The index buffers :func:`resample_indices` needs for rows of `size`
-    indices are allocated beside them and released, so a draw that cannot
-    hold them fails here, before it starts. Raises ValueError naming `count`
-    and `size` when a buffer cannot be allocated. An allocation the
-    operating system overcommits lazily succeeds here and can still fail
-    when its pages are first written.
+    That is when `cfg.B` is below 2, or when `arrays` buffers of `cfg.B` means
+    and the index buffers of rows of `size` indices cannot be allocated
+    together. An allocation the operating system overcommits lazily succeeds
+    here and can still fail when its pages are first written.
     """
+    _check_B(cfg)
     try:
-        means = tuple(np.empty(count) for _ in range(arrays))
-        _index_buffers(size)
+        buffers = [np.empty(cfg.B) for _ in range(arrays)]
+        buffers.extend(_index_buffers(size))
     except MemoryError:
-        raise _no_room(count, size) from None
-    return means
+        raise _no_room(cfg.B, size) from None
 
 
 def _index_buffers(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -415,20 +413,40 @@ def bootstrap_summary(
 ) -> BootstrapSummary:
     """Bootstrap mean, variance of resample means, and percentile CI.
 
-    Summarises the first `cfg.B` of `means`, which must come from
-    :func:`resample_means` for the same values and config; they are drawn
-    here when not given. B must be at least 2 (the B-1 variance
-    denominator is undefined otherwise). Raises ValueError when a statistic
-    is not finite, as values too large to average give. Emits
-    :class:`BootstrapGuidanceWarning` for small n or B.
+    The one-list form of :func:`bootstrap_summaries`. Summarises the first
+    `cfg.B` of `means`, which must come from :func:`resample_means` for the
+    same values and config; they are drawn here when not given. B must be
+    at least 2 (the B-1 variance denominator is undefined otherwise). Raises
+    ValueError when a statistic is not finite, as values too large to
+    average give. Emits :class:`BootstrapGuidanceWarning` for small n or B.
     """
-    arr = _summary_input(values, cfg)
-    return _summary_from_means(arr, cfg, resample_means(arr, cfg) if means is None else means)
+    arr = check_summary_input(values, cfg)
+    return bootstrap_summaries([arr], cfg)[0] if means is None else _summary_from_means(arr, cfg, means)
+
+
+def bootstrap_summaries(
+    value_lists: Sequence[Sequence[float] | np.ndarray], cfg: BootstrapConfig
+) -> tuple[BootstrapSummary, ...]:
+    """One summary per value list, in order, each equal to :func:`bootstrap_summary` of it.
+
+    Resample `s` depends only on (seed, s, n, size), so the lists of one
+    length share one :func:`shared_resample_means` draw: a call draws once
+    per distinct n. `B` and every list are checked before the first draw.
+    Emits no warning; :func:`check_summary_input` makes the guidance checks.
+    """
+    _check_B(cfg)
+    arrays = [_check_values(values) for values in value_lists]
+    summaries = {}
+    for n in dict.fromkeys(arr.size for arr in arrays):
+        group = [i for i, arr in enumerate(arrays) if arr.size == n]
+        for i, means in zip(group, shared_resample_means([arrays[i] for i in group], cfg)):
+            summaries[i] = _summary_from_means(arrays[i], cfg, means)
+    return tuple(summaries[i] for i in range(len(arrays)))
 
 
 @_quiet_overflow
 def _summary_from_means(arr: np.ndarray, cfg: BootstrapConfig, means: np.ndarray) -> BootstrapSummary:
-    """The summary of values `arr` that passed :func:`_summary_input`, from their resample means."""
+    """The summary of values `arr` that passed :func:`check_summary_input`, from their resample means."""
     n = arr.size
     size = cfg.resample_size if cfg.resample_size is not None else n
     means = means[: cfg.B]

@@ -7,9 +7,8 @@ disjoint and the mean delta clears a minimum effect size.
 
 Each set's values are checked, and its guidance warnings emitted, as soon
 as the set is evaluated, before the next set makes a provider call. The
-bootstrap runs after the last set: every (set, metric) value list of one
-length shares one draw of resample indices, so a run draws once per
-distinct n.
+bootstrap runs after the last set: one :func:`ragmeter.stats.bootstrap_summaries`
+call over every (set, metric) value list, which draws once per distinct n.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from ragmeter.corpus import RecordSet
 from ragmeter.metrics import (
@@ -32,12 +29,10 @@ from ragmeter.providers import GenerationParams, ProviderBundle
 from ragmeter.stats import (
     BootstrapConfig,
     BootstrapSummary,
-    _check_B,
-    _summary_from_means,
-    _summary_input,
+    bootstrap_summaries,
     bootstrap_summary,  # not called here; benchmarks/tracing.py wraps it under this module
-    draw_buffers,
-    shared_resample_means,
+    check_draw,
+    check_summary_input,
 )
 
 DEFAULT_MIN_EFFECT = 0.1
@@ -189,34 +184,16 @@ def _set_values(evaluation: SetEvaluation, boot_cfg: BootstrapConfig) -> _SetVal
             )
         values[metric] = metric_values
     for metric_values in values.values():
-        _summary_input(metric_values, boot_cfg)
+        check_summary_input(metric_values, boot_cfg)
     return evaluation.label, values, evaluation.failure_counts
 
 
 def _summarize(sets: Sequence[_SetValues], boot_cfg: BootstrapConfig) -> list[QuerySetResult]:
-    """Bootstrap every metric of every set, with one draw of resample indices per distinct n.
-
-    Resample `s` depends only on (seed, s, n, size), so the value lists of
-    one length share a draw and each gets the means its own draw would. No
-    guidance warning is emitted here; :func:`_set_values` emitted them.
-    """
-    values_of = {(i, metric): values[metric] for i, (_, values, _) in enumerate(sets) for metric in METRICS}
-    by_n: dict[int, list[tuple[int, str]]] = {}
-    for key, metric_values in values_of.items():
-        by_n.setdefault(len(metric_values), []).append(key)
-    summaries: dict[tuple[int, str], BootstrapSummary] = {}
-    for keys in by_n.values():
-        arrays = [np.asarray(values_of[key], dtype=float) for key in keys]
-        for key, arr, means in zip(keys, arrays, shared_resample_means(arrays, boot_cfg)):
-            summaries[key] = _summary_from_means(arr, boot_cfg, means)
+    """Each set with its per-metric summaries, from one :func:`bootstrap_summaries` call over all sets."""
+    summaries = iter(bootstrap_summaries([values[m] for _, values, _ in sets for m in METRICS], boot_cfg))
     return [
-        QuerySetResult(
-            label=label,
-            values=values,
-            summaries={metric: summaries[i, metric] for metric in METRICS},
-            failure_counts=failure_counts,
-        )
-        for i, (label, values, failure_counts) in enumerate(sets)
+        QuerySetResult(label, values, {metric: next(summaries) for metric in METRICS}, failure_counts)
+        for label, values, failure_counts in sets
     ]
 
 
@@ -225,10 +202,10 @@ def summarize_set_metrics(
 ) -> QuerySetResult:
     """Bootstrap every metric of one evaluated set with one shared config.
 
-    The one-set form of what :func:`run_topicality` does for all its sets:
-    metrics with the same number of successful values (all four, unless
-    some records failed a metric) share one draw of resample indices, and
-    each summary equals :func:`bootstrap_summary` of that metric's values.
+    The one-set form of :func:`run_topicality`'s bootstrap: the set's values
+    are checked and warned about, then summarised by one
+    :func:`ragmeter.stats.bootstrap_summaries` call, so each summary equals
+    :func:`bootstrap_summary` of that metric's values.
     """
     return _summarize([_set_values(evaluation, boot_cfg)], boot_cfg)[0]
 
@@ -268,8 +245,7 @@ def run_topicality(
     boot_cfg = boot_cfg or BootstrapConfig()
     # a draw has at least one value, so empty sets stand for the smallest draw
     size = boot_cfg.resample_size or max(len(record_set.records) for record_set in sets) or 1
-    _check_B(boot_cfg)
-    draw_buffers(len(sets) * len(METRICS), boot_cfg.B, size)
+    check_draw(boot_cfg, len(sets) * len(METRICS), size)
     set_values: list[_SetValues] = []
     for record_set in sets:
         try:

@@ -1,5 +1,6 @@
 """Pinned checksums for versioned assets, the names the benchmark tracer
-patches, and self-tests for the stats oracle.
+patches, the rule that no module takes a private name from another, and
+self-tests for the stats oracle.
 
 Any byte change to a shipped template or a golden file fails here first;
 template edits are breaking changes and must be made deliberately.
@@ -78,6 +79,62 @@ def test_every_name_the_tracer_patches_resolves(path, attr):
         module, _, name = path.rpartition(".")
         owner = getattr(importlib.import_module(module), name)
     assert callable(getattr(owner, attr))
+
+
+SRC = Path(__file__).parents[1] / "src" / "ragmeter"
+
+
+def private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_names_taken(source: str, module: str) -> list[str]:
+    """The `_`-prefixed names `source`, the code of `module`, takes from another ragmeter module.
+
+    Both `from ragmeter.x import _y` (relative forms too) and `x._y`, where `x`
+    is bound to a ragmeter module by an import, count; dunder names do not.
+    """
+    tree = ast.parse(source)
+    bound: dict[str, str] = {}  # local name -> the ragmeter module it may name
+    taken = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            origin = ".".join(filter(None, ["ragmeter" if node.level else "", node.module or ""]))
+            if origin.split(".")[0] != "ragmeter":
+                continue
+            for alias in node.names:
+                if private(alias.name):
+                    taken.append(f"{origin}.{alias.name}")
+                elif origin == "ragmeter":  # `from ragmeter import stats`
+                    bound[alias.asname or alias.name] = f"ragmeter.{alias.name}"
+        elif isinstance(node, ast.Import):
+            bound.update((a.asname or a.name, a.name) for a in node.names if a.name.startswith("ragmeter."))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and private(node.attr) and ast.unparse(node.value) in bound:
+            taken.append(f"{bound[ast.unparse(node.value)]}.{node.attr}")
+    return [name for name in taken if name.rpartition(".")[0] != module]
+
+
+def test_private_name_detector_sees_every_form():
+    source = (
+        "from ragmeter.stats import _a, b, __version__\n"
+        "from .judge import _c\n"
+        "from ragmeter import stats, corpus as c\n"
+        "import ragmeter.metrics as m\n"
+        "import ragmeter.providers\n"
+        "stats._d(c._e, m._f, ragmeter.providers._g, stats.h, self._own)\n"
+        "from ragmeter.topicality import _own_helper\n"
+    )
+    assert sorted(private_names_taken(source, "ragmeter.topicality")) == [
+        "ragmeter.corpus._e", "ragmeter.judge._c", "ragmeter.metrics._f",
+        "ragmeter.providers._g", "ragmeter.stats._a", "ragmeter.stats._d",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.stem)
+def test_no_module_takes_a_private_name_from_another(path):
+    module = "ragmeter" if path.stem == "__init__" else f"ragmeter.{path.stem}"
+    assert private_names_taken(path.read_text(encoding="utf-8"), module) == []
 
 
 class TestOracle:

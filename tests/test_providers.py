@@ -531,8 +531,14 @@ class TestHttpAdapters:
         assert np.array_equal(embedder.embed("text"), np.array([1.0, 2.0, 3.0]))
         assert transport.requests[0]["payload"] == {"model": "emb-1", "input": "text"}
 
-    def test_embedder_rejects_non_finite(self):
-        transport = FakeTransport([(200, {"embedding": [1.0, float("nan")]})])
+    @pytest.mark.parametrize("body", [
+        {"embedding": [1.0, float("nan")]},
+        {"embedding": [True, False]},
+        {"embedding": ["1", "2"]},
+        {"embedding": [10**400, 1.0]},
+    ], ids=["nan", "booleans", "strings", "too-large"])
+    def test_embedder_rejects_non_finite(self, body):
+        transport = FakeTransport([(200, body)])
         embedder = HttpEmbedder(
             EndpointConfig(url="http://backend.test/embed"), transport=transport,
             sleep=lambda _: None,
@@ -548,6 +554,21 @@ class TestHttpAdapters:
         )
         assert scorer.score("q", "candidate") == 8.72
         assert transport.requests[0]["payload"] == {"query": "q", "candidate": "candidate"}
+
+    @pytest.mark.parametrize("body", [
+        {"score": float("nan")},
+        {"score": True},
+        {"score": "2.5"},
+        {"score": 10**400},
+    ], ids=["nan", "boolean", "string", "too-large"])
+    def test_pair_scorer_rejects_what_is_not_a_finite_number(self, body):
+        transport = FakeTransport([(200, body)])
+        scorer = HttpPairScorer(
+            EndpointConfig(url="http://backend.test/score"), transport=transport,
+            sleep=lambda _: None,
+        )
+        with pytest.raises(ProviderResponseError):
+            scorer.score("q", "candidate")
 
     def test_backoff_delays_double(self):
         delays = []

@@ -20,6 +20,7 @@ from ragmeter.stats import (
     SEED_BLOCK_ROWS,
     BootstrapConfig,
     BootstrapGuidanceWarning,
+    bootstrap_summaries,
     bootstrap_summary,
     convergence_trace,
     pcg64_state,
@@ -263,6 +264,41 @@ class TestBootstrapSummary:
         scaled = quiet_summary(a * values + b, cfg)
         assert scaled.boot_mean == pytest.approx(a * base.boot_mean + b, rel=1e-12, abs=1e-12)
         assert scaled.boot_variance == pytest.approx(a * a * base.boot_variance, rel=1e-9, abs=1e-15)
+
+
+class TestBootstrapSummaries:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lengths=st.lists(st.sampled_from([1, 2, 3, 5]), max_size=7),
+        data=st.data(),
+        B=st.integers(min_value=2, max_value=30),
+        seed=st.integers(min_value=0, max_value=2**40),
+        resample_size=st.none() | st.integers(min_value=1, max_value=6),
+    )
+    def test_one_draw_per_distinct_length_gives_each_list_its_own_summary(self, lengths, data, B, seed,
+                                                                          resample_size):
+        value = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+        lists = [data.draw(st.lists(value, min_size=n, max_size=n)) for n in lengths]
+        cfg = BootstrapConfig(B=B, resample_size=resample_size, seed=seed)
+        expected = tuple(quiet_summary(values, cfg) for values in lists)
+        draw = mock.Mock(wraps=shared_resample_means)
+        with mock.patch("ragmeter.stats.shared_resample_means", draw), warnings.catch_warnings():
+            warnings.simplefilter("error", BootstrapGuidanceWarning)
+            assert bootstrap_summaries(lists, cfg) == expected
+        assert draw.call_count == len(set(lengths))
+        assert sorted(len(arrays[0]) for (arrays, _), _ in draw.call_args_list) == sorted(set(lengths))
+
+    def test_one_resample_rejected_before_any_draw(self):
+        draw = mock.Mock(wraps=shared_resample_means)
+        with mock.patch("ragmeter.stats.shared_resample_means", draw), pytest.raises(ValueError, match="B-1"):
+            bootstrap_summaries([[0.1, 0.2], [0.3]], BootstrapConfig(B=1))
+        draw.assert_not_called()
+
+    def test_a_bad_list_rejected_before_any_draw(self):
+        draw = mock.Mock(wraps=shared_resample_means)
+        with mock.patch("ragmeter.stats.shared_resample_means", draw), pytest.raises(ValueError, match="finite"):
+            bootstrap_summaries([[0.1, 0.2], [0.3, float("nan")]], BootstrapConfig(B=10))
+        draw.assert_not_called()
 
 
 class TestGuidanceWarnings:

@@ -284,9 +284,10 @@ class TestDrawSharedAcrossSets:
 
         draw = mock.Mock(wraps=shared_resample_means)
         with mock.patch("ragmeter.topicality.evaluate_set", fake_evaluate), \
-                mock.patch("ragmeter.topicality.shared_resample_means", draw), warnings.catch_warnings():
+                mock.patch("ragmeter.stats.shared_resample_means", draw), warnings.catch_warnings():
             warnings.simplefilter("ignore", BootstrapGuidanceWarning)
             report = run_topicality([RecordSet(label, ()) for label in evaluations], mock.Mock(), boot_cfg=cfg)
+            draws = draw.call_count  # the reference summaries below draw through the spy too
             lengths = set()
             for result, rows in zip(report.set_results, sets, strict=True):
                 for i, metric in enumerate(METRICS):
@@ -294,13 +295,13 @@ class TestDrawSharedAcrossSets:
                     lengths.add(len(values))
                     assert result.values[metric] == tuple(values)
                     assert result.summaries[metric] == bootstrap_summary(values, cfg)
-        assert draw.call_count == len(lengths)
+        assert draws == len(lengths)
 
     def test_one_draw_per_distinct_n(self):
         sets_and_scripts = [engineered_query_set(label, size, "positive") for label, size in
                             (("a", 6), ("b", 4), ("c", 6))]
         draw = mock.Mock(wraps=shared_resample_means)
-        with mock.patch("ragmeter.topicality.shared_resample_means", draw):
+        with mock.patch("ragmeter.stats.shared_resample_means", draw):
             quiet_run([s for s, _ in sets_and_scripts],
                       providers_for(*(scripts for _, scripts in sets_and_scripts)), boot_cfg=BOOT)
         drawn = sorted((len(arrays), {len(a) for a in arrays}) for (arrays, _), _ in draw.call_args_list)
