@@ -164,6 +164,68 @@ def _finite_embed(embedder: Embedder, text: str) -> np.ndarray:
     return vec
 
 
+def _embeddings(embedder: Embedder, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The `(len(texts), d)` embeddings of `texts`, requested in order, and their squared norms.
+
+    An embedder with `embed_many` answers in one call. Otherwise `embed` is
+    called once per text and each vector is tested as it arrives, so a bad
+    vector stops the requests. Raises NonFiniteEmbeddingError for a NaN or
+    infinite component and ValueError for vectors of different shapes.
+    """
+    embed_many = getattr(embedder, "embed_many", None)
+    if embed_many is not None:
+        matrix = np.asarray(embed_many(texts), dtype=float)
+        if matrix.ndim != 2 or len(matrix) != len(texts):
+            raise ValueError(f"embed_many gave shape {matrix.shape} for {len(texts)} texts")
+    else:
+        matrix = None
+        for i, text in enumerate(texts):
+            vec = _finite_embed(embedder, text)
+            if matrix is None:
+                if vec.ndim != 1:
+                    raise ValueError(f"embedder returned shape {vec.shape}, not a 1-d vector")
+                matrix = np.empty((len(texts), len(vec)))
+            elif vec.shape != matrix.shape[1:]:
+                raise ValueError(f"dimension mismatch: {vec.shape} vs {matrix.shape[1:]}")
+            matrix[i] = vec
+    with np.errstate(over="ignore"):
+        squares = (matrix[:, None, :] @ matrix[:, :, None]).ravel()
+    # finite squared norms prove every component finite; only an overflow
+    # needs the elementwise test over the matrix
+    if not np.isfinite(squares).all() and not np.isfinite(matrix).all():
+        raise NonFiniteEmbeddingError("embedder returned a vector with a NaN or infinite component")
+    return matrix, squares
+
+
+def _best_similarities(matrix: np.ndarray, squares: np.ndarray, count: int) -> np.ndarray:
+    """Each sentence's best cosine against `count` candidates, by the `cosine` rules.
+
+    `matrix` holds the candidate rows, then one row per (sentence, candidate)
+    pair, sentence by sentence with the candidates in order; `squares` holds
+    their squared norms. A zero norm gives 0, equal vectors give exactly 1,
+    and each sentence's max over its candidates is clamped to [-1, 1].
+    """
+    candidates = matrix[:count]
+    pairs = matrix[count:].reshape(-1, count, matrix.shape[1])
+    norms = np.sqrt(squares)
+    pair_norms = norms[count:].reshape(-1, count)
+    with np.errstate(all="ignore"):
+        products = pair_norms * norms[:count]
+        ratios = (pairs.transpose(1, 0, 2) @ candidates[:, :, None])[..., 0].T / products
+    # as in `cosine`: only a ratio near 1, a NaN or a product of norms outside
+    # the normal range (0 or NaN with a zero norm) can hide an equal pair
+    unsure = ~((ratios < _BELOW_ONE) & (products > _TINY_NORMS) & (products < math.inf))
+    if unsure.any():
+        for s, c in zip(*np.nonzero(unsure)):
+            if pair_norms[s, c] == 0.0 or norms[c] == 0.0:
+                ratios[s, c] = 0.0
+            elif np.array_equal(pairs[s, c], candidates[c]):
+                ratios[s, c] = 1.0
+            elif math.isnan(ratios[s, c]):
+                ratios[s, c] = -1.0  # what `cosine`'s clamp makes of a NaN
+    return np.minimum(np.maximum(ratios.max(axis=1), -1.0), 1.0)
+
+
 def _precision_details(
     extraction: PrecisionExtraction,
     contexts: Sequence[str],
@@ -177,20 +239,17 @@ def _precision_details(
         return 0.0, {"degenerate": "no_context_sentences"}
     candidates = list(extraction.candidate_sentences)
     exact = {c.strip() for c in candidates}
-    candidate_vectors = None
-    relevant: list[str] = []
-    similarities: list[float] = []
-    for sentence in context_sentences:
-        if sentence.strip() in exact:
-            relevant.append(sentence)
-            similarities.append(1.0)
-            continue
-        if candidate_vectors is None:
-            candidate_vectors = [_finite_embed(embedder, c) for c in candidates]
-        best = max(cosine(_finite_embed(embedder, sentence), cv) for cv in candidate_vectors)
-        similarities.append(best)
-        if best >= cfg.precision_match_threshold:
-            relevant.append(sentence)
+    others = [s for s in context_sentences if s.strip() not in exact]
+    best = iter(())
+    if others:
+        # the candidates, then each other sentence once per candidate
+        texts = candidates + [s for s in others for _ in candidates]
+        best = iter(_best_similarities(*_embeddings(embedder, texts), len(candidates)).tolist())
+    similarities = [1.0 if s.strip() in exact else next(best) for s in context_sentences]
+    relevant = [
+        s for s, similarity in zip(context_sentences, similarities)
+        if similarity >= cfg.precision_match_threshold
+    ]
     score = len(relevant) / len(context_sentences)
     return score, {
         "context_sentences": context_sentences,
@@ -220,8 +279,8 @@ def precision_score(
 def _relevance_details(
     original_query: str, questions: GeneratedQuestions, embedder: Embedder
 ) -> tuple[float, dict]:
-    query_vector = _finite_embed(embedder, original_query)
-    raw = [cosine(query_vector, _finite_embed(embedder, q)) for q in questions.questions]
+    vectors, _ = _embeddings(embedder, [original_query, *questions.questions])
+    raw = [cosine(vectors[0], v) for v in vectors[1:]]
     clamped = [min(max(c, 0.0), 1.0) for c in raw]
     score = math.fsum(clamped) / len(clamped)
     return score, {"generated_questions": list(questions.questions), "cosines": raw}

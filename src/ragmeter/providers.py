@@ -83,7 +83,16 @@ class TextGenerator(Protocol):
 
 
 class Embedder(Protocol):
+    """Maps a text to a 1-d float vector.
+
+    `embed_many(texts)` answers a batch as one `(len(texts), d)` array whose
+    row i is `embed(texts[i])`. It is optional: the metrics call it when an
+    embedder has it, and otherwise call `embed` once per text, in order.
+    """
+
     def embed(self, text: str) -> np.ndarray: ...
+
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray: ...
 
 
 class PairScorer(Protocol):
@@ -294,12 +303,8 @@ class HashEmbedder:
     `keyword_channels` additionally boost a dedicated axis so topical texts
     cluster. Vectors are L2-normalized; empty (token-free) text maps to the
     all-zeros vector, whose cosine against anything is defined as 0.
-
-    The last text and its vector are kept, and a call with the same text
-    answers from them: precision matching embeds each context sentence once
-    per candidate, back to back. Only one text is kept, so memory does not
-    grow with the texts seen, and every call returns a fresh copy, so a
-    caller that writes into its vector cannot change a later result.
+    Every call returns a newly computed array; only each token's axis is
+    kept between calls.
     """
 
     in_process = True
@@ -322,15 +327,9 @@ class HashEmbedder:
         self._boost = keyword_boost
         # token -> hashed axis; racing threads can only store the same value
         self._axes: dict[str, int] = {}
-        # (text, vector) of the last call, replaced in one assignment so a
-        # reader on another thread never pairs one call's text with another's vector
-        self._last = ("", np.zeros(dimension))
         self.identifier = f"stub:hash-{dimension}"
 
     def embed(self, text: str) -> np.ndarray:
-        last_text, last_vec = self._last
-        if text == last_text:
-            return last_vec.copy()
         # bincount adds the weights in list order, so the sums are those of
         # adding each token's unit and boost one after another
         axes: list[int] = []
@@ -352,8 +351,26 @@ class HashEmbedder:
                 vec /= norm
         else:
             vec = np.zeros(self.dimension)
-        self._last = (text, vec)
-        return vec.copy()
+        return vec
+
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        """`(len(texts), dimension)` array whose row i is `self.embed(texts[i])`.
+
+        `self.embed` runs once per distinct text, so a subclass that
+        overrides it is used here too; a repeated text gets a copy of the
+        row its first occurrence got. Raises ValueError when `embed` returns
+        a vector of another shape.
+        """
+        rows: dict[str, int] = {}
+        index = [rows.setdefault(text, len(rows)) for text in texts]
+        shape = (self.dimension,)
+        distinct = np.empty((len(rows), self.dimension))
+        for i, text in enumerate(rows):
+            vec = self.embed(text)
+            if vec.shape != shape:
+                raise ValueError(f"dimension mismatch: {vec.shape} vs {shape}")
+            distinct[i] = vec
+        return distinct if len(distinct) == len(index) else distinct[index]
 
 
 _SCORE_STATEMENT_PATTERNS = (
@@ -565,11 +582,17 @@ class HttpGenerator(_HttpProvider):
 
 
 class HttpEmbedder(_HttpProvider):
-    """Embedding adapter: POST {model, input} and read back one vector."""
+    """Embedding adapter: POST {model, input} and read back one vector.
+
+    It has no `embed_many`, so a batch costs one POST per text, in order.
+    """
 
     def embed(self, text: str) -> np.ndarray:
         doc = self._post({"model": self.config.model, "input": text})
         value = _walk_response(doc, self.config.response_path or "embedding")
+        # numpy reads a boolean beside numbers as a number: [true, 1.5] is float64
+        if isinstance(value, list) and any(x is True or x is False for x in value):
+            raise ProviderResponseError("embedding field holds a JSON boolean, not only numbers")
         try:
             vector = np.asarray(value)
         except (TypeError, ValueError) as exc:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import ragmeter
 from ragmeter.corpus import EvalRecord
 from ragmeter.judge import recall_source_text, segment_sentences
-from ragmeter.metrics import MetricResult, MetricVector
+from ragmeter.metrics import MetricResult, MetricVector, cosine
 from ragmeter.providers import (
     EndpointConfig,
     HttpEmbedder,
@@ -55,6 +55,40 @@ class DictEmbedder:
     def embed(self, text: str) -> np.ndarray:
         vec = self._mapping.get(text)
         return np.zeros(self.dimension) if vec is None else vec
+
+
+class RecordingEmbedder:
+    """Forwards `embed` to `inner` and records each text asked for; has no `embed_many`."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.texts: list[str] = []
+
+    def embed(self, text: str) -> np.ndarray:
+        self.texts.append(text)
+        return self.inner.embed(text)
+
+
+def reference_precision(extraction, contexts, embedder, threshold: float) -> tuple[list, list]:
+    """Per-pair loop reference for precision matching: (similarities, matched sentences).
+
+    The candidates are embedded when the first sentence that is not an
+    exact candidate comes up, then each such sentence is embedded once per
+    candidate and scored with one `cosine` call per pair.
+    """
+    sentences = [s for chunk in contexts for s in segment_sentences(chunk)]
+    exact = {c.strip() for c in extraction.candidate_sentences}
+    candidate_vectors = None
+    similarities = []
+    for sentence in sentences:
+        if sentence.strip() in exact:
+            similarities.append(1.0)
+            continue
+        if candidate_vectors is None:
+            candidate_vectors = [embedder.embed(c) for c in extraction.candidate_sentences]
+        similarities.append(max(cosine(embedder.embed(sentence), cv) for cv in candidate_vectors))
+    matched = [s for s, similarity in zip(sentences, similarities) if similarity >= threshold]
+    return similarities, matched
 
 
 def backend_transport(backend: ProviderBundle, threads: set):

@@ -14,11 +14,14 @@ from helpers import (
     QGEN_MARK,
     RECALL_MARK,
     DictEmbedder,
+    RecordingEmbedder,
     TIDES_CONTEXT,
     TIDES_QUESTION,
+    backend_transport,
     http_bundle,
     precision_transcript,
     reference_cosine,
+    reference_precision,
     scripts_for_record,
 )
 from ragmeter.aggregation import aggregate_set
@@ -46,9 +49,11 @@ from ragmeter.metrics import (
     precision_score,
     recall_score,
 )
+from ragmeter.metrics import _precision_details
 from ragmeter.providers import (
     EndpointConfig,
     HashEmbedder,
+    HttpEmbedder,
     HttpPairScorer,
     LinearPairScorer,
     ProviderBundle,
@@ -183,6 +188,199 @@ class TestPrecisionScore:
         assert precision_score(larger, contexts, embedder, self.CFG) >= precision_score(
             smaller, contexts, embedder, self.CFG
         )
+
+
+class BatchDictEmbedder(DictEmbedder):
+    """A `DictEmbedder` that also answers a batch in one `embed_many` call."""
+
+    def __init__(self, mapping, dimension):
+        super().__init__(mapping, dimension)
+        self.batches: list[list[str]] = []
+
+    def embed_many(self, texts):
+        self.batches.append(list(texts))
+        return np.array([self.embed(t) for t in texts]).reshape(len(texts), self.dimension)
+
+
+# Each ratio carries at most about (d + 3) roundings of float64 in either
+# implementation, so for d <= 8 two of them differ by less than 2 * 11 eps.
+SIMILARITY_TOLERANCE = 32 * np.finfo(np.float64).eps
+
+
+class TestSimilarityKernel:
+    """Precision matching against the per-pair `cosine` loop it replaced."""
+
+    @staticmethod
+    def draw_case(data, element):
+        size = data.draw(st.integers(1, 8), label="size")
+        vector = st.lists(element, min_size=size, max_size=size)
+        candidates = data.draw(st.lists(vector, min_size=1, max_size=4), label="candidates")
+        sentences = []
+        for i in range(data.draw(st.integers(1, 5), label="sentences")):
+            relation = data.draw(st.sampled_from(["free", "equal", "scaled", "opposed", "zero"]))
+            base = candidates[data.draw(st.integers(0, len(candidates) - 1), label=f"base {i}")]
+            if relation == "free":
+                sentences.append(data.draw(vector, label=f"sentence {i}"))
+            elif relation == "equal":
+                sentences.append(list(base))
+            elif relation == "scaled":
+                sentences.append([2.0 * x for x in base])
+            elif relation == "opposed":
+                sentences.append([-x for x in base])
+            else:
+                sentences.append([0.0] * size)
+        return size, candidates, sentences
+
+    @staticmethod
+    def run_both(candidates, sentences, size, threshold, batched):
+        names = [f"Candidate {j}." for j in range(len(candidates))]
+        contexts = [f"Sentence {i} text." for i in range(len(sentences))]
+        mapping = dict(zip(names, candidates)) | dict(zip(contexts, sentences))
+        extraction = PrecisionExtraction(tuple(names), False, "raw")
+        embedder = (BatchDictEmbedder if batched else DictEmbedder)(mapping, size)
+        _, details = _precision_details(
+            extraction, contexts, embedder, SimilarityConfig(precision_match_threshold=threshold)
+        )
+        expected = reference_precision(extraction, contexts, DictEmbedder(mapping, size), threshold)
+        return details, expected
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the reference's `cosine`
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_same_decisions_and_values_on_integer_vectors(self, data):
+        # small integers keep every dot and squared norm exact, so both
+        # implementations round the same sqrt, product and quotient
+        scale = data.draw(st.sampled_from([1.0, 1e200, 1e-170]), label="scale")
+        size, candidates, sentences = self.draw_case(data, st.integers(-8, 8).map(float))
+        candidates = [[x * scale for x in v] for v in candidates]
+        sentences = [[x * scale for x in v] for v in sentences]
+        threshold = data.draw(
+            st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), label="threshold"
+        )
+        batched = data.draw(st.booleans(), label="batched")
+        details, (similarities, matched) = self.run_both(candidates, sentences, size, threshold, batched)
+        assert details["matched_sentences"] == matched
+        if scale == 1.0:
+            assert details["similarities"] == similarities
+        for sentence, similarity in zip(sentences, details["similarities"]):
+            assert -1.0 <= similarity <= 1.0
+            # at 1e-170 every squared norm underflows to 0, which gives 0 before equality gives 1
+            zero_norm = scale == 1e-170 or not any(sentence)
+            if zero_norm:
+                assert similarity == 0.0
+            elif any(sentence == c for c in candidates):
+                assert similarity == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_values_within_tolerance_on_real_vectors(self, data):
+        magnitude = st.floats(1e-3, 1e3)
+        element = st.one_of(st.just(0.0), magnitude, magnitude.map(lambda x: -x))
+        size, candidates, sentences = self.draw_case(data, element)
+        details, (similarities, _) = self.run_both(candidates, sentences, size, 0.8, data.draw(st.booleans()))
+        for got, want, sentence in zip(details["similarities"], similarities, sentences):
+            assert abs(got - want) <= SIMILARITY_TOLERANCE
+            if any(sentence == c for c in candidates) and any(sentence):
+                assert got == want == 1.0
+            if not any(sentence):
+                assert got == want == 0.0
+
+    def test_equal_tiny_and_huge_vectors_give_one(self):
+        for scale in (1e-160, 1e200):
+            candidates = [[scale, scale, 0.0], [scale, 0.0, scale]]
+            details, (similarities, _) = self.run_both(candidates, [[scale, 0.0, scale]], 3, 1.0, True)
+            assert details["similarities"] == similarities == [1.0]
+            assert details["matched_sentences"] == ["Sentence 0 text."]
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_norm_underflowing_to_zero_gives_zero(self, batched):
+        # the sentence's squared norm underflows to 0 while its dot with the
+        # opposed candidate is -1e-20, so the quotient is -inf before the zero-norm rule
+        details, (similarities, matched) = self.run_both([[-1e150]], [[1e-170]], 1, 0.0, batched)
+        assert details["similarities"] == similarities == [0.0]
+        assert details["matched_sentences"] == matched == ["Sentence 0 text."]
+
+    def test_batched_path_asks_one_batch_with_the_candidates_first(self):
+        embedder = BatchDictEmbedder({"A.": [1.0, 0.0], "B.": [0.0, 1.0], "C.": [1.0, 1.0]}, 2)
+        extraction = PrecisionExtraction(("A.", "B."), False, "raw")
+        score, details = _precision_details(extraction, ["A. C. D."], embedder, SimilarityConfig(0.7))
+        assert embedder.batches == [["A.", "B.", "C.", "C.", "D.", "D."]]
+        assert details["matched_sentences"] == ["A.", "C."]
+        assert score == pytest.approx(2 / 3)
+
+    def test_batched_non_finite_vector_refused(self):
+        embedder = BatchDictEmbedder({"B.": [math.nan, 1.0]}, 2)
+        extraction = PrecisionExtraction(("A.",), False, "raw")
+        with pytest.raises(NonFiniteEmbeddingError):
+            precision_score(extraction, ["B."], embedder, SimilarityConfig())
+
+    def test_huge_finite_batch_is_not_refused(self):
+        embedder = BatchDictEmbedder({"A.": [1e200, 1e200], "B.": [1e200, -1e200]}, 2)
+        extraction = PrecisionExtraction(("A.",), False, "raw")
+        assert precision_score(extraction, ["B."], embedder, SimilarityConfig(0.0)) == 0.0
+
+
+texts_with_repeats = st.lists(
+    st.sampled_from(["Tides rise.", "Moons pull.", "Seas fall.", "Tides rise. Seas fall."]),
+    min_size=1, max_size=5,
+)
+
+
+class TestEmbeddingRequests:
+    """An embedder without `embed_many` sees the texts the per-pair loop asked for, in its order."""
+
+    @given(texts_with_repeats, texts_with_repeats)
+    def test_precision_requests_match_the_loop(self, candidates, chunks):
+        extraction = PrecisionExtraction(tuple(candidates), False, "raw")
+        cfg = SimilarityConfig()
+        recorded, reference = RecordingEmbedder(HashEmbedder(64)), RecordingEmbedder(HashEmbedder(64))
+        _, details = _precision_details(extraction, chunks, recorded, cfg)
+        similarities, matched = reference_precision(extraction, chunks, reference, cfg.precision_match_threshold)
+        assert recorded.texts == reference.texts
+        assert details["matched_sentences"] == matched
+
+    @given(st.text(min_size=1), st.lists(st.text(min_size=1), min_size=1, max_size=4))
+    def test_relevance_requests_query_then_questions(self, query, questions):
+        recorded = RecordingEmbedder(HashEmbedder(64))
+        generated = GeneratedQuestions(tuple(questions), ("t",) * len(questions))
+        score = answer_relevance_score(query, generated, recorded)
+        assert recorded.texts == [query, *questions]
+        reference = HashEmbedder(64)
+        cosines = [min(max(cosine(reference.embed(query), reference.embed(q)), 0.0), 1.0) for q in questions]
+        assert score == math.fsum(cosines) / len(cosines)
+
+    def test_http_embedder_posts_in_loop_order(self):
+        assert not hasattr(HttpEmbedder, "embed_many")
+        backend = RecordingEmbedder(HashEmbedder(64))
+        embedder = HttpEmbedder(
+            EndpointConfig(url="http://backend.test/embed"),
+            transport=backend_transport(ProviderBundle(None, backend), set()),
+            sleep=lambda _: None,
+        )
+        extraction = PrecisionExtraction(("Tides rise.", "Moons pull."), False, "raw")
+        precision_score(extraction, ["Seas fall. Tides rise. Winds blow."], embedder, SimilarityConfig())
+        assert backend.texts == ["Tides rise.", "Moons pull."] + ["Seas fall."] * 2 + ["Winds blow."] * 2
+
+    def test_loop_stops_at_the_first_non_finite_vector(self):
+        recorded = RecordingEmbedder(DictEmbedder({"B.": [math.inf, 1.0]}, 2))
+        extraction = PrecisionExtraction(("A.", "B.", "C."), False, "raw")
+        with pytest.raises(NonFiniteEmbeddingError):
+            precision_score(extraction, ["D."], recorded, SimilarityConfig())
+        assert recorded.texts == ["A.", "B."]
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_dimension_mismatch_names_both_shapes(self, batched):
+        class Uneven(HashEmbedder):
+            def embed(self, text):
+                return np.ones(3) if text.startswith("S") else np.ones(2)
+
+        embedder = Uneven(2) if batched else RecordingEmbedder(Uneven(2))
+        extraction = PrecisionExtraction(("Candidate.",), False, "raw")
+        # the vector that differs, then the shape of the first
+        with pytest.raises(ValueError, match=r"^dimension mismatch: \(3,\) vs \(2,\)$"):
+            precision_score(extraction, ["Sentence."], embedder, SimilarityConfig())
+        with pytest.raises(ValueError, match=r"^dimension mismatch: \(3,\) vs \(2,\)$"):
+            answer_relevance_score("query", GeneratedQuestions(("Some question?",), ("t",)), embedder)
 
 
 class TestAnswerRelevance:

@@ -246,8 +246,7 @@ class TestHashEmbedder:
         other = data.draw(st.text(max_size=6), label="other text")
         embedder = HashEmbedder(dimension, channels, keyword_boost=boost)
         # repeated texts and tokens go through the memoised axes; each text is
-        # embedded twice in a row (the second call answers from the last
-        # result) and once more after another text
+        # embedded twice in a row and once more after another text
         for text in texts + texts:
             expected = reference_embed(text, dimension, channels, boost)
             first, repeat = embedder.embed(text), embedder.embed(text)
@@ -269,6 +268,41 @@ class TestHashEmbedder:
         empty = embedder.embed("")
         empty[0] = 1.0
         assert not embedder.embed("").any()
+
+    @given(st.lists(st.sampled_from(["cloud sales", "river stone", "", "x 9", "cloud"]), max_size=8),
+           st.integers(1, 12))
+    def test_embed_many_rows_equal_embed_bit_for_bit(self, texts, dimension):
+        embedder = HashEmbedder(dimension, {"cloud": 0}, keyword_boost=1 / 3)
+        matrix = embedder.embed_many(texts)
+        assert matrix.shape == (len(texts), dimension) and matrix.dtype == np.float64
+        for row, text in zip(matrix, texts):
+            assert np.array_equal(row, embedder.embed(text))
+        if texts:
+            matrix[:] = 7.0
+            assert np.array_equal(embedder.embed_many(texts)[0], embedder.embed(texts[0]))
+
+    def test_embed_many_calls_an_overriding_embed_once_per_distinct_text(self):
+        class Counting(HashEmbedder):
+            def __init__(self):
+                super().__init__(8)
+                self.texts = []
+
+            def embed(self, text):
+                self.texts.append(text)
+                return np.full(8, float(len(self.texts)))
+
+        embedder = Counting()
+        matrix = embedder.embed_many(["a", "b", "a", "c", "b"])
+        assert embedder.texts == ["a", "b", "c"]
+        assert matrix[:, 0].tolist() == [1.0, 2.0, 1.0, 3.0, 2.0]
+
+    def test_embed_many_refuses_a_vector_of_another_shape(self):
+        class Short(HashEmbedder):
+            def embed(self, text):
+                return np.ones(3)
+
+        with pytest.raises(ValueError, match=r"^dimension mismatch: \(3,\) vs \(4,\)$"):
+            Short(4).embed_many(["a"])
 
     @pytest.mark.parametrize("boost", [0.1, 1 / 3, 0.7, 2.2])
     def test_boosts_sum_in_token_order(self, boost):
@@ -536,7 +570,11 @@ class TestHttpAdapters:
         {"embedding": [True, False]},
         {"embedding": ["1", "2"]},
         {"embedding": [10**400, 1.0]},
-    ], ids=["nan", "booleans", "strings", "too-large"])
+        {"embedding": [True, 1.5]},
+        {"embedding": [1, True]},
+        {"embedding": [0.5, False, 2]},
+    ], ids=["nan", "booleans", "strings", "too-large", "boolean-then-float", "int-then-boolean",
+            "boolean-between-numbers"])
     def test_embedder_rejects_non_finite(self, body):
         transport = FakeTransport([(200, body)])
         embedder = HttpEmbedder(
