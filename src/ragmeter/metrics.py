@@ -138,14 +138,18 @@ def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> 
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = math.sqrt(u.dot(u))
-    nv = math.sqrt(v.dot(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
+    # a finite vector's squared norm or dot may overflow; the rules below
+    # answer from the inf or NaN that gives
+    with np.errstate(over="ignore", invalid="ignore"):
+        nu = math.sqrt(u.dot(u))
+        nv = math.sqrt(v.dot(v))
+        if nu == 0.0 or nv == 0.0:
+            return 0.0
+        dot = float(np.dot(u, v))
     # both norms are at least sqrt of the least subnormal, so the product is
     # never 0 and the float division cannot raise
     norms = nu * nv
-    ratio = float(np.dot(u, v)) / norms
+    ratio = dot / norms
     # equal vectors give a ratio within rounding of 1, or NaN when they hold
     # an inf; only a product of norms outside the normal range can lose that
     # precision. Elsewhere the O(d) equality test cannot answer 1 and is skipped.
@@ -159,25 +163,35 @@ def _finite_embed(embedder: Embedder, text: str) -> np.ndarray:
     vec = np.asarray(embedder.embed(text), dtype=float)
     # a finite squared norm proves every component finite; only an overflow
     # needs the elementwise test
-    if not math.isfinite(vec.dot(vec)) and not np.isfinite(vec).all():
+    with np.errstate(over="ignore", invalid="ignore"):
+        square = vec.dot(vec)
+    if not math.isfinite(square) and not np.isfinite(vec).all():
         raise NonFiniteEmbeddingError("embedder returned a vector with a NaN or infinite component")
     return vec
 
 
-def _embeddings(embedder: Embedder, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The `(len(texts), d)` embeddings of `texts`, requested in order, and their squared norms.
+def _embeddings(
+    embedder: Embedder, texts: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray, Sequence[int]]:
+    """`(matrix, squares, index)`: embeddings of `texts`, their squared norms, and each text's row.
 
-    An embedder with `embed_many` answers in one call. Otherwise `embed` is
-    called once per text and each vector is tested as it arrives, so a bad
-    vector stops the requests. Raises NonFiniteEmbeddingError for a NaN or
-    infinite component and ValueError for vectors of different shapes.
+    `matrix[index[i]]` is the embedding of `texts[i]`. An embedder with
+    `embed_many` answers in one call that asks for each distinct text once,
+    in order of first occurrence. Otherwise `embed` is called once per text,
+    in order, `index` is `range(len(texts))`, and each vector is tested as it
+    arrives, so a bad vector stops the requests. Raises
+    NonFiniteEmbeddingError for a NaN or infinite component and ValueError
+    for vectors of different shapes.
     """
     embed_many = getattr(embedder, "embed_many", None)
     if embed_many is not None:
-        matrix = np.asarray(embed_many(texts), dtype=float)
-        if matrix.ndim != 2 or len(matrix) != len(texts):
-            raise ValueError(f"embed_many gave shape {matrix.shape} for {len(texts)} texts")
+        rows: dict[str, int] = {}
+        index: Sequence[int] = [rows.setdefault(text, len(rows)) for text in texts]
+        matrix = np.asarray(embed_many(list(rows)), dtype=float)
+        if matrix.ndim != 2 or len(matrix) != len(rows):
+            raise ValueError(f"embed_many gave shape {matrix.shape} for {len(rows)} texts")
     else:
+        index = range(len(texts))
         matrix = None
         for i, text in enumerate(texts):
             vec = _finite_embed(embedder, text)
@@ -188,38 +202,52 @@ def _embeddings(embedder: Embedder, texts: Sequence[str]) -> tuple[np.ndarray, n
             elif vec.shape != matrix.shape[1:]:
                 raise ValueError(f"dimension mismatch: {vec.shape} vs {matrix.shape[1:]}")
             matrix[i] = vec
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         squares = (matrix[:, None, :] @ matrix[:, :, None]).ravel()
     # finite squared norms prove every component finite; only an overflow
     # needs the elementwise test over the matrix
     if not np.isfinite(squares).all() and not np.isfinite(matrix).all():
         raise NonFiniteEmbeddingError("embedder returned a vector with a NaN or infinite component")
-    return matrix, squares
+    return matrix, squares, index
 
 
-def _best_similarities(matrix: np.ndarray, squares: np.ndarray, count: int) -> np.ndarray:
+def _best_similarities(
+    matrix: np.ndarray, squares: np.ndarray, index: Sequence[int], count: int
+) -> np.ndarray:
     """Each sentence's best cosine against `count` candidates, by the `cosine` rules.
 
-    `matrix` holds the candidate rows, then one row per (sentence, candidate)
-    pair, sentence by sentence with the candidates in order; `squares` holds
-    their squared norms. A zero norm gives 0, equal vectors give exactly 1,
-    and each sentence's max over its candidates is clamped to [-1, 1].
+    `index` gives the rows of `matrix`, and of `squares`, their squared
+    norms: first the candidates', then one per (sentence, candidate) pair,
+    sentence by sentence with the candidates in order. A zero norm gives 0,
+    equal vectors give exactly 1, and each sentence's max over its
+    candidates is clamped to [-1, 1].
     """
-    candidates = matrix[:count]
-    pairs = matrix[count:].reshape(-1, count, matrix.shape[1])
+    rows = np.asarray(index)
+    candidate_rows = rows[:count]
+    sentence_rows = rows[count:].reshape(-1, count)
     norms = np.sqrt(squares)
-    pair_norms = norms[count:].reshape(-1, count)
+    candidate_norms = norms[candidate_rows]
+    sentence_norms = norms[sentence_rows]
+    dots = np.empty(sentence_rows.shape)
+    block_rows = None
     with np.errstate(all="ignore"):
-        products = pair_norms * norms[:count]
-        ratios = (pairs.transpose(1, 0, 2) @ candidates[:, :, None])[..., 0].T / products
+        for c, column in enumerate(sentence_rows.T):
+            # one matrix-vector product per candidate over the sentence rows
+            # alone, in order, as the pair-matrix kernel ran it: one
+            # matrix-matrix product rounds some dots differently
+            if block_rows is None or (column != block_rows).any():
+                block, block_rows = matrix[column], column
+            dots[:, c] = block @ matrix[candidate_rows[c]]
+        products = sentence_norms * candidate_norms
+        ratios = dots / products
     # as in `cosine`: only a ratio near 1, a NaN or a product of norms outside
     # the normal range (0 or NaN with a zero norm) can hide an equal pair
     unsure = ~((ratios < _BELOW_ONE) & (products > _TINY_NORMS) & (products < math.inf))
     if unsure.any():
         for s, c in zip(*np.nonzero(unsure)):
-            if pair_norms[s, c] == 0.0 or norms[c] == 0.0:
+            if sentence_norms[s, c] == 0.0 or candidate_norms[c] == 0.0:
                 ratios[s, c] = 0.0
-            elif np.array_equal(pairs[s, c], candidates[c]):
+            elif np.array_equal(matrix[sentence_rows[s, c]], matrix[candidate_rows[c]]):
                 ratios[s, c] = 1.0
             elif math.isnan(ratios[s, c]):
                 ratios[s, c] = -1.0  # what `cosine`'s clamp makes of a NaN
@@ -279,8 +307,9 @@ def precision_score(
 def _relevance_details(
     original_query: str, questions: GeneratedQuestions, embedder: Embedder
 ) -> tuple[float, dict]:
-    vectors, _ = _embeddings(embedder, [original_query, *questions.questions])
-    raw = [cosine(vectors[0], v) for v in vectors[1:]]
+    vectors, _, index = _embeddings(embedder, [original_query, *questions.questions])
+    query = vectors[index[0]]
+    raw = [cosine(query, vectors[i]) for i in index[1:]]
     clamped = [min(max(c, 0.0), 1.0) for c in raw]
     score = math.fsum(clamped) / len(clamped)
     return score, {"generated_questions": list(questions.questions), "cosines": raw}

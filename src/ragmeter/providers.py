@@ -87,7 +87,8 @@ class Embedder(Protocol):
 
     `embed_many(texts)` answers a batch as one `(len(texts), d)` array whose
     row i is `embed(texts[i])`. It is optional: the metrics call it when an
-    embedder has it, and otherwise call `embed` once per text, in order.
+    embedder has it, with each distinct text of the batch once, and
+    otherwise call `embed` once per text, repeats included, in order.
     """
 
     def embed(self, text: str) -> np.ndarray: ...
@@ -288,23 +289,29 @@ def _needle_index(needles: Iterable[str]) -> tuple[re.Pattern, dict[str, str]]:
     return re.compile("|".join(map(re.escape, longest_first))), parents
 
 
-def _token_axis(token: str, dimension: int) -> int:
-    digest = hashlib.sha256(token.encode("utf-8")).digest()
+def _token_axis(token: bytes, dimension: int) -> int:
+    digest = hashlib.sha256(token).digest()
     return int.from_bytes(digest[:8], "big") % dimension
 
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# maps every byte but [a-z0-9] to a space: after `.encode("ascii", "replace")`
+# turns each non-ASCII character into "?", splitting on spaces gives the
+# ASCII tokens `[a-z0-9]+` finds in the lowered text
+_TOKEN_BYTES = bytes(c if c in b"abcdefghijklmnopqrstuvwxyz0123456789" else 0x20 for c in range(256))
 
 
 class HashEmbedder:
     """Deterministic bag-of-tokens embedder for offline runs.
 
-    Each token adds one unit to a sha256-hashed axis; tokens listed in
-    `keyword_channels` additionally boost a dedicated axis so topical texts
-    cluster. Vectors are L2-normalized; empty (token-free) text maps to the
-    all-zeros vector, whose cosine against anything is defined as 0.
-    Every call returns a newly computed array; only each token's axis is
-    kept between calls.
+    Each token (a run of `[a-z0-9]` in the lowered text) adds one unit to a
+    sha256-hashed axis; tokens listed in `keyword_channels` additionally
+    boost a dedicated axis so topical texts cluster. Vectors are
+    L2-normalized; empty (token-free) text maps to the all-zeros vector,
+    whose cosine against anything is defined as 0. A batch is embedded in
+    one pass: one `bincount` builds every row and one division of the
+    entries that are not 0 normalizes them, so each row is bit-identical to
+    embedding its text alone. Every call returns a newly computed array;
+    only each token's axis is kept between calls.
     """
 
     in_process = True
@@ -323,53 +330,74 @@ class HashEmbedder:
             if not 0 <= axis < dimension:
                 raise ValueError(f"keyword {keyword!r} axis {axis} outside dimension {dimension}")
         self.dimension = dimension
-        self._channels = channels
+        # tokens are ASCII bytes; a keyword that is not ASCII can match none
+        self._channels = {
+            keyword.encode("ascii"): axis for keyword, axis in channels.items() if keyword.isascii()
+        }
         self._boost = keyword_boost
         # token -> hashed axis; racing threads can only store the same value
-        self._axes: dict[str, int] = {}
+        self._axes: dict[bytes, int] = {}
         self.identifier = f"stub:hash-{dimension}"
 
+    def _vectors(self, texts: Sequence[str]) -> np.ndarray:
+        """The `(len(texts), dimension)` embeddings of `texts`, computed in one pass."""
+        dimension, axes, channels = self.dimension, self._axes, self._channels
+        # row r's token axes and keyword channels are bins r * dimension + axis;
+        # `boosted` holds the positions of the channel bins
+        bins: list[int] = []
+        boosted: list[int] = []
+        for row, text in enumerate(texts):
+            offset = row * dimension
+            for token in text.lower().encode("ascii", "replace").translate(_TOKEN_BYTES).split():
+                axis = axes.get(token)
+                if axis is None:
+                    axis = axes[token] = _token_axis(token, dimension)
+                bins.append(offset + axis)
+                channel = channels.get(token)
+                if channel is not None:
+                    boosted.append(len(bins))
+                    bins.append(offset + channel)
+        if not bins:
+            return np.zeros((len(texts), dimension))
+        touched = np.array(bins)
+        weights = np.ones(len(touched))
+        weights[boosted] = self._boost
+        # bincount adds the weights in list order, so each sum is that of
+        # adding a row's token units and boosts one after another
+        flat = np.bincount(touched, weights, minlength=len(texts) * dimension)
+        matrix = flat.reshape(-1, dimension)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # a stacked matmul gives each row's `vec.dot(vec)` bit for bit
+            norms = np.sqrt((matrix[:, None, :] @ matrix[:, :, None]).ravel())
+            # a zero (or NaN) norm leaves its row as it is
+            norms[~(norms > 0.0)] = 1.0
+            # every other entry is 0, which the division leaves 0
+            flat[touched] /= norms[touched // dimension]
+        return matrix
+
     def embed(self, text: str) -> np.ndarray:
-        # bincount adds the weights in list order, so the sums are those of
-        # adding each token's unit and boost one after another
-        axes: list[int] = []
-        weights: list[float] = []
-        for token in _TOKEN_RE.findall(text.lower()):
-            axis = self._axes.get(token)
-            if axis is None:
-                axis = self._axes[token] = _token_axis(token, self.dimension)
-            axes.append(axis)
-            weights.append(1.0)
-            channel = self._channels.get(token)
-            if channel is not None:
-                axes.append(channel)
-                weights.append(self._boost)
-        if axes:
-            vec = np.bincount(axes, weights, minlength=self.dimension)
-            norm = math.sqrt(vec.dot(vec))
-            if norm > 0.0:
-                vec /= norm
-        else:
-            vec = np.zeros(self.dimension)
-        return vec
+        return self._vectors([text])[0]
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         """`(len(texts), dimension)` array whose row i is `self.embed(texts[i])`.
 
-        `self.embed` runs once per distinct text, so a subclass that
-        overrides it is used here too; a repeated text gets a copy of the
-        row its first occurrence got. Raises ValueError when `embed` returns
-        a vector of another shape.
+        Each distinct text is embedded once, and a repeated text gets a copy
+        of the row its first occurrence got. A subclass that overrides
+        `embed` has it called once per distinct text. Raises ValueError when
+        such an `embed` returns a vector of another shape.
         """
         rows: dict[str, int] = {}
         index = [rows.setdefault(text, len(rows)) for text in texts]
-        shape = (self.dimension,)
-        distinct = np.empty((len(rows), self.dimension))
-        for i, text in enumerate(rows):
-            vec = self.embed(text)
-            if vec.shape != shape:
-                raise ValueError(f"dimension mismatch: {vec.shape} vs {shape}")
-            distinct[i] = vec
+        if type(self).embed is HashEmbedder.embed:
+            distinct = self._vectors(list(rows))
+        else:
+            shape = (self.dimension,)
+            distinct = np.empty((len(rows), self.dimension))
+            for i, text in enumerate(rows):
+                vec = self.embed(text)
+                if vec.shape != shape:
+                    raise ValueError(f"dimension mismatch: {vec.shape} vs {shape}")
+                distinct[i] = vec
         return distinct if len(distinct) == len(index) else distinct[index]
 
 

@@ -2,6 +2,7 @@
 
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from helpers import (
     http_bundle,
     precision_transcript,
     reference_cosine,
+    reference_pair_similarities,
     reference_precision,
     scripts_for_record,
 )
@@ -207,6 +209,9 @@ class BatchDictEmbedder(DictEmbedder):
 SIMILARITY_TOLERANCE = 32 * np.finfo(np.float64).eps
 
 
+KERNEL_VOCAB = ["alpha", "beta", "gamma", "delta", "tide", "moon", "sea", "x", "9"]
+
+
 class TestSimilarityKernel:
     """Precision matching against the per-pair `cosine` loop it replaced."""
 
@@ -304,9 +309,46 @@ class TestSimilarityKernel:
         embedder = BatchDictEmbedder({"A.": [1.0, 0.0], "B.": [0.0, 1.0], "C.": [1.0, 1.0]}, 2)
         extraction = PrecisionExtraction(("A.", "B."), False, "raw")
         score, details = _precision_details(extraction, ["A. C. D."], embedder, SimilarityConfig(0.7))
-        assert embedder.batches == [["A.", "B.", "C.", "C.", "D.", "D."]]
+        assert embedder.batches == [["A.", "B.", "C.", "D."]]
         assert details["matched_sentences"] == ["A.", "C."]
         assert score == pytest.approx(2 / 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_hash_embedder_similarities_match_the_pair_matrix_bit_for_bit(self, data):
+        # the kernel reads deduplicated rows through an index; the reference
+        # scores one embedded row per (sentence, candidate) pair. Sentences
+        # repeat across chunks, candidates repeat, and blocks run up to 60
+        # sentences of up to 1024 dimensions.
+        words = st.lists(st.sampled_from(KERNEL_VOCAB), min_size=1, max_size=8)
+        sentence = words.map(lambda ws: " ".join(ws).capitalize() + ".")
+        pool = data.draw(st.lists(sentence, min_size=1, max_size=12, unique=True), label="pool")
+        candidates = data.draw(
+            st.lists(st.one_of(st.sampled_from(pool), sentence), min_size=1, max_size=4), label="candidates"
+        )
+        chunks = data.draw(
+            st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=12).map(" ".join),
+                     min_size=1, max_size=5),
+            label="chunks",
+        )
+        dimension = data.draw(st.sampled_from([4, 64, 1024]), label="dimension")
+        batched = data.draw(st.booleans(), label="batched")
+        embedder = HashEmbedder(dimension) if batched else RecordingEmbedder(HashEmbedder(dimension))
+        extraction = PrecisionExtraction(tuple(candidates), False, "raw")
+        _, details = _precision_details(extraction, chunks, embedder, SimilarityConfig())
+        assert details["similarities"] == reference_pair_similarities(
+            extraction, chunks, HashEmbedder(dimension)
+        )
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_the_last_bit_decides_a_match_at_the_threshold(self, batched):
+        # `cosine` gives 0.8000000000000002 here, and the raw dot of the two
+        # unit vectors 0.7999999999999999, which would miss the match
+        embedder = HashEmbedder(1024) if batched else RecordingEmbedder(HashEmbedder(1024))
+        extraction = PrecisionExtraction(("Alpha alpha beta.",), False, "raw")
+        _, details = _precision_details(extraction, ["Alpha beta beta."], embedder, SimilarityConfig(0.8))
+        assert details["similarities"] == [0.8000000000000002]
+        assert details["matched_sentences"] == ["Alpha beta beta."]
 
     def test_batched_non_finite_vector_refused(self):
         embedder = BatchDictEmbedder({"B.": [math.nan, 1.0]}, 2)
@@ -407,6 +449,17 @@ class TestAnswerRelevance:
         embedder = DictEmbedder({"orig": [1e200, 1e200], "q": [1e200, 1e200]}, 2)
         questions = GeneratedQuestions(("q",), ("t",))
         assert answer_relevance_score("orig", questions, embedder) == 1.0
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_huge_finite_vectors_warn_nothing(self, batched):
+        # the squared norms overflow and one dot is inf - inf; the scores come
+        # from the inf and NaN that gives, as before, with no warning printed
+        mapping = {"orig": [1e200, 1e200], "q": [1e200, 1e200], "r": [1e200, -1e200]}
+        embedder = (BatchDictEmbedder if batched else DictEmbedder)(mapping, 2)
+        questions = GeneratedQuestions(("q", "r"), ("t",) * 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert answer_relevance_score("orig", questions, embedder) == 0.5
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_embedding_refused(self, bad):

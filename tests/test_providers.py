@@ -172,6 +172,19 @@ class TestScriptedGenerator:
             assert generator.complete(prompt) == reference.complete(prompt)
 
 
+HASH_VOCAB = ["cloud", "sales", "river", "stone", "x", "9"]
+# the Kelvin sign (lowers to ASCII "k"), dotted capital I (lowers to "i" and
+# a combining dot), sharp s, NUL and a lone surrogate
+UNICODE_WORDS = ["\u212a", "\u0130", "\u00df", "\x00", "\ud800"]
+UNICODE_TEXT = " ".join(UNICODE_WORDS) + " x\u212a9 a\u0130b Stra\u00dfe\x00cloud \ud800river"
+# any code point, surrogates included
+ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=6)
+hash_texts = st.one_of(
+    st.text(st.characters(exclude_categories=())),
+    st.lists(st.one_of(st.sampled_from(HASH_VOCAB + UNICODE_WORDS), ANY_TEXT), max_size=12).map(" ".join),
+)
+
+
 class TestHashEmbedder:
     def test_identical_text_cosine_is_one(self):
         embedder = HashEmbedder(128)
@@ -220,10 +233,9 @@ class TestHashEmbedder:
     def test_matches_loop_reference_bit_for_bit(self, data):
         # small dimensions make hashed axes collide with each other and with
         # keyword channels; non-integer boosts make the order of the sums matter
-        vocab = ["cloud", "sales", "river", "stone", "x", "9"]
         dimension = data.draw(st.integers(1, 12), label="dimension")
         channels = {}
-        for keyword in data.draw(st.lists(st.sampled_from(vocab), unique=True), label="keywords"):
+        for keyword in data.draw(st.lists(st.sampled_from(HASH_VOCAB), unique=True), label="keywords"):
             channels[keyword] = data.draw(
                 st.one_of(
                     st.just(reference_token_axis(keyword, dimension)),
@@ -238,12 +250,8 @@ class TestHashEmbedder:
             ),
             label="boost",
         )
-        words = st.one_of(st.sampled_from(vocab), st.text(max_size=6))
-        texts = data.draw(
-            st.lists(st.one_of(st.text(), st.lists(words, max_size=12).map(" ".join)), max_size=5),
-            label="texts",
-        )
-        other = data.draw(st.text(max_size=6), label="other text")
+        texts = data.draw(st.lists(hash_texts, max_size=5), label="texts") + [UNICODE_TEXT]
+        other = data.draw(ANY_TEXT, label="other text")
         embedder = HashEmbedder(dimension, channels, keyword_boost=boost)
         # repeated texts and tokens go through the memoised axes; each text is
         # embedded twice in a row and once more after another text
@@ -269,14 +277,22 @@ class TestHashEmbedder:
         empty[0] = 1.0
         assert not embedder.embed("").any()
 
-    @given(st.lists(st.sampled_from(["cloud sales", "river stone", "", "x 9", "cloud"]), max_size=8),
-           st.integers(1, 12))
-    def test_embed_many_rows_equal_embed_bit_for_bit(self, texts, dimension):
-        embedder = HashEmbedder(dimension, {"cloud": 0}, keyword_boost=1 / 3)
+    @given(st.data())
+    def test_embed_many_rows_equal_embed_bit_for_bit(self, data):
+        # a mixed batch: empty texts, repeats, keyword channels and a
+        # non-integer boost, each row checked against the loop reference
+        dimension = data.draw(st.integers(1, 12), label="dimension")
+        boost = data.draw(st.sampled_from([1 / 3, 0.1, 2.2, -1.0]), label="boost")
+        channels = {"cloud": 0, "x": dimension - 1}
+        pool = data.draw(st.lists(hash_texts, min_size=1, max_size=4), label="pool") + ["", UNICODE_TEXT]
+        texts = data.draw(st.lists(st.sampled_from(pool), max_size=10), label="texts")
+        embedder = HashEmbedder(dimension, channels, keyword_boost=boost)
         matrix = embedder.embed_many(texts)
         assert matrix.shape == (len(texts), dimension) and matrix.dtype == np.float64
         for row, text in zip(matrix, texts):
-            assert np.array_equal(row, embedder.embed(text))
+            expected = reference_embed(text, dimension, channels, boost)
+            assert np.array_equal(row, expected)
+            assert np.array_equal(embedder.embed(text), expected)
         if texts:
             matrix[:] = 7.0
             assert np.array_equal(embedder.embed_many(texts)[0], embedder.embed(texts[0]))
