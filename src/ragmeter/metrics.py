@@ -158,50 +158,40 @@ def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> 
     return min(1.0, max(-1.0, ratio))
 
 
-def _finite_embed(embedder: Embedder, text: str) -> np.ndarray:
-    """`embedder.embed(text)`, raising NonFiniteEmbeddingError for a vector with a NaN or inf."""
-    vec = np.asarray(embedder.embed(text), dtype=float)
-    # a finite squared norm proves every component finite; only an overflow
-    # needs the elementwise test
-    with np.errstate(over="ignore", invalid="ignore"):
-        square = vec.dot(vec)
-    if not math.isfinite(square) and not np.isfinite(vec).all():
-        raise NonFiniteEmbeddingError("embedder returned a vector with a NaN or infinite component")
-    return vec
-
-
 def _embeddings(
     embedder: Embedder, texts: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray, Sequence[int]]:
-    """`(matrix, squares, index)`: embeddings of `texts`, their squared norms, and each text's row.
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """`(matrix, squares, index)`: one embedding row per distinct text, their squared norms, and each text's row.
 
-    `matrix[index[i]]` is the embedding of `texts[i]`. An embedder with
-    `embed_many` answers in one call that asks for each distinct text once,
-    in order of first occurrence. Otherwise `embed` is called once per text,
-    in order, `index` is `range(len(texts))`, and each vector is tested as it
-    arrives, so a bad vector stops the requests. Raises
+    `matrix[index[i]]` is the embedding of `texts[i]`, and the rows follow
+    the texts' first occurrences. An embedder with `embed_many` answers in
+    one call that asks for each distinct text once, in that order.
+    Otherwise `embed` is called once per text, repeats included, in order,
+    and each reply is tested as it arrives, so a bad vector stops the
+    requests; a repeated text's row holds its last reply. Raises
     NonFiniteEmbeddingError for a NaN or infinite component and ValueError
     for vectors of different shapes.
     """
+    rows: dict[str, int] = {}
+    index = [rows.setdefault(text, len(rows)) for text in texts]
     embed_many = getattr(embedder, "embed_many", None)
     if embed_many is not None:
-        rows: dict[str, int] = {}
-        index: Sequence[int] = [rows.setdefault(text, len(rows)) for text in texts]
         matrix = np.asarray(embed_many(list(rows)), dtype=float)
         if matrix.ndim != 2 or len(matrix) != len(rows):
             raise ValueError(f"embed_many gave shape {matrix.shape} for {len(rows)} texts")
     else:
-        index = range(len(texts))
         matrix = None
-        for i, text in enumerate(texts):
-            vec = _finite_embed(embedder, text)
+        for text, row in zip(texts, index):
+            vec = np.asarray(embedder.embed(text), dtype=float)
+            if not np.isfinite(vec).all():
+                raise NonFiniteEmbeddingError("embedder returned a vector with a NaN or infinite component")
             if matrix is None:
                 if vec.ndim != 1:
                     raise ValueError(f"embedder returned shape {vec.shape}, not a 1-d vector")
-                matrix = np.empty((len(texts), len(vec)))
+                matrix = np.empty((len(rows), len(vec)))
             elif vec.shape != matrix.shape[1:]:
                 raise ValueError(f"dimension mismatch: {vec.shape} vs {matrix.shape[1:]}")
-            matrix[i] = vec
+            matrix[row] = vec
     with np.errstate(over="ignore", invalid="ignore"):
         squares = (matrix[:, None, :] @ matrix[:, :, None]).ravel()
     # finite squared norms prove every component finite; only an overflow
@@ -212,42 +202,36 @@ def _embeddings(
 
 
 def _best_similarities(
-    matrix: np.ndarray, squares: np.ndarray, index: Sequence[int], count: int
+    matrix: np.ndarray, squares: np.ndarray, candidate_rows: Sequence[int], sentence_rows: Sequence[int]
 ) -> np.ndarray:
-    """Each sentence's best cosine against `count` candidates, by the `cosine` rules.
+    """Each sentence's best cosine against the candidates, by the `cosine` rules.
 
-    `index` gives the rows of `matrix`, and of `squares`, their squared
-    norms: first the candidates', then one per (sentence, candidate) pair,
-    sentence by sentence with the candidates in order. A zero norm gives 0,
-    equal vectors give exactly 1, and each sentence's max over its
-    candidates is clamped to [-1, 1].
+    `candidate_rows` and `sentence_rows` give the rows of `matrix`, and of
+    `squares`, their squared norms, one per candidate and one per sentence.
+    A zero norm gives 0, equal vectors give exactly 1, and each sentence's
+    max over the candidates is clamped to [-1, 1].
     """
-    rows = np.asarray(index)
-    candidate_rows = rows[:count]
-    sentence_rows = rows[count:].reshape(-1, count)
     norms = np.sqrt(squares)
     candidate_norms = norms[candidate_rows]
     sentence_norms = norms[sentence_rows]
-    dots = np.empty(sentence_rows.shape)
-    block_rows = None
+    block = matrix[sentence_rows]
+    dots = np.empty((len(sentence_rows), len(candidate_rows)))
     with np.errstate(all="ignore"):
-        for c, column in enumerate(sentence_rows.T):
+        for c, row in enumerate(candidate_rows):
             # one matrix-vector product per candidate over the sentence rows
             # alone, in order, as the pair-matrix kernel ran it: one
             # matrix-matrix product rounds some dots differently
-            if block_rows is None or (column != block_rows).any():
-                block, block_rows = matrix[column], column
-            dots[:, c] = block @ matrix[candidate_rows[c]]
-        products = sentence_norms * candidate_norms
+            dots[:, c] = block @ matrix[row]
+        products = sentence_norms[:, None] * candidate_norms
         ratios = dots / products
     # as in `cosine`: only a ratio near 1, a NaN or a product of norms outside
     # the normal range (0 or NaN with a zero norm) can hide an equal pair
     unsure = ~((ratios < _BELOW_ONE) & (products > _TINY_NORMS) & (products < math.inf))
     if unsure.any():
         for s, c in zip(*np.nonzero(unsure)):
-            if sentence_norms[s, c] == 0.0 or candidate_norms[c] == 0.0:
+            if sentence_norms[s] == 0.0 or candidate_norms[c] == 0.0:
                 ratios[s, c] = 0.0
-            elif np.array_equal(matrix[sentence_rows[s, c]], matrix[candidate_rows[c]]):
+            elif np.array_equal(block[s], matrix[candidate_rows[c]]):
                 ratios[s, c] = 1.0
             elif math.isnan(ratios[s, c]):
                 ratios[s, c] = -1.0  # what `cosine`'s clamp makes of a NaN
@@ -270,9 +254,12 @@ def _precision_details(
     others = [s for s in context_sentences if s.strip() not in exact]
     best = iter(())
     if others:
-        # the candidates, then each other sentence once per candidate
+        # the candidates, then each other sentence once per candidate, as an
+        # `embed` loop asks for them
         texts = candidates + [s for s in others for _ in candidates]
-        best = iter(_best_similarities(*_embeddings(embedder, texts), len(candidates)).tolist())
+        matrix, squares, index = _embeddings(embedder, texts)
+        count = len(candidates)
+        best = iter(_best_similarities(matrix, squares, index[:count], index[count::count]).tolist())
     similarities = [1.0 if s.strip() in exact else next(best) for s in context_sentences]
     relevant = [
         s for s, similarity in zip(context_sentences, similarities)

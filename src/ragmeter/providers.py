@@ -85,15 +85,15 @@ class TextGenerator(Protocol):
 class Embedder(Protocol):
     """Maps a text to a 1-d float vector.
 
-    `embed_many(texts)` answers a batch as one `(len(texts), d)` array whose
-    row i is `embed(texts[i])`. It is optional: the metrics call it when an
-    embedder has it, with each distinct text of the batch once, and
-    otherwise call `embed` once per text, repeats included, in order.
+    An embedder may also have `embed_many(texts)`, answering a batch as one
+    `(len(texts), d)` array whose row i is `embed(texts[i])`. The metrics
+    call it when an embedder has it, with each distinct text of the batch
+    once, and otherwise call `embed` once per text, repeats included, in
+    order. A `HashEmbedder` subclass that overrides `embed` must override
+    `embed_many` too, or the metrics never call its `embed`.
     """
 
     def embed(self, text: str) -> np.ndarray: ...
-
-    def embed_many(self, texts: Sequence[str]) -> np.ndarray: ...
 
 
 class PairScorer(Protocol):
@@ -310,8 +310,11 @@ class HashEmbedder:
     whose cosine against anything is defined as 0. A batch is embedded in
     one pass: one `bincount` builds every row and one division of the
     entries that are not 0 normalizes them, so each row is bit-identical to
-    embedding its text alone. Every call returns a newly computed array;
-    only each token's axis is kept between calls.
+    embedding its text alone. `embed_many` embeds every text it is given,
+    repeats included (the metrics pass each distinct text once), and never
+    calls `embed`: a subclass that overrides `embed` overrides `embed_many`
+    too. Every call returns a newly computed array; only each token's axis
+    is kept between calls.
     """
 
     in_process = True
@@ -379,26 +382,8 @@ class HashEmbedder:
         return self._vectors([text])[0]
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
-        """`(len(texts), dimension)` array whose row i is `self.embed(texts[i])`.
-
-        Each distinct text is embedded once, and a repeated text gets a copy
-        of the row its first occurrence got. A subclass that overrides
-        `embed` has it called once per distinct text. Raises ValueError when
-        such an `embed` returns a vector of another shape.
-        """
-        rows: dict[str, int] = {}
-        index = [rows.setdefault(text, len(rows)) for text in texts]
-        if type(self).embed is HashEmbedder.embed:
-            distinct = self._vectors(list(rows))
-        else:
-            shape = (self.dimension,)
-            distinct = np.empty((len(rows), self.dimension))
-            for i, text in enumerate(rows):
-                vec = self.embed(text)
-                if vec.shape != shape:
-                    raise ValueError(f"dimension mismatch: {vec.shape} vs {shape}")
-                distinct[i] = vec
-        return distinct if len(distinct) == len(index) else distinct[index]
+        """`(len(texts), dimension)` array whose row i is `self.embed(texts[i])`."""
+        return self._vectors(texts)
 
 
 _SCORE_STATEMENT_PATTERNS = (

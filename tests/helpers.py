@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -160,14 +161,78 @@ def backend_transport(backend: ProviderBundle, threads: set):
     return transport
 
 
+def http_adapters(transport, sleep=time.sleep) -> ProviderBundle:
+    """The three HTTP adapters, all posting through `transport` and backing off with `sleep`."""
+    return ProviderBundle(
+        HttpGenerator(EndpointConfig(url="http://backend.test/generate"), transport=transport, sleep=sleep),
+        HttpEmbedder(EndpointConfig(url="http://backend.test/embed"), transport=transport, sleep=sleep),
+        HttpPairScorer(EndpointConfig(url="http://backend.test/score"), transport=transport, sleep=sleep),
+    )
+
+
 def http_bundle(backend: ProviderBundle, threads: set) -> ProviderBundle:
     """HTTP adapters over an in-memory transport that answers from `backend` (see `backend_transport`)."""
-    transport = backend_transport(backend, threads)
-    return ProviderBundle(
-        HttpGenerator(EndpointConfig(url="http://backend.test/generate"), transport=transport),
-        HttpEmbedder(EndpointConfig(url="http://backend.test/embed"), transport=transport),
-        HttpPairScorer(EndpointConfig(url="http://backend.test/score"), transport=transport),
-    )
+    return http_adapters(backend_transport(backend, threads))
+
+
+# the faults `FaultyTransport` injects, each with the error an adapter call
+# that keeps meeting it raises: the first three are retried until the
+# attempts run out, the last two end the call at once
+FAULT_ERRORS = {
+    "429": "ProviderTimeoutError",
+    "503": "ProviderTimeoutError",
+    "raise": "ProviderTimeoutError",
+    "not-json": "ProviderResponseError",
+    "404": "ProviderHTTPError",
+}
+TRANSIENT_FAULTS = ("429", "503", "raise")
+
+
+class FaultyTransport:
+    """A `Transport` that fails the first k attempts of a call with a fault, then forwards to `inner`.
+
+    `schedule(url, payload)` gives `(fault, k)`: a key of `FAULT_ERRORS`, or
+    None for no fault. It depends on the request alone, so a call meets the
+    same faults whatever thread makes it and whatever runs beside it.
+    Attempts are counted per thread and payload digest: a request with the
+    digest of the thread's last request continues its count, and the count
+    resets when the request is forwarded and when a fault ends the call at
+    once. The metrics never repeat a request right after it failed, so each
+    count is one call's attempts. Pass `sleep`, which waits for nothing, to
+    the adapters. `calls` holds `(url, payload, attempt)` for every
+    transport call, in order.
+    """
+
+    def __init__(self, inner, schedule):
+        self._inner, self._schedule = inner, schedule
+        self._local = threading.local()
+        self.calls: list[tuple[str, bytes, int]] = []
+
+    @staticmethod
+    def sleep(seconds: float) -> None:
+        pass
+
+    def __call__(self, url, payload, headers, timeout):
+        local = self._local
+        digest = hashlib.sha256(url.encode("utf-8") + payload).digest()
+        if getattr(local, "digest", None) != digest:
+            local.digest, local.attempt = digest, 0
+        local.attempt += 1
+        self.calls.append((url, payload, local.attempt))
+        fault, k = self._schedule(url, payload)
+        if fault is None or local.attempt > k:
+            local.digest = None
+            return self._inner(url, payload, headers, timeout)
+        if fault not in TRANSIENT_FAULTS:
+            local.digest = None
+        if fault == "raise":
+            raise ConnectionResetError("injected connection reset")
+        return {
+            "429": (429, b"slow down"),
+            "503": (503, b"unavailable"),
+            "not-json": (200, b"<html>not json</html>"),
+            "404": (404, b"no such route"),
+        }[fault]
 
 
 def reference_token_axis(token: str, dimension: int) -> int:

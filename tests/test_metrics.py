@@ -1,6 +1,9 @@
 """Tests for per-record scoring and set evaluation."""
 
+import hashlib
+import json
 import math
+import random
 import threading
 import warnings
 
@@ -10,15 +13,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    FAULT_ERRORS,
     FAITH_MARK,
     PRECISION_MARK,
     QGEN_MARK,
     RECALL_MARK,
+    TRANSIENT_FAULTS,
     DictEmbedder,
+    FaultyTransport,
     RecordingEmbedder,
     TIDES_CONTEXT,
     TIDES_QUESTION,
     backend_transport,
+    http_adapters,
     http_bundle,
     precision_transcript,
     reference_cosine,
@@ -60,6 +67,7 @@ from ragmeter.providers import (
     LinearPairScorer,
     ProviderBundle,
     ProviderTimeoutError,
+    RetryPolicy,
     ScriptedGenerator,
 )
 
@@ -410,19 +418,64 @@ class TestEmbeddingRequests:
             precision_score(extraction, ["D."], recorded, SimilarityConfig())
         assert recorded.texts == ["A.", "B."]
 
-    @pytest.mark.parametrize("batched", [False, True])
+    # the `embed` loop only: one `embed_many` batch is one 2-d array, which
+    # cannot mix shapes, and `test_batch_of_another_shape_is_refused` covers
+    # its refusal
+    @pytest.mark.parametrize("batched", [False])
     def test_dimension_mismatch_names_both_shapes(self, batched):
-        class Uneven(HashEmbedder):
+        class Uneven:
             def embed(self, text):
                 return np.ones(3) if text.startswith("S") else np.ones(2)
 
-        embedder = Uneven(2) if batched else RecordingEmbedder(Uneven(2))
+        embedder = RecordingEmbedder(Uneven())
         extraction = PrecisionExtraction(("Candidate.",), False, "raw")
         # the vector that differs, then the shape of the first
         with pytest.raises(ValueError, match=r"^dimension mismatch: \(3,\) vs \(2,\)$"):
             precision_score(extraction, ["Sentence."], embedder, SimilarityConfig())
         with pytest.raises(ValueError, match=r"^dimension mismatch: \(3,\) vs \(2,\)$"):
             answer_relevance_score("query", GeneratedQuestions(("Some question?",), ("t",)), embedder)
+
+    @pytest.mark.parametrize(
+        "answer, shape",
+        [(lambda texts: np.ones((len(texts) + 1, 2)), r"\(3, 2\) for 2 texts"),
+         (lambda texts: np.ones(2 * len(texts)), r"\(4,\) for 2 texts")],
+        ids=["rows", "1-d"],
+    )
+    def test_batch_of_another_shape_is_refused(self, answer, shape):
+        class Misshapen(DictEmbedder):
+            def embed_many(self, texts):
+                return answer(texts)
+
+        embedder = Misshapen({}, 2)
+        extraction = PrecisionExtraction(("Candidate.",), False, "raw")
+        with pytest.raises(ValueError, match=rf"^embed_many gave shape {shape}$"):
+            precision_score(extraction, ["Sentence."], embedder, SimilarityConfig())
+        with pytest.raises(ValueError, match=rf"^embed_many gave shape {shape}$"):
+            answer_relevance_score("query", GeneratedQuestions(("Some question?",), ("t",)), embedder)
+
+    def test_an_embed_loop_answering_repeats_differently_keeps_one_row_per_text(self):
+        class Drifting:
+            """Turns its answer further on every call, whatever the text."""
+
+            def __init__(self):
+                self.texts = []
+
+            def embed(self, text):
+                self.texts.append(text)
+                return np.array([1.0, float(len(self.texts))])
+
+        embedder = Drifting()
+        extraction = PrecisionExtraction(("A.", "B."), False, "raw")
+        _, details = _precision_details(extraction, ["S. T. S."], embedder, SimilarityConfig())
+        # the requests the per-pair loop makes, repeats included
+        reference = RecordingEmbedder(HashEmbedder(8))
+        reference_precision(extraction, ["S. T. S."], reference, 0.8)
+        assert embedder.texts == reference.texts == ["A.", "B.", "S.", "S.", "T.", "T.", "S.", "S."]
+        # each text's row holds its last answer: "S." the 8th, "T." the 6th,
+        # so both occurrences of "S." get one similarity
+        a, b = [1.0, 1.0], [1.0, 2.0]
+        s, t = (max(cosine([1.0, k], a), cosine([1.0, k], b)) for k in (8.0, 6.0))
+        assert details["similarities"] == [s, t, s]
 
 
 class TestAnswerRelevance:
@@ -579,10 +632,10 @@ class TestEvaluateRecord:
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_embedding_fails_only_embedding_metrics(self, bad):
         class NonFiniteEmbedder(HashEmbedder):
-            def embed(self, text):
-                vec = super().embed(text)
-                vec[0] = bad
-                return vec
+            def embed_many(self, texts):
+                matrix = super().embed_many(texts)
+                matrix[:, 0] = bad
+                return matrix
 
         providers = ProviderBundle(full_providers().generator, NonFiniteEmbedder(64))
         vector = evaluate_record(full_record(), providers)
@@ -711,7 +764,7 @@ class TestEvaluateSet:
         assert serial.means == parallel.means
 
     def test_in_process_bundle_runs_on_calling_thread(self):
-        threads = set()
+        threads, embedder_threads = set(), set()
 
         class RecordingGenerator(ScriptedGenerator):
             def complete(self, prompt, params=None):
@@ -719,14 +772,14 @@ class TestEvaluateSet:
                 return super().complete(prompt, params)
 
         class RecordingEmbedder(HashEmbedder):
-            def embed(self, text):
-                threads.add(threading.get_ident())
-                return super().embed(text)
+            def embed_many(self, texts):
+                embedder_threads.add(threading.get_ident())
+                return super().embed_many(texts)
 
         record_set, providers = two_record_set(RecordingGenerator, RecordingEmbedder)
         evaluation = evaluate_set(record_set, providers, parallelism=4)
         assert evaluation.failure_counts["faithfulness"] == 0
-        assert threads == {threading.get_ident()}
+        assert threads == embedder_threads == {threading.get_ident()}
 
     def test_remote_scorer_leaves_an_in_process_bundle_on_the_calling_thread(self):
         threads, posts = set(), []
@@ -769,11 +822,12 @@ _sentence = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=5).map(lambda
 
 
 @st.composite
-def scripted_record_set(draw):
+def scripted_record_set(draw, max_questions=3):
     """(RecordSet, scripts): records whose judge calls the scripts mostly answer.
 
     A record may lack one of its scripts, or get verdicts or classifications
-    of the wrong length, so failed and degenerate metrics occur too.
+    of the wrong length, so failed and degenerate metrics occur too. Each
+    record's question script holds up to `max_questions` questions.
     """
     records, scripts = [], {}
     for i in range(draw(st.integers(1, 4))):
@@ -796,7 +850,7 @@ def scripted_record_set(draw):
             recall=draw(st.lists(st.booleans(), min_size=len(source), max_size=len(source))),
             precision=draw(st.lists(st.sampled_from(context_sentences), min_size=1, max_size=3) | st.none())
             if context_sentences else "skip",
-            questions=draw(st.lists(_sentence.map(lambda q: q + "?"), min_size=1, max_size=3)),
+            questions=draw(st.lists(_sentence.map(lambda q: q + "?"), min_size=1, max_size=max_questions)),
         )
         dropped = draw(st.none() | st.sampled_from(list(record_scripts)))
         scripts.update((key, value) for key, value in record_scripts.items() if key != dropped)
@@ -834,6 +888,91 @@ def test_http_adapters_match_the_stubs(generated, weights, bias, contexts_includ
         scorer = http_bundle(stub_bundle(), set()).scorer
         assert aggregate_set(pairs, scorer, contexts_included=contexts_included,
                              parallelism=parallelism) == expected
+
+
+_MARKED_METRICS = (
+    (FAITH_MARK, "faithfulness"),
+    (RECALL_MARK, "retrieval_recall"),
+    (PRECISION_MARK, "retrieval_precision"),
+    (QGEN_MARK, "answer_relevance"),
+)
+
+
+# one scripted question per record: records whose question prompts match one
+# script entry share its round-robin cursor, so with several questions which
+# record got which would depend on the thread interleaving at parallelism 4
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scripted_record_set(max_questions=1), st.binary(min_size=8, max_size=8),
+       st.sampled_from([0.0, 0.3, 0.7, 1.0]), st.sampled_from([0.0, 0.0, 0.2, 0.6]))
+def test_injected_http_faults_fail_exactly_the_metrics_they_hit(generated, seed, fault_share, fatal_share):
+    """Faults the retries absorb change nothing; the rest fail exactly the metrics whose calls they hit.
+
+    A `fault_share` of the requests meets a fault. Of those, a `fatal_share`
+    meets it on every attempt, which ends the call with the fault's typed
+    error; the rest meet a transient fault on fewer attempts than
+    `RetryPolicy.attempts`.
+    """
+    record_set, scripts = generated
+    attempts = RetryPolicy().attempts
+
+    def schedule(url, payload):
+        rng = random.Random(hashlib.sha256(seed + url.encode("utf-8") + payload).digest())
+        if rng.random() >= fault_share:
+            return None, 0
+        if rng.random() < fatal_share:
+            return rng.choice(sorted(FAULT_ERRORS)), math.inf
+        return rng.choice(TRANSIENT_FAULTS), rng.randint(1, attempts - 1)
+
+    def faulty(schedule):
+        backend = ProviderBundle(ScriptedGenerator(scripts), HashEmbedder(64))
+        transport = FaultyTransport(backend_transport(backend, set()), schedule)
+        return http_adapters(transport, transport.sleep), transport
+
+    # the fault-free run, one record after another, gives each metric's
+    # requests: a record starts with its faithfulness prompt, and each embed
+    # request belongs to the metric of the prompt before it
+    clean_bundle, clean = faulty(lambda url, payload: (None, 0))
+    clean_vectors = [evaluate_record(record, clean_bundle) for record in record_set.records]
+    requests = {}
+    record = -1
+    for url, payload, _ in clean.calls:
+        if url.endswith("/generate"):
+            prompt = json.loads(payload)["prompt"]
+            metric = next(m for mark, m in _MARKED_METRICS if mark in prompt)
+            record += metric == "faithfulness"
+        requests.setdefault((record, metric), []).append((url, payload))
+
+    def expected_error(record, metric):
+        for url, payload in requests.get((record, metric), ()):
+            fault, k = schedule(url, payload)
+            if k == math.inf:
+                return FAULT_ERRORS[fault]
+        return None
+
+    errors = [[expected_error(i, m) for m in METRICS] for i in range(len(record_set.records))]
+    every_metric_fails = all(
+        error is not None or not vector.result(metric).computed
+        for vector, row in zip(clean_vectors, errors) for metric, error in zip(METRICS, row)
+    )
+    results = []
+    for parallelism in (1, 4):
+        bundle, transport = faulty(schedule)
+        if every_metric_fails:
+            with pytest.raises(SetEvaluationError):
+                evaluate_set(record_set, bundle, parallelism=parallelism)
+        else:
+            evaluation = evaluate_set(record_set, bundle, parallelism=parallelism)
+            for vector, clean_vector, row in zip(evaluation.vectors, clean_vectors, errors):
+                for metric, error in zip(METRICS, row):
+                    result = vector.result(metric)
+                    if error is None:
+                        assert result == clean_vector.result(metric)
+                    else:
+                        assert result.status == "failed" and result.value is None
+                        assert result.diagnostics["error"].startswith(f"{error}: ")
+            results.append(evaluation)
+        assert max(attempt for _, _, attempt in transport.calls) <= attempts
+    assert all(evaluation == results[0] for evaluation in results)
 
 
 @given(st.lists(st.booleans(), min_size=1, max_size=20), st.lists(st.booleans(), min_size=1, max_size=20))

@@ -297,29 +297,6 @@ class TestHashEmbedder:
             matrix[:] = 7.0
             assert np.array_equal(embedder.embed_many(texts)[0], embedder.embed(texts[0]))
 
-    def test_embed_many_calls_an_overriding_embed_once_per_distinct_text(self):
-        class Counting(HashEmbedder):
-            def __init__(self):
-                super().__init__(8)
-                self.texts = []
-
-            def embed(self, text):
-                self.texts.append(text)
-                return np.full(8, float(len(self.texts)))
-
-        embedder = Counting()
-        matrix = embedder.embed_many(["a", "b", "a", "c", "b"])
-        assert embedder.texts == ["a", "b", "c"]
-        assert matrix[:, 0].tolist() == [1.0, 2.0, 1.0, 3.0, 2.0]
-
-    def test_embed_many_refuses_a_vector_of_another_shape(self):
-        class Short(HashEmbedder):
-            def embed(self, text):
-                return np.ones(3)
-
-        with pytest.raises(ValueError, match=r"^dimension mismatch: \(3,\) vs \(4,\)$"):
-            Short(4).embed_many(["a"])
-
     @pytest.mark.parametrize("boost", [0.1, 1 / 3, 0.7, 2.2])
     def test_boosts_sum_in_token_order(self, boost):
         # unit, boost, unit, boost, ... rounds differently from all units first
