@@ -129,33 +129,22 @@ _TINY_NORMS = 2.0**-1000
 
 
 def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> float:
-    """Cosine similarity; 0 when either vector has zero norm.
+    """Cosine similarity of two 1-d vectors: the one-pair form of `_best_similarities`.
 
-    Clamped to [-1, 1] to absorb rounding noise; equal nonzero vectors give
-    exactly 1.
+    0 when either vector has zero norm, exactly 1 for equal vectors, clamped
+    to [-1, 1]. Raises ValueError for input that is not 1-d and for vectors
+    of different lengths.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
+    if u.ndim != 1 or v.ndim != 1:
+        raise ValueError(f"cosine takes 1-d vectors, got shapes {u.shape} and {v.shape}")
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    # a finite vector's squared norm or dot may overflow; the rules below
-    # answer from the inf or NaN that gives
+    matrix = np.stack([u, v])
     with np.errstate(over="ignore", invalid="ignore"):
-        nu = math.sqrt(u.dot(u))
-        nv = math.sqrt(v.dot(v))
-        if nu == 0.0 or nv == 0.0:
-            return 0.0
-        dot = float(np.dot(u, v))
-    # both norms are at least sqrt of the least subnormal, so the product is
-    # never 0 and the float division cannot raise
-    norms = nu * nv
-    ratio = dot / norms
-    # equal vectors give a ratio within rounding of 1, or NaN when they hold
-    # an inf; only a product of norms outside the normal range can lose that
-    # precision. Elsewhere the O(d) equality test cannot answer 1 and is skipped.
-    if not (ratio < _BELOW_ONE and _TINY_NORMS < norms < math.inf) and np.array_equal(u, v):
-        return 1.0
-    return min(1.0, max(-1.0, ratio))
+        squares = (matrix[:, None, :] @ matrix[:, :, None]).ravel()
+    return float(_best_similarities(matrix, squares, [1], [0])[0])
 
 
 def _embeddings(
@@ -204,37 +193,37 @@ def _embeddings(
 def _best_similarities(
     matrix: np.ndarray, squares: np.ndarray, candidate_rows: Sequence[int], sentence_rows: Sequence[int]
 ) -> np.ndarray:
-    """Each sentence's best cosine against the candidates, by the `cosine` rules.
+    """Each sentence's best cosine against the candidates: the one similarity computation.
 
     `candidate_rows` and `sentence_rows` give the rows of `matrix`, and of
     `squares`, their squared norms, one per candidate and one per sentence.
-    A zero norm gives 0, equal vectors give exactly 1, and each sentence's
-    max over the candidates is clamped to [-1, 1].
+    Each pair's dot is a 1 x d by d x 1 product of one stacked matmul, which
+    numpy runs as the `dot` of the two rows, so it has the bits of
+    `u.dot(v)`. A zero norm gives 0, equal vectors give exactly 1, a NaN
+    gives -1, and each sentence's max over the candidates is clamped to
+    [-1, 1].
     """
     norms = np.sqrt(squares)
     candidate_norms = norms[candidate_rows]
     sentence_norms = norms[sentence_rows]
     block = matrix[sentence_rows]
-    dots = np.empty((len(sentence_rows), len(candidate_rows)))
+    candidates = matrix[candidate_rows]
     with np.errstate(all="ignore"):
-        for c, row in enumerate(candidate_rows):
-            # one matrix-vector product per candidate over the sentence rows
-            # alone, in order, as the pair-matrix kernel ran it: one
-            # matrix-matrix product rounds some dots differently
-            dots[:, c] = block @ matrix[row]
+        dots = (block[:, None, None, :] @ candidates[None, :, :, None])[:, :, 0, 0]
         products = sentence_norms[:, None] * candidate_norms
         ratios = dots / products
-    # as in `cosine`: only a ratio near 1, a NaN or a product of norms outside
-    # the normal range (0 or NaN with a zero norm) can hide an equal pair
+    # only a ratio near 1, a NaN or a product of norms outside the normal
+    # range (0 or NaN with a zero norm) can hide a zero norm or an equal pair;
+    # elsewhere the O(d) equality test cannot answer 1 and is skipped
     unsure = ~((ratios < _BELOW_ONE) & (products > _TINY_NORMS) & (products < math.inf))
     if unsure.any():
         for s, c in zip(*np.nonzero(unsure)):
             if sentence_norms[s] == 0.0 or candidate_norms[c] == 0.0:
                 ratios[s, c] = 0.0
-            elif np.array_equal(block[s], matrix[candidate_rows[c]]):
+            elif np.array_equal(block[s], candidates[c]):
                 ratios[s, c] = 1.0
             elif math.isnan(ratios[s, c]):
-                ratios[s, c] = -1.0  # what `cosine`'s clamp makes of a NaN
+                ratios[s, c] = -1.0
     return np.minimum(np.maximum(ratios.max(axis=1), -1.0), 1.0)
 
 
@@ -294,9 +283,9 @@ def precision_score(
 def _relevance_details(
     original_query: str, questions: GeneratedQuestions, embedder: Embedder
 ) -> tuple[float, dict]:
-    vectors, _, index = _embeddings(embedder, [original_query, *questions.questions])
-    query = vectors[index[0]]
-    raw = [cosine(query, vectors[i]) for i in index[1:]]
+    # the query is the one candidate and each question a sentence
+    matrix, squares, index = _embeddings(embedder, [original_query, *questions.questions])
+    raw = _best_similarities(matrix, squares, index[:1], index[1:]).tolist()
     clamped = [min(max(c, 0.0), 1.0) for c in raw]
     score = math.fsum(clamped) / len(clamped)
     return score, {"generated_questions": list(questions.questions), "cosines": raw}

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import ragmeter
 from ragmeter.corpus import EvalRecord
 from ragmeter.judge import recall_source_text, segment_sentences
-from ragmeter.metrics import MetricResult, MetricVector, cosine
+from ragmeter.metrics import MetricResult, MetricVector
 from ragmeter.providers import (
     EndpointConfig,
     HttpEmbedder,
@@ -75,7 +75,8 @@ def reference_precision(extraction, contexts, embedder, threshold: float) -> tup
 
     The candidates are embedded when the first sentence that is not an
     exact candidate comes up, then each such sentence is embedded once per
-    candidate and scored with one `cosine` call per pair.
+    candidate and scored with one `reference_cosine` call per pair, so
+    nothing here goes through `ragmeter.metrics`.
     """
     sentences = [s for chunk in contexts for s in segment_sentences(chunk)]
     exact = {c.strip() for c in extraction.candidate_sentences}
@@ -87,51 +88,9 @@ def reference_precision(extraction, contexts, embedder, threshold: float) -> tup
             continue
         if candidate_vectors is None:
             candidate_vectors = [embedder.embed(c) for c in extraction.candidate_sentences]
-        similarities.append(max(cosine(embedder.embed(sentence), cv) for cv in candidate_vectors))
+        similarities.append(max(reference_cosine(embedder.embed(sentence), cv) for cv in candidate_vectors))
     matched = [s for s, similarity in zip(sentences, similarities) if similarity >= threshold]
     return similarities, matched
-
-
-def reference_best_similarities(matrix: np.ndarray, squares: np.ndarray, count: int) -> np.ndarray:
-    """Pair-matrix reference for `metrics._best_similarities`, with the `cosine` rules.
-
-    `matrix` holds the candidate rows, then one row per (sentence, candidate)
-    pair, sentence by sentence with the candidates in order; `squares` holds
-    their squared norms. One stacked matrix-vector product per candidate
-    scores every pair.
-    """
-    candidates = matrix[:count]
-    pairs = matrix[count:].reshape(-1, count, matrix.shape[1])
-    norms = np.sqrt(squares)
-    pair_norms = norms[count:].reshape(-1, count)
-    with np.errstate(all="ignore"):
-        products = pair_norms * norms[:count]
-        ratios = (pairs.transpose(1, 0, 2) @ candidates[:, :, None])[..., 0].T / products
-    unsure = ~((ratios < 1.0 - 1e-6) & (products > 2.0**-1000) & (products < math.inf))
-    if unsure.any():
-        for s, c in zip(*np.nonzero(unsure)):
-            if pair_norms[s, c] == 0.0 or norms[c] == 0.0:
-                ratios[s, c] = 0.0
-            elif np.array_equal(pairs[s, c], candidates[c]):
-                ratios[s, c] = 1.0
-            elif math.isnan(ratios[s, c]):
-                ratios[s, c] = -1.0
-    return np.minimum(np.maximum(ratios.max(axis=1), -1.0), 1.0)
-
-
-def reference_pair_similarities(extraction, contexts, embedder) -> list[float]:
-    """Precision similarities through `reference_best_similarities`, one `embed` per pair row."""
-    sentences = [s for chunk in contexts for s in segment_sentences(chunk)]
-    candidates = list(extraction.candidate_sentences)
-    exact = {c.strip() for c in candidates}
-    others = [s for s in sentences if s.strip() not in exact]
-    best = iter(())
-    if others:
-        texts = candidates + [s for s in others for _ in candidates]
-        matrix = np.array([embedder.embed(text) for text in texts])
-        squares = (matrix[:, None, :] @ matrix[:, :, None]).ravel()
-        best = iter(reference_best_similarities(matrix, squares, len(candidates)).tolist())
-    return [1.0 if s.strip() in exact else next(best) for s in sentences]
 
 
 def backend_transport(backend: ProviderBundle, threads: set):

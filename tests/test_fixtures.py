@@ -1,6 +1,7 @@
 """Pinned checksums for versioned assets, the names the benchmark tracer
-patches, the rule that no module takes a private name from another, and
-self-tests for the stats oracle.
+patches, the rule that no module takes a private name from another, the
+rule that no module computes a dot product outside the stacked `@`
+products, and self-tests for the stats oracle.
 
 Any byte change to a shipped template or a golden file fails here first;
 template edits are breaking changes and must be made deliberately.
@@ -135,6 +136,42 @@ def test_private_name_detector_sees_every_form():
 def test_no_module_takes_a_private_name_from_another(path):
     module = "ragmeter" if path.stem == "__init__" else f"ragmeter.{path.stem}"
     assert private_names_taken(path.read_text(encoding="utf-8"), module) == []
+
+
+DOT_ROUTINES = {"dot", "inner", "vdot", "einsum"}
+
+
+def dot_calls(source: str) -> list[str]:
+    """The calls in `source` to a dot routine other than `@`: any `.dot`, `.inner`, `.vdot`, `.einsum` or `linalg.norm`, and those names imported from numpy."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            name = ast.unparse(node.func)
+            if node.func.attr in DOT_ROUTINES or name.endswith("linalg.norm"):
+                found.append(name)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            found += [f"{node.module}.{a.name}" for a in node.names if a.name in DOT_ROUTINES | {"norm"}]
+    return found
+
+
+def test_dot_call_detector_sees_every_form():
+    source = (
+        "u.dot(v)\nnp.dot(u, v)\nnp.inner(u, v)\nnp.vdot(u, v)\nnp.einsum('i,i', u, v)\n"
+        "np.linalg.norm(u)\nnumpy.linalg.norm(u)\nfrom numpy import dot\nfrom numpy.linalg import norm\n"
+        "u @ v\nnp.sqrt(u)\n"
+    )
+    assert sorted(dot_calls(source)) == [
+        "np.dot", "np.einsum", "np.inner", "np.linalg.norm", "np.vdot",
+        "numpy.dot", "numpy.linalg.norm", "numpy.linalg.norm", "u.dot",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.stem)
+def test_no_module_calls_a_dot_routine_but_the_stacked_matmul(path):
+    # every dot and squared norm is a 1 x d by d x 1 product of a stacked
+    # `@`, which numpy runs as one `dot` per pair: one routine, so
+    # similarities and norms round alike, and one place to change
+    assert dot_calls(path.read_text(encoding="utf-8")) == []
 
 
 class TestOracle:

@@ -29,7 +29,6 @@ from helpers import (
     http_bundle,
     precision_transcript,
     reference_cosine,
-    reference_pair_similarities,
     reference_precision,
     scripts_for_record,
 )
@@ -120,6 +119,18 @@ class TestCosine:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             cosine([1.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "u, v, shapes",
+        [(np.eye(2), np.eye(2), r"\(2, 2\) and \(2, 2\)"),
+         ([[1.0, 2.0]], [[3.0, 4.0]], r"\(1, 2\) and \(1, 2\)"),
+         (2.0, 2.0, r"\(\) and \(\)"),
+         ([1.0, 2.0], [[1.0, 2.0]], r"\(2,\) and \(1, 2\)")],
+        ids=["2x2", "1x2", "0-d", "1-d with 2-d"],
+    )
+    def test_input_that_is_not_1d_is_refused_naming_its_shape(self, u, v, shapes):
+        with pytest.raises(ValueError, match=rf"^cosine takes 1-d vectors, got shapes {shapes}$"):
+            cosine(u, v)
 
     @given(st.data())
     def test_matches_norm_reference_bit_for_bit(self, data):
@@ -212,11 +223,6 @@ class BatchDictEmbedder(DictEmbedder):
         return np.array([self.embed(t) for t in texts]).reshape(len(texts), self.dimension)
 
 
-# Each ratio carries at most about (d + 3) roundings of float64 in either
-# implementation, so for d <= 8 two of them differ by less than 2 * 11 eps.
-SIMILARITY_TOLERANCE = 32 * np.finfo(np.float64).eps
-
-
 KERNEL_VOCAB = ["alpha", "beta", "gamma", "delta", "tide", "moon", "sea", "x", "9"]
 
 
@@ -257,7 +263,7 @@ class TestSimilarityKernel:
         expected = reference_precision(extraction, contexts, DictEmbedder(mapping, size), threshold)
         return details, expected
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the reference's `cosine`
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # `reference_cosine`
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_same_decisions_and_values_on_integer_vectors(self, data):
@@ -292,7 +298,8 @@ class TestSimilarityKernel:
         size, candidates, sentences = self.draw_case(data, element)
         details, (similarities, _) = self.run_both(candidates, sentences, size, 0.8, data.draw(st.booleans()))
         for got, want, sentence in zip(details["similarities"], similarities, sentences):
-            assert abs(got - want) <= SIMILARITY_TOLERANCE
+            # every pair's dot is the same `u.dot(v)`, so the tolerance is 0
+            assert got == want
             if any(sentence == c for c in candidates) and any(sentence):
                 assert got == want == 1.0
             if not any(sentence):
@@ -325,7 +332,8 @@ class TestSimilarityKernel:
     @given(st.data())
     def test_hash_embedder_similarities_match_the_pair_matrix_bit_for_bit(self, data):
         # the kernel reads deduplicated rows through an index; the reference
-        # scores one embedded row per (sentence, candidate) pair. Sentences
+        # embeds each (sentence, candidate) pair apart and scores it with
+        # `reference_cosine`, which calls nothing in `metrics`. Sentences
         # repeat across chunks, candidates repeat, and blocks run up to 60
         # sentences of up to 1024 dimensions.
         words = st.lists(st.sampled_from(KERNEL_VOCAB), min_size=1, max_size=8)
@@ -344,9 +352,8 @@ class TestSimilarityKernel:
         embedder = HashEmbedder(dimension) if batched else RecordingEmbedder(HashEmbedder(dimension))
         extraction = PrecisionExtraction(tuple(candidates), False, "raw")
         _, details = _precision_details(extraction, chunks, embedder, SimilarityConfig())
-        assert details["similarities"] == reference_pair_similarities(
-            extraction, chunks, HashEmbedder(dimension)
-        )
+        similarities, _ = reference_precision(extraction, chunks, HashEmbedder(dimension), 0.8)
+        assert details["similarities"] == similarities
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_the_last_bit_decides_a_match_at_the_threshold(self, batched):
@@ -357,6 +364,23 @@ class TestSimilarityKernel:
         _, details = _precision_details(extraction, ["Alpha beta beta."], embedder, SimilarityConfig(0.8))
         assert details["similarities"] == [0.8000000000000002]
         assert details["matched_sentences"] == ["Alpha beta beta."]
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_every_similarity_is_the_norm_reference_of_its_pair(self, batched):
+        # a matrix-vector product per candidate gave 0.3585685828003181 for
+        # the second sentence on some BLAS kernels, one bit below the
+        # 0.35856858280031817 of `u.dot(v)` over the norms
+        candidate = "Delta 9 moon gamma sea moon tide x."
+        context = ("Alpha tide 9 tide 9 x alpha. Alpha x sea beta sea. "
+                   "X alpha alpha tide alpha tide. Delta 9 9 moon sea.")
+        embedder = HashEmbedder(1024) if batched else RecordingEmbedder(HashEmbedder(1024))
+        extraction = PrecisionExtraction((candidate,), False, "raw")
+        _, details = _precision_details(extraction, [context], embedder, SimilarityConfig())
+        reference = HashEmbedder(1024)
+        assert details["similarities"] == [
+            reference_cosine(reference.embed(sentence), reference.embed(candidate))
+            for sentence in segment_sentences(context)
+        ]
 
     def test_batched_non_finite_vector_refused(self):
         embedder = BatchDictEmbedder({"B.": [math.nan, 1.0]}, 2)
@@ -396,7 +420,8 @@ class TestEmbeddingRequests:
         score = answer_relevance_score(query, generated, recorded)
         assert recorded.texts == [query, *questions]
         reference = HashEmbedder(64)
-        cosines = [min(max(cosine(reference.embed(query), reference.embed(q)), 0.0), 1.0) for q in questions]
+        cosines = [min(max(reference_cosine(reference.embed(query), reference.embed(q)), 0.0), 1.0)
+                   for q in questions]
         assert score == math.fsum(cosines) / len(cosines)
 
     def test_http_embedder_posts_in_loop_order(self):
@@ -474,7 +499,7 @@ class TestEmbeddingRequests:
         # each text's row holds its last answer: "S." the 8th, "T." the 6th,
         # so both occurrences of "S." get one similarity
         a, b = [1.0, 1.0], [1.0, 2.0]
-        s, t = (max(cosine([1.0, k], a), cosine([1.0, k], b)) for k in (8.0, 6.0))
+        s, t = (max(reference_cosine([1.0, k], a), reference_cosine([1.0, k], b)) for k in (8.0, 6.0))
         assert details["similarities"] == [s, t, s]
 
 
