@@ -90,11 +90,13 @@ def enhance_answer(
 
 
 def aggregate(record: EvalRecord, enhanced: EnhancedAnswer, scorer: PairScorer) -> AggregateScore:
-    """Score (query, enhanced answer) and normalize the logit."""
+    """Score (query, enhanced answer) and normalize the logit; a NaN or infinite logit is a scorer failure."""
     try:
         logit = float(scorer.score(record.query, enhanced.rendered))
     except Exception as exc:
         raise AggregationError(f"scorer failed on record {record.id!r}: {exc}") from exc
+    if not math.isfinite(logit):
+        raise AggregationError(f"scorer gave record {record.id!r} the non-finite logit {logit!r}")
     return AggregateScore(logit=logit, normalized=expit(logit))
 
 

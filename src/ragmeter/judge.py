@@ -61,45 +61,40 @@ class DegenerateInputWarning(UserWarning):
 
 @dataclass(frozen=True)
 class FaithfulnessVerdicts:
-    statements: tuple[str, ...]
     verdicts: tuple[bool, ...]
-    raw_transcript: str
 
     def __post_init__(self):
-        if len(self.statements) != len(self.verdicts) or not self.verdicts:
-            raise ValueError("statements and verdicts must be non-empty and equal length")
+        if not self.verdicts:
+            raise ValueError("verdicts must be non-empty")
 
 
 @dataclass(frozen=True)
 class RecallClassification:
-    sentences: tuple[str, ...]
     supported: tuple[bool, ...]
-    raw_transcript: str
 
     def __post_init__(self):
-        if len(self.sentences) != len(self.supported) or not self.supported:
-            raise ValueError("sentences and labels must be non-empty and equal length")
+        if not self.supported:
+            raise ValueError("labels must be non-empty")
 
 
 @dataclass(frozen=True)
 class PrecisionExtraction:
+    """The candidate sentences a judge extracted; none means insufficient information."""
+
     candidate_sentences: tuple[str, ...]
-    insufficient: bool
-    raw_transcript: str
 
     def __post_init__(self):
-        if self.insufficient and self.candidate_sentences:
-            raise ValueError("insufficient extraction cannot carry candidate sentences")
-        if not self.insufficient and not self.candidate_sentences:
-            raise ValueError("an extraction not marked insufficient needs candidate sentences")
         if any(not s for s in self.candidate_sentences):
             raise ValueError("candidate sentences must be non-empty strings")
+
+    @property
+    def insufficient(self) -> bool:
+        return not self.candidate_sentences
 
 
 @dataclass(frozen=True)
 class GeneratedQuestions:
     questions: tuple[str, ...]
-    raw_transcripts: tuple[str, ...]
 
     def __post_init__(self):
         if not self.questions or any(not q for q in self.questions):
@@ -176,14 +171,11 @@ def build_faithfulness_prompt(record: EvalRecord, statements: Sequence[str]) -> 
 _FINAL_VERDICT_RE = re.compile(r"final verdict for each statement in order\s*:", re.IGNORECASE)
 
 
-def parse_faithfulness_verdicts(
-    transcript: str, n_statements: int, statements: Sequence[str] | None = None
-) -> FaithfulnessVerdicts:
+def parse_faithfulness_verdicts(transcript: str, n_statements: int) -> FaithfulnessVerdicts:
     """Extract the ordered Yes/No verdicts from the final-verdict line.
 
     Tokens are matched case-insensitively; trailing periods and commas are
-    tolerated, anything else is rejected. Statement texts may be supplied by
-    the caller for the returned structure; placeholders are used otherwise.
+    tolerated, anything else is rejected.
     """
     if n_statements < 1:
         raise ValueError("n_statements must be >= 1")
@@ -202,11 +194,7 @@ def parse_faithfulness_verdicts(
             raise VerdictTokenError(token)
     if len(verdicts) != n_statements:
         raise VerdictCountError(n_statements, len(verdicts))
-    if statements is None:
-        statements = ("",) * n_statements
-    elif len(statements) != n_statements:
-        raise ValueError("statements length must match n_statements")
-    return FaithfulnessVerdicts(tuple(statements), tuple(verdicts), transcript)
+    return FaithfulnessVerdicts(tuple(verdicts))
 
 
 RECALL_SOURCES = ("auto", "ground_truth", "answer")
@@ -241,9 +229,7 @@ def build_recall_prompt(record: EvalRecord, source: str = "auto") -> str:
 _BRACKET_TAG_RE = re.compile(r"\[([^\]\n]*)\]")
 
 
-def parse_recall_classification(
-    transcript: str, n_sentences: int, sentences: Sequence[str] | None = None
-) -> RecallClassification:
+def parse_recall_classification(transcript: str, n_sentences: int) -> RecallClassification:
     """Extract ordered supported/not-supported tags from a classification list."""
     if n_sentences < 1:
         raise ValueError("n_sentences must be >= 1")
@@ -263,11 +249,7 @@ def parse_recall_classification(
         raise MissingSectionError("no classification tags in transcript")
     if len(supported) != n_sentences:
         raise VerdictCountError(n_sentences, len(supported), what="classification tags")
-    if sentences is None:
-        sentences = ("",) * n_sentences
-    elif len(sentences) != n_sentences:
-        raise ValueError("sentences length must match n_sentences")
-    return RecallClassification(tuple(sentences), tuple(supported), transcript)
+    return RecallClassification(tuple(supported))
 
 
 def build_precision_prompt(record: EvalRecord) -> str:
@@ -295,7 +277,7 @@ def parse_precision_extraction(transcript: str) -> PrecisionExtraction:
         raise MissingSectionError("no Candidate Sentences section in transcript")
     section = transcript[matches[-1].end() :]
     if section.strip().rstrip(".").lower() == INSUFFICIENT_SENTINEL:
-        return PrecisionExtraction((), True, transcript)
+        return PrecisionExtraction(())
     candidates = []
     for line in section.splitlines():
         item = _BULLET_RE.sub("", line).strip()
@@ -303,7 +285,7 @@ def parse_precision_extraction(transcript: str) -> PrecisionExtraction:
             candidates.append(item)
     if not candidates:
         raise EmptySectionError("Candidate Sentences section carries no sentences")
-    return PrecisionExtraction(tuple(candidates), False, transcript)
+    return PrecisionExtraction(tuple(candidates))
 
 
 def build_question_gen_prompt(answer: str) -> str:

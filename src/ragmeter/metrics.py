@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -60,10 +61,9 @@ class SimilarityConfig:
             raise ValueError(
                 f"precision_match_threshold must be in [0, 1], got {self.precision_match_threshold}"
             )
-        if self.n_generated_questions < 1:
-            raise ValueError(
-                f"n_generated_questions must be >= 1, got {self.n_generated_questions}"
-            )
+        n = self.n_generated_questions
+        if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+            raise ValueError(f"n_generated_questions must be an integer >= 1, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -327,7 +327,7 @@ def evaluate_record(
         statements = segment_sentences(record.answer)
         prompt = build_faithfulness_prompt(record, statements)
         transcript = generator.complete(prompt, params)
-        verdicts = parse_faithfulness_verdicts(transcript, len(statements), statements)
+        verdicts = parse_faithfulness_verdicts(transcript, len(statements))
         return faithfulness_score(verdicts), {
             "statements": statements, "verdicts": list(verdicts.verdicts), "transcript": transcript
         }
@@ -337,7 +337,7 @@ def evaluate_record(
         sentences = segment_sentences(source_text)
         prompt = build_recall_prompt(record, recall_source)
         transcript = generator.complete(prompt, params)
-        classification = parse_recall_classification(transcript, len(sentences), sentences)
+        classification = parse_recall_classification(transcript, len(sentences))
         return recall_score(classification), {
             "sentences": sentences,
             "supported": list(classification.supported),
@@ -357,9 +357,7 @@ def evaluate_record(
     def relevance() -> tuple[float, dict]:
         prompt = build_question_gen_prompt(record.answer)
         transcripts = [generator.complete(prompt, params) for _ in range(cfg.n_generated_questions)]
-        questions = GeneratedQuestions(
-            tuple(parse_generated_question(t) for t in transcripts), tuple(transcripts)
-        )
+        questions = GeneratedQuestions(tuple(parse_generated_question(t) for t in transcripts))
         score, details = _relevance_details(record.query, questions, embedder)
         details["transcripts"] = transcripts
         return score, details

@@ -17,7 +17,8 @@ import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Iterable, Mapping, Protocol, Sequence, TypeVar
 
 import numpy as np
@@ -442,6 +443,12 @@ class RetryPolicy:
     attempts: int = 3
     base_delay: float = 0.25
 
+    def __post_init__(self):
+        if isinstance(self.attempts, bool) or not isinstance(self.attempts, Integral) or self.attempts < 1:
+            raise ValueError(f"attempts must be an integer >= 1, got {self.attempts!r}")
+        if not 0 <= self.base_delay < math.inf:
+            raise ValueError(f"base_delay must be finite and >= 0, got {self.base_delay!r}")
+
 
 @dataclass(frozen=True)
 class EndpointConfig:
@@ -545,7 +552,6 @@ class _HttpProvider:
     def _post(self, payload: dict) -> object:
         headers = self._headers()
         body = json.dumps(payload).encode("utf-8")
-        last_transient = "no attempt made"
         for attempt in range(self._retry.attempts):
             try:
                 status, raw = self._transport(self.config.url, body, headers, self.config.timeout)

@@ -139,7 +139,7 @@ def test_criterion_02_metric_bounds_under_fuzz():
         parsed = tuple(
             parse_generated_question(f"{_random_junk(rng)}\nQuestion:\n{q}") for q in questions
         )
-        score = answer_relevance_score(_random_sentence(rng), GeneratedQuestions(parsed, parsed), embedder)
+        score = answer_relevance_score(_random_sentence(rng), GeneratedQuestions(parsed), embedder)
         assert 0.0 <= score <= 1.0
     ok(2, "4000 fuzzed parser-accepted transcripts all scored within [0, 1]")
 

@@ -1,5 +1,6 @@
 """Tests for answer enhancement, consolidation, and ranking."""
 
+import math
 import random
 import threading
 
@@ -173,6 +174,12 @@ class TestAggregate:
         with pytest.raises(AggregationError):
             aggregate(bone_mass_record(), enhanced, BrokenScorer())
 
+    @pytest.mark.parametrize("weight, logit", [(1e308, "inf"), (-1e308, "-inf")])
+    def test_non_finite_logit_is_a_scorer_failure(self, weight, logit):
+        enhanced = enhance_answer(bone_mass_record(), bone_mass_vector())
+        with pytest.raises(AggregationError, match=f"^scorer gave record 'bone-mass' the non-finite logit {logit}$"):
+            aggregate(bone_mass_record(), enhanced, LinearPairScorer((weight,) * 4))
+
     def test_positive_weights_monotone_in_each_metric(self):
         scorer = LinearPairScorer((1.0, 1.0, 1.0, 1.0))
         record = bone_mass_record()
@@ -291,6 +298,15 @@ class TestAggregateSet:
         with pytest.raises(AggregationError, match="record 'r1'"):
             aggregate_set(scored_pairs(4), RecordingScorer(), parallelism=4)
         assert calls == [("Query 0?", threading.get_ident()), ("Query 1?", threading.get_ident())]
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_nan_scorer_raises_naming_the_first_record(self, parallelism):
+        class NanScorer:  # not in process, so parallelism 4 gets a pool
+            def score(self, query, candidate):
+                return math.nan
+
+        with pytest.raises(AggregationError, match="^scorer gave record 'r0' the non-finite logit nan$"):
+            aggregate_set(scored_pairs(3), NanScorer(), parallelism=parallelism)
 
     @pytest.mark.parametrize("parallelism", [0, -3])
     def test_parallelism_below_one_rejected_before_any_call(self, parallelism):

@@ -107,6 +107,13 @@ class TestEvaluate:
         empty.write_text("", encoding="utf-8")
         assert run(["evaluate", "--config", config, "--out", tmp_path / "o", empty]) == 4
 
+    def test_http_mode_without_a_generator_exits_2(self, tmp_path, capsys):
+        config = write_workspace(tmp_path)
+        out = tmp_path / "o"
+        assert run(["evaluate", "--config", config, "--providers", "http", "--out", out, tmp_path / "pos.jsonl"]) == 2
+        assert capsys.readouterr().err == "error: providers.http.generator is required in http mode\n"
+        assert not out.exists()
+
     def test_bad_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
@@ -382,6 +389,40 @@ class TestAggregate:
         write_metrics_report(report_path, [report_entry("a", HIGH)])
         assert run(["aggregate", "--config", config_path, "--out", tmp_path / "o", report_path]) == 3
 
+    def test_non_finite_logit_exits_3_naming_the_record(self, tmp_path, capsys):
+        config = write_workspace(tmp_path)
+        doc = json.loads(config.read_text())
+        doc["providers"]["stub"]["scorer"]["weights"] = [1e308] * 4
+        write_json(config, doc)
+        report_path = tmp_path / "metrics.json"
+        write_metrics_report(report_path, [report_entry("a", HIGH), report_entry("b", LOW)])
+        out = tmp_path / "o"
+        assert run(["aggregate", "--config", config, "--out", out, report_path]) == 3
+        assert capsys.readouterr().err == "error: scorer gave record 'a' the non-finite logit inf\n"
+        assert not out.exists()
+
+    def test_no_scorer_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "http.json"
+        write_json(config, {"providers": {"mode": "http", "http": {
+            name: {"url": f"http://127.0.0.1:1/{name}"} for name in ("generator", "embedder")
+        }}})
+        report_path = tmp_path / "metrics.json"
+        write_metrics_report(report_path, [report_entry("a", HIGH)])
+        out = tmp_path / "o"
+        assert run(["aggregate", "--config", config, "--out", out, report_path]) == 2
+        assert capsys.readouterr().err == "error: aggregate requires a pair scorer in the provider config\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("report", [{"records": []}, {"label": "handmade"}], ids=["no-records", "no-records-key"])
+    def test_empty_report_exits_4(self, tmp_path, capsys, report):
+        config = write_workspace(tmp_path)
+        report_path = tmp_path / "metrics.json"
+        write_json(report_path, report)
+        out = tmp_path / "o"
+        assert run(["aggregate", "--config", config, "--out", out, report_path]) == 4
+        assert capsys.readouterr().err == f"error: metrics report {report_path} has no records\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "report",
         [
@@ -460,6 +501,19 @@ class TestBootstrap:
         values_path = tmp_path / "values.json"
         write_json(values_path, [])
         assert run(["bootstrap", "--config", config, "--out", tmp_path / "o", values_path]) == 4
+
+    @pytest.mark.parametrize("values", [0.5, "0.5", {"value": [0.5]}, {"values": 0.5}],
+                             ids=["number", "string", "object-without-values", "values-not-array"])
+    def test_values_neither_array_nor_object_with_values_exit_2(self, tmp_path, capsys, values):
+        config = write_workspace(tmp_path)
+        values_path = tmp_path / "values.json"
+        write_json(values_path, values)
+        out = tmp_path / "o"
+        assert run(["bootstrap", "--config", config, "--out", out, values_path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: values file {values_path} must hold a JSON array or an object with 'values'\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "values",
@@ -985,6 +1039,17 @@ def test_missing_required_key_exits_2_before_any_output(tmp_path, capsys, table,
 
 
 class TestTopicality:
+    def test_record_file_without_records_exits_4_before_any_provider_call(self, tmp_path, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, ScriptedGenerator, "complete")
+        config = write_workspace(tmp_path)
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(["topicality", "--config", config, "--out", out, tmp_path / "pos.jsonl", empty]) == 4
+        assert capsys.readouterr().err == f"error: record file {empty} contains no records\n"
+        assert calls == []
+        assert not out.exists()
+
     def test_separated_verdicts(self, tmp_path):
         config = write_workspace(tmp_path)
         out = tmp_path / "out"

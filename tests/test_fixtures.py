@@ -1,7 +1,8 @@
 """Pinned checksums for versioned assets, the names the benchmark tracer
 patches, the rule that no module takes a private name from another, the
 rule that no module computes a dot product outside the stacked `@`
-products, and self-tests for the stats oracle.
+products, the rule that no module imports a name it does not use, and
+self-tests for the stats oracle.
 
 Any byte change to a shipped template or a golden file fails here first;
 template edits are breaking changes and must be made deliberately.
@@ -172,6 +173,49 @@ def test_no_module_calls_a_dot_routine_but_the_stacked_matmul(path):
     # `@`, which numpy runs as one `dot` per pair: one routine, so
     # similarities and norms round alike, and one place to change
     assert dot_calls(path.read_text(encoding="utf-8")) == []
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names `source` imports and never reads.
+
+    A name counts as read when it is loaded anywhere in the module, as the
+    root of an attribute chain too, or listed in `__all__`; `__future__`
+    imports do not count. `import a.b` binds and reads `a`.
+    """
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+            read.update(ast.literal_eval(node.value))
+    return [name for name in imported if name not in read]
+
+
+def test_unused_import_detector_sees_every_form():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, sys\nimport numpy as np\nimport urllib.request\nimport json\n"
+        "from typing import Mapping, Sequence\nfrom dataclasses import field as f\n"
+        "from ragmeter.stats import exported\n"
+        "__all__ = ['exported']\n"
+        "def g(x: Mapping) -> None:\n    import re\n    return sys.argv, json.dumps\n"
+    )
+    assert sorted(unused_imports(source)) == ["Sequence", "f", "np", "os", "re", "urllib"]
+
+
+# the benchmark tracer wraps `bootstrap_summary` under `ragmeter.topicality`
+# (see `tracer_targets`), so it stays imported there until the tracer stops
+UNUSED_IMPORTS_ALLOWED = {"topicality": ["bootstrap_summary"]}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.stem)
+def test_no_module_imports_a_name_it_does_not_use(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == UNUSED_IMPORTS_ALLOWED.get(path.stem, [])
 
 
 class TestOracle:

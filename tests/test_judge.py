@@ -143,11 +143,6 @@ class TestFaithfulness:
         )
         assert parse_faithfulness_verdicts(transcript, 1).verdicts == (False,)
 
-    def test_statements_recorded_when_supplied(self):
-        line = "Final verdict for each statement in order: Yes. No."
-        parsed = parse_faithfulness_verdicts(line, 2, ["s1", "s2"])
-        assert parsed.statements == ("s1", "s2")
-
 
 class TestRecall:
     def test_newton_prompt_matches_golden(self):
@@ -224,8 +219,10 @@ class TestPrecision:
             parse_precision_extraction("no marker anywhere")
 
     def test_empty_extraction_must_be_marked_insufficient(self):
-        with pytest.raises(ValueError, match="insufficient"):
-            PrecisionExtraction((), False, "Candidate Sentences:\n")
+        assert PrecisionExtraction(()).insufficient
+        assert not PrecisionExtraction(("A sentence.",)).insufficient
+        with pytest.raises(ValueError, match="non-empty strings"):
+            PrecisionExtraction(("A sentence.", ""))
 
     @pytest.mark.parametrize("bullet", ["- ", "* ", "• ", "1. ", "1) "])
     def test_bullet_styles(self, bullet):
@@ -271,7 +268,7 @@ class TestBuildThenJudgeRoundTrips:
                             contexts=(EMMA_CONTEXT,))
         prompt = build_faithfulness_prompt(record, list(EMMA_STATEMENTS))
         judge = ScriptedGenerator({EMMA_STATEMENTS[0]: read_golden("emma_faithfulness_transcript.txt")})
-        parsed = parse_faithfulness_verdicts(judge.complete(prompt), 5, EMMA_STATEMENTS)
+        parsed = parse_faithfulness_verdicts(judge.complete(prompt), 5)
         assert parsed.verdicts == (False, True, False, True, True)
 
     def test_recall(self):

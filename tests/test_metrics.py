@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import threading
 import warnings
 
@@ -72,11 +73,11 @@ from ragmeter.providers import (
 
 
 def verdicts(*flags):
-    return FaithfulnessVerdicts(tuple("" for _ in flags), tuple(flags), "raw")
+    return FaithfulnessVerdicts(tuple(flags))
 
 
 def classification(*flags):
-    return RecallClassification(tuple("" for _ in flags), tuple(flags), "raw")
+    return RecallClassification(tuple(flags))
 
 
 class TestScoreRatios:
@@ -174,12 +175,12 @@ class TestPrecisionScore:
     CFG = SimilarityConfig(precision_match_threshold=0.8)
 
     def test_insufficient_is_zero(self):
-        extraction = PrecisionExtraction((), True, "raw")
+        extraction = PrecisionExtraction(())
         assert precision_score(extraction, [TIDES_CONTEXT], HashEmbedder(64), self.CFG) == 0.0
 
     def test_every_sentence_extracted_verbatim_is_one(self):
         sentences = segment_sentences(TIDES_CONTEXT)
-        extraction = PrecisionExtraction(tuple(sentences), False, "raw")
+        extraction = PrecisionExtraction(tuple(sentences))
         # the dict embedder knows nothing: only the exact-match shortcut fires
         embedder = DictEmbedder({}, 4)
         assert precision_score(extraction, [TIDES_CONTEXT], embedder, self.CFG) == 1.0
@@ -191,7 +192,7 @@ class TestPrecisionScore:
         assert score == pytest.approx(2 / 3)
 
     def test_empty_contexts_degenerate(self):
-        extraction = PrecisionExtraction(("anything",), False, "raw")
+        extraction = PrecisionExtraction(("anything",))
         assert precision_score(extraction, [], HashEmbedder(64), self.CFG) == 0.0
 
     @given(st.data())
@@ -204,8 +205,8 @@ class TestPrecisionScore:
         candidates = data.draw(st.lists(make_sentence, min_size=1, max_size=4))
         extra = data.draw(make_sentence)
         embedder = HashEmbedder(64)
-        smaller = PrecisionExtraction(tuple(candidates), False, "raw")
-        larger = PrecisionExtraction(tuple(candidates + [extra]), False, "raw")
+        smaller = PrecisionExtraction(tuple(candidates))
+        larger = PrecisionExtraction(tuple(candidates + [extra]))
         assert precision_score(larger, contexts, embedder, self.CFG) >= precision_score(
             smaller, contexts, embedder, self.CFG
         )
@@ -255,7 +256,7 @@ class TestSimilarityKernel:
         names = [f"Candidate {j}." for j in range(len(candidates))]
         contexts = [f"Sentence {i} text." for i in range(len(sentences))]
         mapping = dict(zip(names, candidates)) | dict(zip(contexts, sentences))
-        extraction = PrecisionExtraction(tuple(names), False, "raw")
+        extraction = PrecisionExtraction(tuple(names))
         embedder = (BatchDictEmbedder if batched else DictEmbedder)(mapping, size)
         _, details = _precision_details(
             extraction, contexts, embedder, SimilarityConfig(precision_match_threshold=threshold)
@@ -322,7 +323,7 @@ class TestSimilarityKernel:
 
     def test_batched_path_asks_one_batch_with_the_candidates_first(self):
         embedder = BatchDictEmbedder({"A.": [1.0, 0.0], "B.": [0.0, 1.0], "C.": [1.0, 1.0]}, 2)
-        extraction = PrecisionExtraction(("A.", "B."), False, "raw")
+        extraction = PrecisionExtraction(("A.", "B."))
         score, details = _precision_details(extraction, ["A. C. D."], embedder, SimilarityConfig(0.7))
         assert embedder.batches == [["A.", "B.", "C.", "D."]]
         assert details["matched_sentences"] == ["A.", "C."]
@@ -350,7 +351,7 @@ class TestSimilarityKernel:
         dimension = data.draw(st.sampled_from([4, 64, 1024]), label="dimension")
         batched = data.draw(st.booleans(), label="batched")
         embedder = HashEmbedder(dimension) if batched else RecordingEmbedder(HashEmbedder(dimension))
-        extraction = PrecisionExtraction(tuple(candidates), False, "raw")
+        extraction = PrecisionExtraction(tuple(candidates))
         _, details = _precision_details(extraction, chunks, embedder, SimilarityConfig())
         similarities, _ = reference_precision(extraction, chunks, HashEmbedder(dimension), 0.8)
         assert details["similarities"] == similarities
@@ -360,7 +361,7 @@ class TestSimilarityKernel:
         # `cosine` gives 0.8000000000000002 here, and the raw dot of the two
         # unit vectors 0.7999999999999999, which would miss the match
         embedder = HashEmbedder(1024) if batched else RecordingEmbedder(HashEmbedder(1024))
-        extraction = PrecisionExtraction(("Alpha alpha beta.",), False, "raw")
+        extraction = PrecisionExtraction(("Alpha alpha beta.",))
         _, details = _precision_details(extraction, ["Alpha beta beta."], embedder, SimilarityConfig(0.8))
         assert details["similarities"] == [0.8000000000000002]
         assert details["matched_sentences"] == ["Alpha beta beta."]
@@ -374,7 +375,7 @@ class TestSimilarityKernel:
         context = ("Alpha tide 9 tide 9 x alpha. Alpha x sea beta sea. "
                    "X alpha alpha tide alpha tide. Delta 9 9 moon sea.")
         embedder = HashEmbedder(1024) if batched else RecordingEmbedder(HashEmbedder(1024))
-        extraction = PrecisionExtraction((candidate,), False, "raw")
+        extraction = PrecisionExtraction((candidate,))
         _, details = _precision_details(extraction, [context], embedder, SimilarityConfig())
         reference = HashEmbedder(1024)
         assert details["similarities"] == [
@@ -384,13 +385,13 @@ class TestSimilarityKernel:
 
     def test_batched_non_finite_vector_refused(self):
         embedder = BatchDictEmbedder({"B.": [math.nan, 1.0]}, 2)
-        extraction = PrecisionExtraction(("A.",), False, "raw")
+        extraction = PrecisionExtraction(("A.",))
         with pytest.raises(NonFiniteEmbeddingError):
             precision_score(extraction, ["B."], embedder, SimilarityConfig())
 
     def test_huge_finite_batch_is_not_refused(self):
         embedder = BatchDictEmbedder({"A.": [1e200, 1e200], "B.": [1e200, -1e200]}, 2)
-        extraction = PrecisionExtraction(("A.",), False, "raw")
+        extraction = PrecisionExtraction(("A.",))
         assert precision_score(extraction, ["B."], embedder, SimilarityConfig(0.0)) == 0.0
 
 
@@ -405,7 +406,7 @@ class TestEmbeddingRequests:
 
     @given(texts_with_repeats, texts_with_repeats)
     def test_precision_requests_match_the_loop(self, candidates, chunks):
-        extraction = PrecisionExtraction(tuple(candidates), False, "raw")
+        extraction = PrecisionExtraction(tuple(candidates))
         cfg = SimilarityConfig()
         recorded, reference = RecordingEmbedder(HashEmbedder(64)), RecordingEmbedder(HashEmbedder(64))
         _, details = _precision_details(extraction, chunks, recorded, cfg)
@@ -416,7 +417,7 @@ class TestEmbeddingRequests:
     @given(st.text(min_size=1), st.lists(st.text(min_size=1), min_size=1, max_size=4))
     def test_relevance_requests_query_then_questions(self, query, questions):
         recorded = RecordingEmbedder(HashEmbedder(64))
-        generated = GeneratedQuestions(tuple(questions), ("t",) * len(questions))
+        generated = GeneratedQuestions(tuple(questions))
         score = answer_relevance_score(query, generated, recorded)
         assert recorded.texts == [query, *questions]
         reference = HashEmbedder(64)
@@ -432,13 +433,13 @@ class TestEmbeddingRequests:
             transport=backend_transport(ProviderBundle(None, backend), set()),
             sleep=lambda _: None,
         )
-        extraction = PrecisionExtraction(("Tides rise.", "Moons pull."), False, "raw")
+        extraction = PrecisionExtraction(("Tides rise.", "Moons pull."))
         precision_score(extraction, ["Seas fall. Tides rise. Winds blow."], embedder, SimilarityConfig())
         assert backend.texts == ["Tides rise.", "Moons pull."] + ["Seas fall."] * 2 + ["Winds blow."] * 2
 
     def test_loop_stops_at_the_first_non_finite_vector(self):
         recorded = RecordingEmbedder(DictEmbedder({"B.": [math.inf, 1.0]}, 2))
-        extraction = PrecisionExtraction(("A.", "B.", "C."), False, "raw")
+        extraction = PrecisionExtraction(("A.", "B.", "C."))
         with pytest.raises(NonFiniteEmbeddingError):
             precision_score(extraction, ["D."], recorded, SimilarityConfig())
         assert recorded.texts == ["A.", "B."]
@@ -453,12 +454,22 @@ class TestEmbeddingRequests:
                 return np.ones(3) if text.startswith("S") else np.ones(2)
 
         embedder = RecordingEmbedder(Uneven())
-        extraction = PrecisionExtraction(("Candidate.",), False, "raw")
+        extraction = PrecisionExtraction(("Candidate.",))
         # the vector that differs, then the shape of the first
         with pytest.raises(ValueError, match=r"^dimension mismatch: \(3,\) vs \(2,\)$"):
             precision_score(extraction, ["Sentence."], embedder, SimilarityConfig())
         with pytest.raises(ValueError, match=r"^dimension mismatch: \(3,\) vs \(2,\)$"):
-            answer_relevance_score("query", GeneratedQuestions(("Some question?",), ("t",)), embedder)
+            answer_relevance_score("query", GeneratedQuestions(("Some question?",)), embedder)
+
+    def test_an_embed_answering_a_matrix_is_refused(self):
+        class Flat:
+            def embed(self, text):
+                return np.ones((1, 3))
+
+        with pytest.raises(ValueError, match=r"^embedder returned shape \(1, 3\), not a 1-d vector$"):
+            precision_score(PrecisionExtraction(("Candidate.",)), ["Sentence."], Flat(), SimilarityConfig())
+        with pytest.raises(ValueError, match=r"^embedder returned shape \(1, 3\), not a 1-d vector$"):
+            answer_relevance_score("query", GeneratedQuestions(("Some question?",)), Flat())
 
     @pytest.mark.parametrize(
         "answer, shape",
@@ -472,11 +483,11 @@ class TestEmbeddingRequests:
                 return answer(texts)
 
         embedder = Misshapen({}, 2)
-        extraction = PrecisionExtraction(("Candidate.",), False, "raw")
+        extraction = PrecisionExtraction(("Candidate.",))
         with pytest.raises(ValueError, match=rf"^embed_many gave shape {shape}$"):
             precision_score(extraction, ["Sentence."], embedder, SimilarityConfig())
         with pytest.raises(ValueError, match=rf"^embed_many gave shape {shape}$"):
-            answer_relevance_score("query", GeneratedQuestions(("Some question?",), ("t",)), embedder)
+            answer_relevance_score("query", GeneratedQuestions(("Some question?",)), embedder)
 
     def test_an_embed_loop_answering_repeats_differently_keeps_one_row_per_text(self):
         class Drifting:
@@ -490,7 +501,7 @@ class TestEmbeddingRequests:
                 return np.array([1.0, float(len(self.texts))])
 
         embedder = Drifting()
-        extraction = PrecisionExtraction(("A.", "B."), False, "raw")
+        extraction = PrecisionExtraction(("A.", "B."))
         _, details = _precision_details(extraction, ["S. T. S."], embedder, SimilarityConfig())
         # the requests the per-pair loop makes, repeats included
         reference = RecordingEmbedder(HashEmbedder(8))
@@ -506,7 +517,7 @@ class TestEmbeddingRequests:
 class TestAnswerRelevance:
     def test_identical_questions_score_one(self):
         embedder = HashEmbedder(64)
-        questions = GeneratedQuestions(("same question",) * 3, ("t",) * 3)
+        questions = GeneratedQuestions(("same question",) * 3)
         assert answer_relevance_score("same question", questions, embedder) == 1.0
 
     def test_engineered_cosines_mean(self):
@@ -519,13 +530,13 @@ class TestAnswerRelevance:
             },
             2,
         )
-        questions = GeneratedQuestions(("q-full", "q-half", "q-zero"), ("t",) * 3)
+        questions = GeneratedQuestions(("q-full", "q-half", "q-zero"))
         assert answer_relevance_score("orig", questions, embedder) == 0.5
 
     def test_huge_finite_vectors_are_not_refused(self):
         # the squared norms overflow, but every component is finite
         embedder = DictEmbedder({"orig": [1e200, 1e200], "q": [1e200, 1e200]}, 2)
-        questions = GeneratedQuestions(("q",), ("t",))
+        questions = GeneratedQuestions(("q",))
         assert answer_relevance_score("orig", questions, embedder) == 1.0
 
     @pytest.mark.parametrize("batched", [False, True])
@@ -534,7 +545,7 @@ class TestAnswerRelevance:
         # from the inf and NaN that gives, as before, with no warning printed
         mapping = {"orig": [1e200, 1e200], "q": [1e200, 1e200], "r": [1e200, -1e200]}
         embedder = (BatchDictEmbedder if batched else DictEmbedder)(mapping, 2)
-        questions = GeneratedQuestions(("q", "r"), ("t",) * 2)
+        questions = GeneratedQuestions(("q", "r"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert answer_relevance_score("orig", questions, embedder) == 0.5
@@ -542,20 +553,20 @@ class TestAnswerRelevance:
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_embedding_refused(self, bad):
         embedder = DictEmbedder({"orig": [1.0, 0.0], "q": [bad, 1.0]}, 2)
-        questions = GeneratedQuestions(("q",), ("t",))
+        questions = GeneratedQuestions(("q",))
         with pytest.raises(NonFiniteEmbeddingError):
             answer_relevance_score("orig", questions, embedder)
 
     def test_orthogonal_single_question_clamps_to_zero(self):
         embedder = DictEmbedder({"orig": [1.0, 0.0], "q": [-1.0, 0.0]}, 2)
-        questions = GeneratedQuestions(("q",), ("t",))
+        questions = GeneratedQuestions(("q",))
         assert answer_relevance_score("orig", questions, embedder) == 0.0
 
     def test_permutation_invariant(self):
         embedder = HashEmbedder(64)
         names = ("alpha beta", "beta gamma", "gamma delta", "delta alpha")
-        forward = GeneratedQuestions(names, ("t",) * 4)
-        backward = GeneratedQuestions(tuple(reversed(names)), ("t",) * 4)
+        forward = GeneratedQuestions(names)
+        backward = GeneratedQuestions(tuple(reversed(names)))
         assert answer_relevance_score("alpha gamma", forward, embedder) == answer_relevance_score(
             "alpha gamma", backward, embedder
         )
@@ -760,6 +771,19 @@ class TestEvaluateSet:
         record_set, providers = two_record_set()
         with pytest.raises(SetEvaluationError):
             evaluate_set(RecordSet(label="empty", records=()), providers)
+
+    def test_empty_answer_fails_every_metric_of_its_record_only(self):
+        record_set, providers = two_record_set()
+        alone = evaluate_set(record_set, providers)
+        blank = EvalRecord(id="blank", query="Blank query?", answer=" ")
+        first, second = record_set.records
+        _, providers = two_record_set()
+        evaluation = evaluate_set(RecordSet(label="pair", records=(first, blank, second)), providers)
+        failed = MetricResult(None, "failed", {"error": "ValueError: record 'blank' has an empty answer"})
+        assert [evaluation.vectors[1].result(m) for m in METRICS] == [failed] * len(METRICS)
+        assert [evaluation.vectors[0], evaluation.vectors[2]] == list(alone.vectors)
+        assert evaluation.means == alone.means
+        assert evaluation.failure_counts == {m: 1 for m in METRICS}
 
     def test_all_failed_is_error(self):
         record = EvalRecord(id="a", query="q?", answer="One line.", contexts=("some context.",))
@@ -1004,3 +1028,27 @@ def test_injected_http_faults_fail_exactly_the_metrics_they_hit(generated, seed,
 def test_scores_always_in_unit_interval(faith_flags, recall_flags):
     assert 0.0 <= faithfulness_score(verdicts(*faith_flags)) <= 1.0
     assert 0.0 <= recall_score(classification(*recall_flags)) <= 1.0
+
+
+@pytest.mark.parametrize(
+    "setting, value, message",
+    [
+        (RetryPolicy, {"attempts": 0}, "attempts must be an integer >= 1, got 0"),
+        (RetryPolicy, {"attempts": 2.0}, "attempts must be an integer >= 1, got 2.0"),
+        (RetryPolicy, {"attempts": True}, "attempts must be an integer >= 1, got True"),
+        (RetryPolicy, {"base_delay": -1}, "base_delay must be finite and >= 0, got -1"),
+        (RetryPolicy, {"base_delay": math.inf}, "base_delay must be finite and >= 0, got inf"),
+        (RetryPolicy, {"base_delay": math.nan}, "base_delay must be finite and >= 0, got nan"),
+        (SimilarityConfig, {"n_generated_questions": 2.5}, "n_generated_questions must be an integer >= 1, got 2.5"),
+        (SimilarityConfig, {"n_generated_questions": True}, "n_generated_questions must be an integer >= 1, got True"),
+        (SimilarityConfig, {"n_generated_questions": 0}, "n_generated_questions must be an integer >= 1, got 0"),
+    ],
+)
+def test_settings_that_would_fail_every_call_are_refused(setting, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        setting(**value)
+
+
+def test_smallest_accepted_settings():
+    assert RetryPolicy(attempts=np.int64(1), base_delay=0).attempts == 1
+    assert SimilarityConfig(n_generated_questions=np.int64(1)).n_generated_questions == 1

@@ -321,3 +321,15 @@ class TestDrawSharedAcrossSets:
         # the first set's guidance came before the failure: n=4 and B=300 for each of its metrics
         guidance = [w for w in caught if issubclass(w.category, BootstrapGuidanceWarning)]
         assert len(guidance) == 2 * len(METRICS)
+
+    def test_metric_no_record_computed_raises_before_next_set_calls_a_provider(self):
+        first, first_scripts = engineered_query_set("first", 4, "positive")
+        later, later_scripts = engineered_query_set("later", 4, "positive")
+        generator = ScriptedGenerator({**first_scripts, **later_scripts})
+        embedder = mock.Mock(spec=HashEmbedder)
+        embedder.embed_many.side_effect = RuntimeError("embedder down")  # relevance fails on every record
+        with mock.patch.object(generator, "complete", wraps=generator.complete) as complete, \
+                pytest.raises(TopicalityError, match="^set 'first': no successful values for metric answer_relevance$"):
+            run_topicality([first, later], ProviderBundle(generator, embedder), boot_cfg=BOOT)
+        prompts = [call.args[0] for call in complete.call_args_list]
+        assert prompts and not any("later" in prompt for prompt in prompts)
