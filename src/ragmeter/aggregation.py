@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from ragmeter.corpus import EvalRecord
 from ragmeter.judge import load_template, render
@@ -35,9 +35,7 @@ class AggregationError(RuntimeError):
 
 @dataclass(frozen=True)
 class EnhancedAnswer:
-    original_answer: str
     rendered: str
-    statement_scores: Mapping[str, float]
 
 
 @dataclass(frozen=True)
@@ -67,26 +65,18 @@ def enhance_answer(
     chunks as a quoted list) is included by default and dropped when
     `contexts_included` is false.
     """
-    scores: dict[str, float] = {}
+    slots = {"answer": record.answer, "contexts": repr(list(record.contexts))}
     for metric in METRICS:
         result = metrics.result(metric)
         if result.value is None:
             raise MissingMetricError(metric, record.id)
-        scores[metric] = float(result.value)
+        slots[metric] = repr(float(result.value))
     preamble, context_block, relevance, precision, recall, faithfulness = _statement_paragraphs()
-    slots = {
-        "answer": record.answer,
-        "contexts": repr(list(record.contexts)),
-        "answer_relevance": repr(scores["answer_relevance"]),
-        "retrieval_precision": repr(scores["retrieval_precision"]),
-        "retrieval_recall": repr(scores["retrieval_recall"]),
-        "faithfulness": repr(scores["faithfulness"]),
-    }
     paragraphs = [preamble]
     if contexts_included:
         paragraphs.append(context_block)
     paragraphs += [relevance, precision, recall, faithfulness]
-    return EnhancedAnswer(record.answer, render("\n\n".join(paragraphs), slots), scores)
+    return EnhancedAnswer(render("\n\n".join(paragraphs), slots))
 
 
 def aggregate(record: EvalRecord, enhanced: EnhancedAnswer, scorer: PairScorer) -> AggregateScore:
@@ -118,10 +108,8 @@ def aggregate_set(
     bounds concurrent scorer calls, an in-process scorer runs on the calling
     thread, and the first failure in record order is raised. The ranking is
     that of :func:`rank_records`, so it does not depend on `parallelism`.
-    Raises ValueError for `parallelism` below 1, before any scorer call.
+    An invalid `parallelism` raises ValueError before any scorer call.
     """
-    if parallelism < 1:
-        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
 
     def score_one(pair: tuple[EvalRecord, MetricVector]) -> tuple[str, AggregateScore]:
         record, vector = pair

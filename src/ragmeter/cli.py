@@ -491,13 +491,10 @@ def cmd_aggregate(args: argparse.Namespace, config: RunConfig) -> int:
 
 def _load_values(path: str) -> list[float]:
     doc = _read_json(path, "values file")
-    values = doc.get("values") if isinstance(doc, dict) else doc
-    if not isinstance(values, list):
-        raise ConfigError(f"values file {path} must hold a JSON array or an object with 'values'")
+    _check(doc, {"values": (list[float],)} if isinstance(doc, dict) else list[float], f"values file {path}")
+    values = doc["values"] if isinstance(doc, dict) else doc
     if not values:
         raise EmptyInputError(f"values file {path} is empty")
-    if not all(map(_is_number, values)):
-        raise ConfigError(f"values file {path} must contain only numbers")
     return [float(v) for v in values]
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ragmeter.providers import GenerationParams, TextGenerator, run_calls
+from ragmeter.providers import GenerationParams, TextGenerator, check_parallelism, run_calls
 
 
 class QrelsFormatError(ValueError):
@@ -159,7 +159,6 @@ class SkippedTranscript:
 class SyntheticResult:
     records: RecordSet
     skipped: tuple[SkippedTranscript, ...]
-    raw_transcripts: tuple[str, ...]
 
 
 def parse_qrels(stream: str | Iterable[str]) -> list[QrelsEntry]:
@@ -354,8 +353,8 @@ def generate_synthetic(
 
     Answers are left empty so a RAG run can fill them in later. Transcripts
     that lack a parseable Passage or Question section are skipped and
-    reported in the result. `parallelism` below 1 raises ValueError before
-    any generator call.
+    reported in the result. An invalid `parallelism` raises ValueError
+    before any generator call.
 
     The calls go through :func:`~ragmeter.providers.run_calls`:
     `parallelism` bounds concurrent generator calls, and an in-process
@@ -366,8 +365,7 @@ def generate_synthetic(
     failure, where the run stops; on a pool, all of them, since every call
     runs.
     """
-    if parallelism < 1:
-        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+    check_parallelism(parallelism)  # outside the `try`, which reports generator failures
     completed: list[int] = []
 
     def run_one(index: int) -> str:
@@ -399,5 +397,4 @@ def generate_synthetic(
     return SyntheticResult(
         records=RecordSet(label=spec.topic_label, records=tuple(records)),
         skipped=tuple(skipped),
-        raw_transcripts=tuple(transcripts),
     )

@@ -350,7 +350,6 @@ def evaluate_record(
         extraction = parse_precision_extraction(transcript)
         score, details = _precision_details(extraction, record.contexts, embedder, cfg)
         details["candidates"] = list(extraction.candidate_sentences)
-        details["insufficient"] = extraction.insufficient
         details["transcript"] = transcript
         return score, details
 
@@ -401,11 +400,9 @@ def evaluate_set(
     failed. Means are taken per metric over records whose metric succeeded.
     Raises :class:`SetEvaluationError` for an empty set, and when every
     metric of every record failed, naming the first failure in record order:
-    its record id, metric and error text. Raises ValueError for
-    `parallelism` below 1.
+    its record id, metric and error text. An invalid `parallelism` raises
+    ValueError before any provider call.
     """
-    if parallelism < 1:
-        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     if not record_set.records:
         raise SetEvaluationError(f"record set {record_set.label!r} is empty")
 

@@ -61,6 +61,24 @@ class MissingScoreStatementError(ProviderError):
         super().__init__(f"candidate text has no {metric} score statement")
 
 
+def _is_integer(value: object) -> bool:
+    """An integer that is not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value: object) -> None:
+    """Raise ValueError unless `value` is an integer of at least 1."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def check_parallelism(parallelism: object) -> None:
+    """Raise ValueError unless `parallelism` is an integer of at least 1."""
+    _check_count("parallelism", parallelism)
+
+
 @dataclass(frozen=True)
 class GenerationParams:
     """Decoding parameters; defaults pin near-deterministic generation."""
@@ -71,12 +89,13 @@ class GenerationParams:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         if not 0 < self.top_p <= 1:
             raise ValueError(f"top_p must be in (0, 1], got {self.top_p}")
-        if self.max_tokens < 1:
-            raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
+        _check_count("max_tokens", self.max_tokens)
+        if self.seed is not None and not _is_integer(self.seed):
+            raise ValueError(f"seed must be an integer or None, got {self.seed!r}")
 
 
 class TextGenerator(Protocol):
@@ -137,8 +156,9 @@ def run_calls(
     the first call that raises stops the run. Otherwise every item is
     submitted to a pool of `parallelism` threads, and once every call has
     finished the first exception in item order is raised. Either way the
-    results come back in item order.
+    results come back in item order, and :func:`check_parallelism` runs first.
     """
+    check_parallelism(parallelism)
     if parallelism == 1 or all_in_process(*providers):
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
@@ -327,13 +347,12 @@ class HashEmbedder:
         *,
         keyword_boost: float = 4.0,
     ):
-        if dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {dimension}")
+        _check_count("dimension", dimension)
         channels = dict(keyword_channels or {})
         for keyword, axis in channels.items():
             if not 0 <= axis < dimension:
                 raise ValueError(f"keyword {keyword!r} axis {axis} outside dimension {dimension}")
-        self.dimension = dimension
+        self.dimension = int(dimension)  # a numpy integer would overflow on a hashed axis
         # tokens are ASCII bytes; a keyword that is not ASCII can match none
         self._channels = {
             keyword.encode("ascii"): axis for keyword, axis in channels.items() if keyword.isascii()
@@ -444,7 +463,7 @@ class RetryPolicy:
     base_delay: float = 0.25
 
     def __post_init__(self):
-        if isinstance(self.attempts, bool) or not isinstance(self.attempts, Integral) or self.attempts < 1:
+        if not _is_integer(self.attempts) or self.attempts < 1:
             raise ValueError(f"attempts must be an integer >= 1, got {self.attempts!r}")
         if not 0 <= self.base_delay < math.inf:
             raise ValueError(f"base_delay must be finite and >= 0, got {self.base_delay!r}")

@@ -1,11 +1,12 @@
 """Tests for answer enhancement, consolidation, and ranking."""
 
+import hashlib
 import math
 import random
 import threading
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import read_golden
@@ -14,9 +15,14 @@ from helpers import (
     BONE_MASS_CONTEXTS,
     BONE_MASS_QUERY,
     BONE_MASS_SCORES,
+    FAULT_ERRORS,
+    TRANSIENT_FAULTS,
+    FaultyTransport,
+    backend_transport,
     bone_mass_record,
     bone_mass_vector,
     hostile_text,
+    http_adapters,
     ok_vector,
     reference_render,
 )
@@ -33,7 +39,7 @@ from ragmeter.aggregation import (
 from ragmeter.corpus import EvalRecord
 from ragmeter.judge import load_template
 from ragmeter.metrics import METRICS, MetricResult, MetricVector
-from ragmeter.providers import LinearPairScorer
+from ragmeter.providers import LinearPairScorer, ProviderBundle, RetryPolicy
 
 # Score statements in the order enhance_answer appends them.
 STATEMENT_ORDER = ("answer_relevance", "retrieval_precision", "retrieval_recall", "faithfulness")
@@ -136,7 +142,7 @@ class TestEnhanceAnswer:
         slots = {"answer": answer, "contexts": repr(contexts)}
         slots.update((m, repr(scores[m])) for m in STATEMENT_ORDER)
         assert enhanced.rendered == reference_render("\n\n".join(paragraphs), slots)
-        assert LinearPairScorer.extract_scores(enhanced.rendered) == dict(enhanced.statement_scores)
+        assert LinearPairScorer.extract_scores(enhanced.rendered) == scores
         expected = bias
         for weight, metric in zip(weights, STATEMENT_ORDER):
             expected += weight * scores[metric]
@@ -314,3 +320,55 @@ class TestAggregateSet:
         with pytest.raises(ValueError, match=f"parallelism must be >= 1, got {parallelism}"):
             aggregate_set(scored_pairs(2), scorer, parallelism=parallelism)
         assert scorer.finished == []
+
+    @pytest.mark.parametrize("parallelism", [True, 2.5])
+    def test_parallelism_not_an_integer_rejected_before_any_call(self, parallelism):
+        scorer = ReverseScorer(2)
+        with pytest.raises(ValueError, match=f"^parallelism must be an integer, got {parallelism!r}$"):
+            aggregate_set(scored_pairs(2), scorer, parallelism=parallelism)
+        assert scorer.finished == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6), st.binary(min_size=8, max_size=8),
+       st.sampled_from([0.0, 0.3, 0.7, 1.0]), st.sampled_from([0.0, 0.0, 0.3, 0.7]))
+def test_injected_http_faults_keep_the_ranking_or_name_the_first_failed_record(values, seed, fault_share, fatal_share):
+    """Faults the retries absorb leave the fault-free ranking; one that never clears names the first record it hits.
+
+    A `fault_share` of the scorer requests meets a fault. Of those, a
+    `fatal_share` meets it on every attempt, which ends the call with the
+    fault's typed error; the rest meet a transient fault on fewer attempts
+    than `RetryPolicy.attempts`.
+    """
+    pairs = [(EvalRecord(id=f"r{i}", query=f"Query {i}?", answer=f"Answer {i}."),
+              ok_vector(f"r{i}", value, 0.5, 0.5, 0.5)) for i, value in enumerate(values)]
+    attempts = RetryPolicy().attempts
+
+    def schedule(url, payload):
+        rng = random.Random(hashlib.sha256(seed + url.encode("utf-8") + payload).digest())
+        if rng.random() >= fault_share:
+            return None, 0
+        if rng.random() < fatal_share:
+            return rng.choice(sorted(FAULT_ERRORS)), math.inf
+        return rng.choice(TRANSIENT_FAULTS), rng.randint(1, attempts - 1)
+
+    def faulty(schedule):
+        transport = FaultyTransport(backend_transport(ProviderBundle(None, None, LinearPairScorer()), set()), schedule)
+        return http_adapters(transport, transport.sleep).scorer, transport
+
+    # the fault-free run, one record after another, makes one request per record
+    clean_scorer, clean = faulty(lambda url, payload: (None, 0))
+    expected = aggregate_set(pairs, clean_scorer)
+    assert expected == aggregate_set(pairs, LinearPairScorer())
+    faults = [schedule(url, payload) for url, payload, _ in clean.calls]
+    fatal = [(index, fault) for index, (fault, k) in enumerate(faults) if k == math.inf]
+    for parallelism in (1, 4):
+        scorer, transport = faulty(schedule)
+        if fatal:
+            index, fault = fatal[0]
+            with pytest.raises(AggregationError, match=f"^scorer failed on record 'r{index}': ") as excinfo:
+                aggregate_set(pairs, scorer, parallelism=parallelism)
+            assert type(excinfo.value.__cause__).__name__ == FAULT_ERRORS[fault]
+        else:
+            assert aggregate_set(pairs, scorer, parallelism=parallelism) == expected
+        assert max(attempt for _, _, attempt in transport.calls) <= attempts

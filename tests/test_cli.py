@@ -17,7 +17,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    FAULT_ERRORS,
     RECALL_MARK,
+    FaultyTransport,
     backend_transport,
     engineered_query_set,
     refuse_large_arrays,
@@ -502,31 +504,40 @@ class TestBootstrap:
         write_json(values_path, [])
         assert run(["bootstrap", "--config", config, "--out", tmp_path / "o", values_path]) == 4
 
-    @pytest.mark.parametrize("values", [0.5, "0.5", {"value": [0.5]}, {"values": 0.5}],
-                             ids=["number", "string", "object-without-values", "values-not-array"])
-    def test_values_neither_array_nor_object_with_values_exit_2(self, tmp_path, capsys, values):
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (0.5, "the top level must be a list of numbers, got 0.5"),
+            ("0.5", "the top level must be a list of numbers, got '0.5'"),
+            ({"value": [0.5]}, "value is not a recognized key"),
+            ({"values": 0.5}, "values must be a list of numbers, got 0.5"),
+        ],
+        ids=["number", "string", "object-without-values", "values-not-array"],
+    )
+    def test_values_neither_array_nor_object_with_values_exit_2(self, tmp_path, capsys, values, message):
         config = write_workspace(tmp_path)
         values_path = tmp_path / "values.json"
         write_json(values_path, values)
         out = tmp_path / "o"
         assert run(["bootstrap", "--config", config, "--out", out, values_path]) == 2
-        assert capsys.readouterr().err == (
-            f"error: values file {values_path} must hold a JSON array or an object with 'values'\n"
-        )
+        assert capsys.readouterr().err == f"error: {message} (in values file {values_path})\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "values",
-        [[True, "0.5", 0.25, 0.75], [1, 0.5, 0.25, "0.75"], {"values": [0.5, False]}, [0.5, 10**400]],
-        ids=["bool-and-string", "string", "object-form-bool", "int-beyond-float-range"],
+        "text",
+        ['[true, "0.5", 0.25, 0.75]', '[1, 0.5, 0.25, "0.75"]', '{"values": [0.5, false]}', f"[0.5, {10**400}]",
+         "[0.5, NaN]", "[0.5, 1e400]", '{"values": [0.5, 0.25], "extra": 1}'],
+        ids=["bool-and-string", "string", "object-form-bool", "int-beyond-float-range",
+             "nan", "float-beyond-float-range", "object-form-extra-key"],
     )
-    def test_non_number_values_exit_2(self, tmp_path, capsys, values):
+    def test_non_number_values_exit_2(self, tmp_path, capsys, text):
         config = write_workspace(tmp_path)
         values_path = tmp_path / "values.json"
-        write_json(values_path, values)
+        values_path.write_text(text, encoding="utf-8")
         out = tmp_path / "o"
         assert run(["bootstrap", "--config", config, "--out", out, values_path]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f" (in values file {values_path})\n")
         assert not out.exists()
 
     def test_values_object_form(self, tmp_path):
@@ -1313,6 +1324,65 @@ def test_auth_env_without_a_token_exits_2_before_any_call(tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert posts and "first failure: record 'pos-000'" in err
     assert "good-secret-value" not in err and "now-set" not in err
+
+
+HTTP_PROVIDERS = {"mode": "http", "http": {
+    name: {"url": f"http://backend.test/{route}"}
+    for name, route in (("generator", "generate"), ("embedder", "embed"), ("scorer", "score"))
+}}
+
+
+def inject_faults(monkeypatch, schedule) -> FaultyTransport:
+    """Route every HTTP adapter the CLI builds through a `FaultyTransport` over a linear stub scorer.
+
+    The faults used here end a call at once, so no real back-off runs.
+    """
+    transport = FaultyTransport(backend_transport(ProviderBundle(None, None, LinearPairScorer()), set()), schedule)
+    monkeypatch.setattr(providers, "_urllib_transport", transport)
+    return transport
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+@pytest.mark.parametrize("fault", ["404", "not-json"])
+def test_scorer_fault_exits_3_naming_the_first_failed_record(tmp_path, capsys, monkeypatch, fault, parallelism):
+    failing = {"Query 2?", "Query 4?"}
+    transport = inject_faults(
+        monkeypatch, lambda url, payload: (fault, math.inf) if json.loads(payload)["query"] in failing else (None, 0))
+    config = tmp_path / "http.json"
+    write_json(config, {"providers": HTTP_PROVIDERS})
+    entries = [report_entry(f"r{i}", HIGH if i % 2 else LOW) for i in range(6)]
+    for i, entry in enumerate(entries):
+        entry["query"] = f"Query {i}?"
+    report_path = tmp_path / "metrics.json"
+    write_metrics_report(report_path, entries)
+    out = tmp_path / "o"
+    argv = ["aggregate", "--config", config, "--parallelism", parallelism, "--out", out, report_path]
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: scorer failed on record 'r2': ")
+    assert max(attempt for _, _, attempt in transport.calls) == 1
+    assert not out.exists()
+    failing.clear()  # the same run without faults ranks every record
+    assert run(argv) == 0
+    assert len(json.loads((out / "aggregate.json").read_text())["ranked"]) == 6
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+@pytest.mark.parametrize("fault", ["404", "not-json"])
+def test_every_record_failing_over_http_exits_2(tmp_path, capsys, monkeypatch, fault, parallelism):
+    transport = inject_faults(monkeypatch, lambda url, payload: (fault, math.inf))
+    config = write_workspace(tmp_path)
+    doc = json.loads(config.read_text())
+    doc["providers"] = HTTP_PROVIDERS
+    write_json(config, doc)
+    out = tmp_path / "o"
+    assert run(["evaluate", "--config", config, "--parallelism", parallelism, "--out", out, tmp_path / "pos.jsonl"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: every record in set 'pos' failed; first failure: record 'pos-000' faithfulness: "
+                          f"{FAULT_ERRORS[fault]}: ")
+    assert {url for url, _, _ in transport.calls} == {"http://backend.test/generate"}
+    assert max(attempt for _, _, attempt in transport.calls) == 1
+    assert not out.exists()
 
 
 def test_module_entry_point(tmp_path):

@@ -306,7 +306,6 @@ def test_generate_synthetic_scripted():
     assert first.answer == ""
     assert first.contexts == ("Clouds drive modern sales analytics.",)
     assert first.query == "How do clouds drive sales analytics?"
-    assert len(result.raw_transcripts) == 2
 
 
 def test_generate_synthetic_skips_unparseable():
@@ -392,7 +391,7 @@ def test_generate_synthetic_pool_failure_counts_every_successful_call():
     assert calls["n"] == 5
 
 
-@pytest.mark.parametrize("parallelism", [0, -3])
+@pytest.mark.parametrize("parallelism", [0, -3, True, 2.5])
 def test_generate_synthetic_rejects_parallelism_below_one(parallelism):
     calls = []
 

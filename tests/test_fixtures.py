@@ -1,8 +1,9 @@
 """Pinned checksums for versioned assets, the names the benchmark tracer
 patches, the rule that no module takes a private name from another, the
 rule that no module computes a dot product outside the stacked `@`
-products, the rule that no module imports a name it does not use, and
-self-tests for the stats oracle.
+products, the rule that no module imports a name it does not use, the
+rule that every JSON input of the CLI is checked against its type table,
+and self-tests for the stats oracle.
 
 Any byte change to a shipped template or a golden file fails here first;
 template edits are breaking changes and must be made deliberately.
@@ -216,6 +217,47 @@ UNUSED_IMPORTS_ALLOWED = {"topicality": ["bootstrap_summary"]}
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.stem)
 def test_no_module_imports_a_name_it_does_not_use(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == UNUSED_IMPORTS_ALLOWED.get(path.stem, [])
+
+
+def called_name(call: ast.Call) -> str | None:
+    """The name a call calls: `f` for `f(...)` and for `m.f(...)`."""
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def unchecked_json_reads(source: str) -> list[str]:
+    """The functions in `source` that call `_read_json` without a schema and never call `_check`.
+
+    A schema is `_read_json`'s third positional argument or its `schema`
+    keyword. A function that reads a document with no schema must check it
+    against the one type table itself, as `load_config` does.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            calls = [call for call in ast.walk(node) if isinstance(call, ast.Call)]
+            unchecked = any(called_name(call) == "_read_json" and len(call.args) < 3
+                            and "schema" not in {k.arg for k in call.keywords} for call in calls)
+            if unchecked and "_check" not in map(called_name, calls):
+                found.append(node.name)
+    return found
+
+
+def test_unchecked_json_read_detector_sees_every_form():
+    source = (
+        "def by_hand(path):\n"
+        "    doc = _read_json(path, 'values file')\n"
+        "    if not isinstance(doc, list):\n        raise ConfigError(path)\n"
+        "def attribute(path):\n    return cli._read_json(path, 'x')\n"
+        "def positional(path):\n    return _read_json(path, 'x', SCHEMA)\n"
+        "def keyword(path):\n    return _read_json(path, 'x', schema=SCHEMA)\n"
+        "def checked(path):\n    doc = _read_json(path, 'x')\n    _check(doc, SCHEMA, 'x')\n"
+        "def no_read(path):\n    return json.loads(path)\n"
+    )
+    assert unchecked_json_reads(source) == ["by_hand", "attribute"]
+
+
+def test_every_json_input_of_the_cli_meets_the_type_table():
+    assert unchecked_json_reads((SRC / "cli.py").read_text(encoding="utf-8")) == []
 
 
 class TestOracle:

@@ -61,6 +61,7 @@ from ragmeter.metrics import (
 from ragmeter.metrics import _precision_details
 from ragmeter.providers import (
     EndpointConfig,
+    GenerationParams,
     HashEmbedder,
     HttpEmbedder,
     HttpPairScorer,
@@ -753,7 +754,7 @@ class TestEvaluateSet:
         assert evaluation.means["faithfulness"] == pytest.approx(0.75)
         assert evaluation.failure_counts["faithfulness"] == 1
 
-    @pytest.mark.parametrize("parallelism", [0, -3])
+    @pytest.mark.parametrize("parallelism", [0, -3, True, 2.5])
     def test_parallelism_below_one_rejected_before_any_call(self, parallelism):
         calls = []
 
@@ -1042,6 +1043,18 @@ def test_scores_always_in_unit_interval(faith_flags, recall_flags):
         (SimilarityConfig, {"n_generated_questions": 2.5}, "n_generated_questions must be an integer >= 1, got 2.5"),
         (SimilarityConfig, {"n_generated_questions": True}, "n_generated_questions must be an integer >= 1, got True"),
         (SimilarityConfig, {"n_generated_questions": 0}, "n_generated_questions must be an integer >= 1, got 0"),
+        # refused by the config table too; built in code, a non-finite temperature
+        # was posted as `Infinity`, which is not JSON, and a bool dimension failed
+        # every embed with an untyped TypeError
+        (GenerationParams, {"temperature": math.nan}, "temperature must be finite and >= 0, got nan"),
+        (GenerationParams, {"temperature": math.inf}, "temperature must be finite and >= 0, got inf"),
+        (GenerationParams, {"temperature": -math.inf}, "temperature must be finite and >= 0, got -inf"),
+        (GenerationParams, {"max_tokens": 2.5}, "max_tokens must be an integer, got 2.5"),
+        (GenerationParams, {"max_tokens": True}, "max_tokens must be an integer, got True"),
+        (GenerationParams, {"seed": True}, "seed must be an integer or None, got True"),
+        (GenerationParams, {"seed": 2.5}, "seed must be an integer or None, got 2.5"),
+        (HashEmbedder, {"dimension": True}, "dimension must be an integer, got True"),
+        (HashEmbedder, {"dimension": 2.5}, "dimension must be an integer, got 2.5"),
     ],
 )
 def test_settings_that_would_fail_every_call_are_refused(setting, value, message):
@@ -1052,3 +1065,6 @@ def test_settings_that_would_fail_every_call_are_refused(setting, value, message
 def test_smallest_accepted_settings():
     assert RetryPolicy(attempts=np.int64(1), base_delay=0).attempts == 1
     assert SimilarityConfig(n_generated_questions=np.int64(1)).n_generated_questions == 1
+    params = GenerationParams(max_tokens=np.int64(1), seed=np.int64(-2))
+    assert (params.max_tokens, params.seed) == (1, -2)
+    assert HashEmbedder(np.int64(1)).embed("a b").tolist() == [1.0]
