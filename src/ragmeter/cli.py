@@ -17,13 +17,10 @@ import argparse
 import copy
 import inspect
 import json
-import math
 import os
-import reprlib
 import sys
-import types
 import typing
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -52,6 +49,7 @@ from ragmeter.providers import (
     ProviderError,
     ScriptedGenerator,
 )
+from ragmeter.schema import refusal
 from ragmeter.stats import BootstrapConfig
 
 EXIT_OK = 0
@@ -153,73 +151,11 @@ _REPORT_SCHEMA = {
     }],
 }
 
-_UNIONS = (typing.Union, types.UnionType)
-_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string", type(None): "null"}
-
-
-def _is_number(value: object) -> bool:
-    """A JSON number that converts to a float: `true` and `false` are not numbers."""
-    return isinstance(value, float) or (
-        isinstance(value, int) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
-    )
-
-
-def _mismatch(value: object, schema: object) -> tuple[str, object, object] | None:
-    """Where `value` departs from the JSON type `schema`, or None if it does not.
-
-    The answer is (the path below `value`, the schema expected there, the value found
-    there); the schema is None for a key that is not allowed, and the `(type,)` entry
-    itself for a required key that is missing. Types are exact, except that an int is
-    accepted where a float is expected, and a float must be finite. `object` accepts
-    any value, and a `(type,)` or (type, default) entry is checked as its type.
-    """
-    if isinstance(schema, tuple):
-        return _mismatch(value, schema[0])
-    if schema is float:
-        fits = _is_number(value) and math.isfinite(value)
-    elif type(schema) is type:  # object, bool, int, str or NoneType
-        fits = isinstance(value, schema) and (schema in (object, bool) or not isinstance(value, bool))
-    elif isinstance(schema, dict):
-        fits = isinstance(value, dict)
-        for name, item in value.items() if fits else ():
-            found = _mismatch(item, schema[name]) if name in schema else ("", None, item)
-            if found:
-                return f".{name}{found[0]}", found[1], found[2]
-        for name, item in schema.items() if fits else ():
-            if isinstance(item, tuple) and len(item) == 1 and name not in value:
-                return f".{name}", item, None
-    else:
-        origin, args = typing.get_origin(schema), typing.get_args(schema)
-        if origin in _UNIONS:
-            fits = any(_mismatch(value, option) is None for option in args)
-        elif origin is typing.Literal:
-            fits = value in args
-        else:  # list[T], Sequence[T] or Mapping[str, T]
-            fits = isinstance(value, dict if origin is Mapping else list)
-            for name, item in (value.items() if origin is Mapping else enumerate(value)) if fits else ():
-                found = _mismatch(item, args[-1])
-                if found:
-                    return (f".{name}" if origin is Mapping else f"[{name}]") + found[0], found[1], found[2]
-    return None if fits else ("", schema, value)
-
 
 def _check(value: object, schema: object, source: str) -> None:
     """Raise ConfigError naming the dotted key where `value`, read from `source`, fails `schema`."""
-    found = _mismatch(value, schema)
-    if found:
-        path, expected, got = found
-        rule = ("is not a recognized key" if expected is None else "is required" if isinstance(expected, tuple)
-                else f"must be {_describe(expected)}, got {reprlib.repr(got)}")
-        raise ConfigError(f"{path.lstrip('.') or 'the top level'} {rule} (in {source})")
-
-
-def _describe(schema: object) -> str:
-    origin, args = typing.get_origin(schema), typing.get_args(schema)
-    if origin in _UNIONS or origin is typing.Literal:
-        return " or ".join(map(_describe if origin in _UNIONS else repr, args))
-    if origin in (list, Sequence, Mapping):  # "a list of integers", "an object of strings"
-        return f"{'an object' if origin is Mapping else 'a list'} of {_describe(args[-1]).split()[-1]}s"
-    return "an object" if isinstance(schema, dict) else _NAMES[schema]
+    if problem := refusal(value, schema, ""):
+        raise ConfigError(f"{problem} (in {source})")
 
 
 def _read_json(path: str | Path, what: str, schema: object = None) -> object:

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from ragmeter.providers import GenerationParams, TextGenerator, check_parallelism, run_calls
+from ragmeter.schema import check_fields, refusal
 
 
 class QrelsFormatError(ValueError):
@@ -134,6 +135,7 @@ class SyntheticSpec:
     count: int
 
     def __post_init__(self):
+        check_fields(self)
         if not self.topic_label:
             raise ValueError("topic_label must be non-empty")
         if self.count < 1:
@@ -242,7 +244,7 @@ def _json_fields(line: str) -> tuple:
     if not isinstance(doc, dict):
         raise ValueError(f"expected an object, got {type(doc).__name__}")
     record_id = doc.get("id", "")
-    if isinstance(record_id, bool) or not isinstance(record_id, (str, int)):
+    if refusal(record_id, str | int, "record id"):
         raise ValueError(f"record id must be a string or an integer, got {json.dumps(record_id)}")
     return str(record_id), doc.get("query"), doc.get("answer"), doc.get("contexts", []), doc.get("ground_truth")
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -33,6 +32,7 @@ from ragmeter.judge import (
     segment_sentences,
 )
 from ragmeter.providers import Embedder, GenerationParams, ProviderBundle, run_calls
+from ragmeter.schema import check_fields
 
 METRICS = ("faithfulness", "answer_relevance", "retrieval_recall", "retrieval_precision")
 
@@ -57,13 +57,13 @@ class SimilarityConfig:
     n_generated_questions: int = 3
 
     def __post_init__(self):
+        check_fields(self)
         if not 0.0 <= self.precision_match_threshold <= 1.0:
             raise ValueError(
                 f"precision_match_threshold must be in [0, 1], got {self.precision_match_threshold}"
             )
-        n = self.n_generated_questions
-        if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
-            raise ValueError(f"n_generated_questions must be an integer >= 1, got {n!r}")
+        if self.n_generated_questions < 1:
+            raise ValueError(f"n_generated_questions must be >= 1, got {self.n_generated_questions}")
 
 
 @dataclass(frozen=True)

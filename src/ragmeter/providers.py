@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import random
 import re
@@ -18,10 +17,11 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from numbers import Integral
-from typing import Callable, Iterable, Mapping, Protocol, Sequence, TypeVar
+from typing import Callable, Iterable, Literal, Mapping, Protocol, Sequence, TypeVar
 
 import numpy as np
+
+from ragmeter.schema import check_fields, refusal
 
 
 class ProviderError(RuntimeError):
@@ -61,15 +61,10 @@ class MissingScoreStatementError(ProviderError):
         super().__init__(f"candidate text has no {metric} score statement")
 
 
-def _is_integer(value: object) -> bool:
-    """An integer that is not a bool."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
-
-
 def _check_count(name: str, value: object) -> None:
     """Raise ValueError unless `value` is an integer of at least 1."""
-    if not _is_integer(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if problem := refusal(value, int, name):
+        raise ValueError(problem)
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
 
@@ -89,13 +84,12 @@ class GenerationParams:
     seed: int | None = None
 
     def __post_init__(self):
-        if not 0 <= self.temperature < math.inf:
-            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
+        check_fields(self)
+        if self.temperature < 0:
+            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
         if not 0 < self.top_p <= 1:
             raise ValueError(f"top_p must be in (0, 1], got {self.top_p}")
         _check_count("max_tokens", self.max_tokens)
-        if self.seed is not None and not _is_integer(self.seed):
-            raise ValueError(f"seed must be an integer or None, got {self.seed!r}")
 
 
 class TextGenerator(Protocol):
@@ -463,10 +457,10 @@ class RetryPolicy:
     base_delay: float = 0.25
 
     def __post_init__(self):
-        if not _is_integer(self.attempts) or self.attempts < 1:
-            raise ValueError(f"attempts must be an integer >= 1, got {self.attempts!r}")
-        if not 0 <= self.base_delay < math.inf:
-            raise ValueError(f"base_delay must be finite and >= 0, got {self.base_delay!r}")
+        check_fields(self)
+        _check_count("attempts", self.attempts)
+        if self.base_delay < 0:
+            raise ValueError(f"base_delay must be >= 0, got {self.base_delay}")
 
 
 @dataclass(frozen=True)
@@ -481,15 +475,14 @@ class EndpointConfig:
 
     url: str
     model: str = ""
-    dialect: str = "prompt"
+    dialect: Literal["prompt", "messages"] = "prompt"
     auth_env: str | None = None
     response_path: str | None = None
     timeout: float = 30.0
 
     def __post_init__(self):
-        if self.dialect not in ("prompt", "messages"):
-            raise ValueError(f"unknown dialect {self.dialect!r}")
-        if not self.timeout > 0:
+        check_fields(self)
+        if self.timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {self.timeout}")
         if self.timeout > threading.TIMEOUT_MAX:  # the most a socket timeout can take
             raise ValueError(f"timeout must be at most {threading.TIMEOUT_MAX}, got {self.timeout}")
@@ -652,12 +645,6 @@ class HttpPairScorer(_HttpProvider):
             payload["model"] = self.config.model
         doc = self._post(payload)
         value = _walk_response(doc, self.config.response_path or "score")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ProviderResponseError(f"score field is {type(value).__name__}, not a number")
-        try:
-            logit = float(value)
-        except OverflowError:
-            raise ProviderResponseError("score is too large for a float") from None
-        if not math.isfinite(logit):
-            raise ProviderResponseError(f"score is not finite: {logit}")
-        return logit
+        if problem := refusal(value, float, "score"):
+            raise ProviderResponseError(problem)
+        return float(value)

@@ -28,10 +28,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import islice
-from numbers import Integral
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+from ragmeter.schema import check_fields
 
 RECOMMENDED_MIN_N = 30
 RECOMMENDED_MIN_B = 1000
@@ -66,13 +67,7 @@ class BootstrapConfig:
     ci_level: float = 0.95
 
     def __post_init__(self):
-        # the seed-state mixer splits integers into 32-bit words
-        for name in ("B", "resample_size", "seed"):
-            value = getattr(self, name)
-            if value is None and name == "resample_size":
-                continue
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_fields(self)  # integers only: the seed-state mixer splits them into 32-bit words
         if self.B < 1:
             raise ValueError(f"B must be >= 1, got {self.B}")
         if self.resample_size is not None and self.resample_size < 1:

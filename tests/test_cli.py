@@ -28,7 +28,7 @@ from helpers import (
 )
 from oracle import oracle_resample_means
 import ragmeter
-from ragmeter import providers, stats
+from ragmeter import cli, providers, stats
 from ragmeter.cli import RunConfig, build_providers, load_config, main
 from ragmeter.corpus import RecordSet, generate_synthetic, save_record_set
 from ragmeter.providers import HashEmbedder, LinearPairScorer, ProviderBundle, ScriptedGenerator
@@ -790,7 +790,8 @@ class TestConfig:
         doc["providers"]["http"] = {"generator": {"url": "http://b.test/g", "dialect": 5}}
         write_json(config, doc)
         assert run(["evaluate", "--config", config, "--out", tmp_path / "o", tmp_path / "pos.jsonl"]) == 2
-        assert capsys.readouterr().err.startswith("error: providers.http.generator.dialect must be a string")
+        assert re.match(r"^error: providers\.http\.generator\.dialect must be 'prompt' or 'messages', got 5 "
+                        r"\(in config .*\)\n$", capsys.readouterr().err)
 
     def test_manifest_with_unknown_key_exits_2(self, tmp_path, capsys):
         config = write_workspace(tmp_path)
@@ -1006,6 +1007,47 @@ class TestConfigProperty:
         assert not out.exists()
 
     runs = itertools.count()
+
+
+# Each settings class the CLI builds, the type-table entry it checks first (as `load_config`,
+# `build_providers` and `cmd_synth` do), and settings both accept.
+SETTINGS_TABLES = [
+    (ragmeter.GenerationParams, cli._CONFIG["generation"], {}),
+    (ragmeter.SimilarityConfig, cli._CONFIG["metrics"], {}),
+    (ragmeter.BootstrapConfig, {k: v for k, v in cli._CONFIG["bootstrap"].items() if k != "checkpoints"}, {}),
+    (providers.EndpointConfig, cli._CONFIG["providers"]["http"][0]["generator"], {"url": "http://b.test/g"}),
+    (ragmeter.SyntheticSpec, cli._params(ragmeter.SyntheticSpec),
+     {"topic_label": "t", "prompt_template": "Write a passage and a question", "count": 2}),
+]
+
+# any JSON scalar, as a JSON file yields it back; NaN and the infinities included
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.sampled_from([-1, 0, 1, 2**64, 10**400]) | st.floats()
+    | st.text(max_size=8) | st.sampled_from(["prompt", "messages"])
+).map(lambda value: json.loads(json.dumps(value)))
+
+
+@pytest.mark.parametrize("cls, table, accepted", SETTINGS_TABLES, ids=[entry[0].__name__ for entry in SETTINGS_TABLES])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_library_and_cli_refuse_the_same_settings_in_the_same_words(cls, table, accepted, data):
+    name = data.draw(st.sampled_from([f.name for f in fields(cls)]), label="field")
+    doc = {**accepted, name: data.draw(JSON_SCALARS, label="value")}
+    try:
+        cls(**doc)
+        library = None
+    except ValueError as exc:
+        library = str(exc)
+    try:
+        cli._check(doc, table, "settings")
+        cli._build(cls, "section", **doc)
+        command_line = None
+    except cli.ConfigError as exc:
+        command_line = str(exc)
+    if library is None:
+        assert command_line is None
+    else:
+        assert command_line in (f"{library} (in settings)", f"section: {library}")
 
 
 REQUIRED_KEYS = [

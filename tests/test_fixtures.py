@@ -3,7 +3,8 @@ patches, the rule that no module takes a private name from another, the
 rule that no module computes a dot product outside the stacked `@`
 products, the rule that no module imports a name it does not use, the
 rule that every JSON input of the CLI is checked against its type table,
-and self-tests for the stats oracle.
+the rule that every settings class checks its field types through the
+one type rule, and self-tests for the stats oracle.
 
 Any byte change to a shipped template or a golden file fails here first;
 template edits are breaking changes and must be made deliberately.
@@ -258,6 +259,70 @@ def test_unchecked_json_read_detector_sees_every_form():
 
 def test_every_json_input_of_the_cli_meets_the_type_table():
     assert unchecked_json_reads((SRC / "cli.py").read_text(encoding="utf-8")) == []
+
+
+
+def field_checked_classes(source: str) -> set[str]:
+    """The classes in `source` whose `__post_init__` starts with `check_fields(self)`, after any docstring."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and method.name == "__post_init__":
+                    body = method.body[1:] if ast.get_docstring(method) else method.body
+                    if body and ast.unparse(body[0]) == "check_fields(self)":
+                        found.add(node.name)
+    return found
+
+
+def integral_uses(source: str) -> list[str]:
+    """The imports of `numbers.Integral` in `source`, and its uses through `numbers`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "numbers":
+            found += [ast.unparse(node) for a in node.names if a.name == "Integral"]
+        elif isinstance(node, ast.Attribute) and node.attr == "Integral":
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_settings_detectors_see_every_form():
+    source = (
+        "class First:\n    def __post_init__(self):\n        check_fields(self)\n        check(self.x)\n"
+        "class Documented:\n    def __post_init__(self):\n        \"Doc.\"\n        check_fields(self)\n"
+        "class Late:\n    def __post_init__(self):\n        check(self.x)\n        check_fields(self)\n"
+        "class Other:\n    def __post_init__(self):\n        check_fields(other)\n"
+        "class Qualified:\n    def __post_init__(self):\n        schema.check_fields(self)\n"
+        "class Empty:\n    def __post_init__(self):\n        \"Doc.\"\n"
+        "class Plain:\n    def check(self):\n        check_fields(self)\n"
+        "from numbers import Integral\nfrom numbers import Real, Integral as I\nfrom numbers import Real\n"
+        "import numbers\nnumbers.Integral\nfrom typing import Integral\n"
+    )
+    assert field_checked_classes(source) == {"First", "Documented"}
+    assert sorted(integral_uses(source)) == [
+        "from numbers import Integral", "from numbers import Real, Integral as I", "numbers.Integral",
+    ]
+
+
+SETTINGS_CLASSES = {
+    "corpus": {"SyntheticSpec"},
+    "metrics": {"SimilarityConfig"},
+    "providers": {"EndpointConfig", "GenerationParams", "RetryPolicy"},
+    "stats": {"BootstrapConfig"},
+}
+
+
+@pytest.mark.parametrize("module", sorted(SETTINGS_CLASSES))
+def test_every_settings_class_checks_its_field_types_first(module):
+    # the type half of every setting is the one rule in `schema`, which the
+    # CLI checks config files by; only range checks follow it
+    source = (SRC / f"{module}.py").read_text(encoding="utf-8")
+    assert SETTINGS_CLASSES[module] <= field_checked_classes(source)
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.stem != "schema"], ids=lambda path: path.stem)
+def test_only_the_schema_module_tells_an_integer(path):
+    assert integral_uses(path.read_text(encoding="utf-8")) == []
 
 
 class TestOracle:

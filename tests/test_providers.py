@@ -2,6 +2,7 @@
 
 import http.server
 import json
+import re
 import threading
 
 import numpy as np
@@ -401,9 +402,14 @@ class TestRunCalls:
         assert threads == [threading.get_ident()] * 6
 
 
-@pytest.mark.parametrize("timeout", [0, 0.0, -1, float("nan")])
-def test_endpoint_timeout_must_be_positive(timeout):
-    with pytest.raises(ValueError, match="timeout must be > 0"):
+@pytest.mark.parametrize("timeout, message", [
+    (0, "timeout must be > 0, got 0"),
+    (0.0, "timeout must be > 0, got 0.0"),
+    (-1, "timeout must be > 0, got -1"),
+    (float("nan"), "timeout must be a number, got nan"),
+], ids=["0", "0.0", "-1", "nan"])
+def test_endpoint_timeout_must_be_positive(timeout, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         EndpointConfig(url="http://backend.test/generate", timeout=timeout)
 
 

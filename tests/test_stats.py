@@ -536,3 +536,32 @@ def test_unallocatable_buffers_raise_value_error(monkeypatch, count, size):
     message = f"the means of {count} resamples of size {size or 4} do not fit in memory"
     with pytest.raises(ValueError, match=message):
         shared_resample_means([[0.1, 0.2, 0.3, 0.4]], cfg, count)
+
+
+# Population draws and true means for the coverage pin: one continuous, one a proportion.
+POPULATIONS = {
+    "beta(2,5)": (lambda rng, n: rng.beta(2.0, 5.0, n), 2.0 / 7.0),
+    "bernoulli(0.8)": (lambda rng, n: (rng.random(n) < 0.8).astype(float), 0.8),
+}
+COVERAGE_TRIALS = 300
+
+
+@pytest.mark.parametrize(
+    "population, n, measured",
+    [("beta(2,5)", 8, 0.88), ("beta(2,5)", 32, 0.93), ("bernoulli(0.8)", 8, 0.837), ("bernoulli(0.8)", 32, 0.90)],
+)
+def test_percentile_ci_coverage_at_small_n(population, n, measured):
+    # how often a nominal 95% interval at B = 1000 holds the true mean; the
+    # band is 3 standard errors of a 300-trial share, so a change to the draw
+    # contract or the percentile rule that moves coverage fails here. Each
+    # trial has its own seed, as lists of equal n would share their indices.
+    draw, mean = POPULATIONS[population]
+    hits = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BootstrapGuidanceWarning)
+        for trial in range(COVERAGE_TRIALS):
+            values = draw(np.random.default_rng((n, trial)), n).tolist()
+            summary = bootstrap_summary(values, BootstrapConfig(B=1000, seed=trial))
+            hits += summary.ci_low <= mean <= summary.ci_high
+    band = 3 * (measured * (1 - measured) / COVERAGE_TRIALS) ** 0.5
+    assert abs(hits / COVERAGE_TRIALS - measured) <= band
