@@ -48,6 +48,7 @@ from ragmeter.providers import (
     ProviderBundle,
     ProviderError,
     ScriptedGenerator,
+    check_parallelism,
 )
 from ragmeter.schema import refusal
 from ragmeter.stats import BootstrapConfig
@@ -171,12 +172,12 @@ def _read_json(path: str | Path, what: str, schema: object = None) -> object:
     return doc
 
 
-def _build(cls, where: str, /, *args, **kwargs):
-    """`cls(*args, **kwargs)`, with a ConfigError prefixed by `where` if `cls` refuses the settings."""
+def _build(cls, where: str | None, /, *args, **kwargs):
+    """`cls(*args, **kwargs)`; if `cls` refuses the settings, a ConfigError prefixed by `where` unless it is None."""
     try:
         return cls(*args, **kwargs)
     except ValueError as exc:  # a setting out of range
-        raise ConfigError(f"{where}: {exc}") from None
+        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from None
 
 
 def load_config(path: str | Path, *, seed: int | None = None, parallelism: int | None = None,
@@ -200,10 +201,8 @@ def load_config(path: str | Path, *, seed: int | None = None, parallelism: int |
         raw["parallelism"] = parallelism
     if providers_mode is not None:
         raw["providers"]["mode"] = providers_mode
-    if raw["parallelism"] < 1:
-        raise ConfigError(f"parallelism must be at least 1, got {raw['parallelism']}")
-    if raw["topicality"]["min_effect"] < 0:
-        raise ConfigError(f"topicality.min_effect must be at least 0, got {raw['topicality']['min_effect']}")
+    _build(check_parallelism, None, raw["parallelism"])  # a top-level key: no section to name
+    _build(topicality.check_min_effect, "topicality", raw["topicality"]["min_effect"])
     stub = raw["providers"]["stub"]
     if stub.get("scripts"):
         # the echoed config is location-independent: a manifest replays from any directory

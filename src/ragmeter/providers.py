@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Literal, Mapping, Protocol, Sequence, Typ
 
 import numpy as np
 
-from ragmeter.schema import check_fields, refusal
+from ragmeter.schema import check_arguments, check_fields, refusal
 
 
 class ProviderError(RuntimeError):
@@ -61,16 +61,15 @@ class MissingScoreStatementError(ProviderError):
         super().__init__(f"candidate text has no {metric} score statement")
 
 
-def _check_count(name: str, value: object) -> None:
-    """Raise ValueError unless `value` is an integer of at least 1."""
-    if problem := refusal(value, int, name):
-        raise ValueError(problem)
+def _check_count(name: str, value: int) -> None:
+    """Raise ValueError unless the integer `value` is at least 1."""
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-def check_parallelism(parallelism: object) -> None:
+def check_parallelism(parallelism: int) -> None:
     """Raise ValueError unless `parallelism` is an integer of at least 1."""
+    check_arguments(check_parallelism, locals())
     _check_count("parallelism", parallelism)
 
 
@@ -341,6 +340,7 @@ class HashEmbedder:
         *,
         keyword_boost: float = 4.0,
     ):
+        check_arguments(HashEmbedder.__init__, locals())
         _check_count("dimension", dimension)
         channels = dict(keyword_channels or {})
         for keyword, axis in channels.items():
@@ -421,6 +421,7 @@ class LinearPairScorer:
     in_process = True
 
     def __init__(self, weights: Sequence[float] = (1.0,) * 4, bias: float = 0.0):
+        check_arguments(LinearPairScorer.__init__, locals())
         if len(weights) != 4:
             raise ValueError(f"expected 4 weights, got {len(weights)}")
         self.weights = tuple(float(w) for w in weights)

@@ -1,5 +1,6 @@
-"""The one type rule for settings: the CLI checks each JSON input by :func:`refusal`, and each
-settings dataclass its fields by :func:`check_fields`, so a setting is refused in the same words
+"""The one type rule for settings: the CLI checks each JSON input by :func:`refusal`, each
+settings dataclass its fields by :func:`check_fields`, and each other settings class its
+arguments by :func:`check_arguments`, so a setting is refused in the same words
 whether it comes from a config file or from code.
 """
 
@@ -32,8 +33,10 @@ def _mismatch(value: object, schema: object) -> tuple[str, object, object] | Non
     there); the schema is None for a key that is not allowed, and the `(type,)` entry
     itself for a required key that is missing. Types are exact, except that an int is
     accepted where a float is expected, any integer but a bool where an int is
-    expected, and a float must be finite. `object` accepts any value, and a `(type,)`
-    or (type, default) entry is checked as its type.
+    expected, a float must be finite, and `Sequence[T]` and `Mapping[str, T]` take any
+    such container but a string or bytes, with string keys (JSON gives only lists and
+    objects). `object` accepts
+    any value, and a `(type,)` or (type, default) entry is checked as its type.
     """
     if isinstance(schema, tuple):
         return _mismatch(value, schema[0])
@@ -59,7 +62,8 @@ def _mismatch(value: object, schema: object) -> tuple[str, object, object] | Non
         elif origin is typing.Literal:
             fits = value in args
         else:  # list[T], Sequence[T] or Mapping[str, T]
-            fits = isinstance(value, dict if origin is Mapping else list)
+            fits = isinstance(value, origin) and not isinstance(value, (str, bytes))
+            fits = fits and (origin is not Mapping or all(isinstance(key, str) for key in value))
             for name, item in (value.items() if origin is Mapping else enumerate(value)) if fits else ():
                 found = _mismatch(item, args[-1])
                 if found:
@@ -89,7 +93,14 @@ def _describe(schema: object) -> str:
 
 def check_fields(obj: object) -> None:
     """Raise ValueError with the first field of the dataclass `obj` whose value fails its type hint."""
-    hints = typing.get_type_hints(type(obj))
-    for field in dataclasses.fields(obj):
-        if problem := refusal(getattr(obj, field.name), hints[field.name], field.name):
+    check_arguments(type(obj), {field.name: getattr(obj, field.name) for field in dataclasses.fields(obj)})
+
+
+def check_arguments(annotated: object, arguments: Mapping[str, object]) -> None:
+    """Raise ValueError with the first name annotated on `annotated` whose value in `arguments` fails its hint.
+
+    A function checks its own arguments with `check_arguments(f, locals())` as its first statement.
+    """
+    for name, hint in typing.get_type_hints(annotated).items():
+        if name in arguments and (problem := refusal(arguments[name], hint, name)):
             raise ValueError(problem)

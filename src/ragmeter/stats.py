@@ -10,13 +10,13 @@ Resample `s` depends only on (seed, s, n, size), so value arrays of one
 length share their index draws: :func:`shared_resample_means` draws each
 index row once and takes every array's mean from it. Rows are drawn in
 chunks of about `CHUNK_ENTRIES` indices, which bounds the draw and gather
-buffers near 336 KiB whatever n, size and the resample count are. The PCG64
-state `SeedSequence((seed, s))` gives resample `s` is computed directly,
-`SEED_BLOCK_ROWS` resamples at a time, and loaded into one generator per
-call, so no numpy seeding objects are built per resample.
+buffers near 320 KiB whatever n, size and the resample count are. The seed
+words `SeedSequence((seed, s))` gives resample `s` are computed directly,
+`SEED_BLOCK_ROWS` resamples at a time, and numpy seeds each resample's own
+PCG64 from its row, so no `SeedSequence` is built per resample.
 
 The indices are what `Generator.integers(0, n, size)` draws from that
-state: for n <= 2**32 that is Lemire's bounded-integer method on PCG64's
+PCG64: for n <= 2**32 that is Lemire's bounded-integer method on PCG64's
 32-bit stream, which :func:`resample_indices` applies to the raw 64-bit
 words of a whole chunk at once. The rare row holding a word the method
 rejects is redrawn by `Generator.integers` itself, as is every row when
@@ -25,6 +25,7 @@ n > 2**32; the tests check the draw against numpy bit for bit.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from itertools import islice
@@ -38,19 +39,18 @@ RECOMMENDED_MIN_N = 30
 RECOMMENDED_MIN_B = 1000
 CONVERGED_RELATIVE_CHANGE = 0.01
 # indices per chunk of resample rows, rows = max(1, CHUNK_ENTRIES // size): the
-# 64-bit index block and the float64 values gathered by it take 128 KiB each, the
-# raw PCG64 words 64 KiB and the rejection mask 16 KiB
+# 64-bit index block and the float64 values gathered by it take 128 KiB each, and
+# the raw PCG64 words 64 KiB
 CHUNK_ENTRIES = 16384
 # resample seed states computed per block: 2048 rows of 4 uint64 take 64 KiB
 SEED_BLOCK_ROWS = 2048
 
-# SeedSequence's hash constants and PCG64's multiplier (numpy/random), fixed by NEP 19
+# SeedSequence's hash constants (numpy/random), fixed by NEP 19
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32 = (1 << 32) - 1
 
 
 class BootstrapGuidanceWarning(UserWarning):
@@ -193,18 +193,6 @@ def seed_states(seed: int, start: int, stop: int) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def pcg64_state(words: np.ndarray) -> dict:
-    """The `PCG64.state` that seeding from one row of :func:`seed_states` leaves.
-
-    Mirrors PCG64's 128-bit srandom step: the first two words are the
-    initial state, the last two the stream selector, high word first.
-    """
-    s_high, s_low, i_high, i_low = words.tolist()
-    inc = ((i_high << 64 | i_low) << 1 | 1) & _MASK128
-    state = ((inc + (s_high << 64 | s_low)) * _PCG64_MULT + inc) & _MASK128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
-
-
 def _seeded_rows(seed: int, count: int) -> Iterator[np.ndarray]:
     """Rows of :func:`seed_states` for s in [0, count), computed `SEED_BLOCK_ROWS` at a time."""
     for start in range(0, count, SEED_BLOCK_ROWS):
@@ -215,11 +203,37 @@ def resample_rng(seed: int, s: int) -> np.random.Generator:
     """The generator driving resample `s` of a run seeded with `seed`.
 
     Seed-splitting rule: resample `s` draws from the PCG64 that
-    `SeedSequence((seed, s))` seeds; its state is computed directly.
+    `SeedSequence((seed, s))` seeds.
     """
-    bit_generator = np.random.PCG64(0)
-    bit_generator.state = pcg64_state(seed_states(seed, s, s + 1)[0])
-    return np.random.Generator(bit_generator)
+    return np.random.default_rng((seed, s))
+
+
+@functools.cache
+def _seed_row() -> type:
+    """The uint64 array type numpy's bit generators take as a seed sequence: its words are the seed.
+
+    numpy's bit generators accept any `ISeedSequence`, so a row of
+    :func:`seed_states` viewed as this type seeds PCG64 as the
+    `SeedSequence` it was computed from does. The type is defined on first
+    use, because importing that interface loads `numpy.random`, which
+    `import ragmeter` otherwise leaves unloaded.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedRow(np.ndarray, ISeedSequence):
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self  # PCG64 asks for 4 uint64 words and reads them from this buffer
+
+    return SeedRow
+
+
+def _seeded_pcg64(words: np.ndarray) -> np.random.PCG64:
+    """The PCG64 that `SeedSequence((seed, s))` seeds, from its row `words` of :func:`seed_states`.
+
+    PCG64 reads the row's buffer as is, so it is handed a C-contiguous
+    uint64 row; a strided row would seed another state.
+    """
+    return np.random.PCG64(np.ascontiguousarray(words, np.uint64).view(_seed_row()))
 
 
 def percentile(values: Sequence[float] | np.ndarray, p: float) -> float:
@@ -296,14 +310,11 @@ def resample_indices(states: Iterable[np.ndarray], n: int, size: int) -> Iterato
     `(w * n) mod 2**32 < (2**32 - n) % n`. All rows take that from their
     raw words at once; a row with a rejected word among its first `size`,
     and every row when n > 2**32, is redrawn with `Generator.integers`.
+    Each row seeds a PCG64 of its own, so concurrent calls share nothing.
     """
-    raw, index, rejected = _index_buffers(size)
+    raw, index = _index_buffers(size)
     rows, half = raw.shape
-    # local to the call, so concurrent calls share no generator state
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
     words = raw.view("<u4")[:, :size]
-    leftover = index.view("<u4")[:, ::2]
     threshold = (2**32 - n) % n if n <= 2**32 else None
     states = iter(states)
     while chunk := list(islice(states, rows)):
@@ -312,16 +323,15 @@ def resample_indices(states: Iterable[np.ndarray], n: int, size: int) -> Iterato
             redraw = range(k)
         else:
             for i, state in enumerate(chunk):
-                bit_generator.state = pcg64_state(state)
-                raw[i] = bit_generator.random_raw(half)
+                raw[i] = _seeded_pcg64(state).random_raw(half)
             np.multiply(words[:k], np.uint64(n), out=index[:k])
             redraw = ()
-            if threshold and np.less(leftover[:k], threshold, out=rejected[:k]).any():
-                redraw = np.flatnonzero(rejected[:k].any(axis=1))
+            # the words are spent: each becomes its product's low half, which the method tests
+            if threshold and np.multiply(words[:k], np.uint32(n), out=words[:k]).min() < threshold:
+                redraw = np.flatnonzero((words[:k] < threshold).any(axis=1))
             np.right_shift(index[:k], 32, out=index[:k])
         for i in redraw:
-            bit_generator.state = pcg64_state(chunk[i])
-            index[i] = rng.integers(0, n, size=size)
+            index[i] = np.random.Generator(_seeded_pcg64(chunk[i])).integers(0, n, size=size)
         yield index[:k].view("<i8")
 
 
@@ -378,10 +388,10 @@ def check_draw(cfg: BootstrapConfig, arrays: int, size: int) -> None:
         raise _no_room(cfg.B, size) from None
 
 
-def _index_buffers(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The raw-word, index and rejection buffers of :func:`resample_indices`, for rows of `size` indices."""
+def _index_buffers(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The raw-word and index buffers of :func:`resample_indices`, for rows of `size` indices."""
     rows = max(1, CHUNK_ENTRIES // size)
-    return np.empty((rows, -(-size // 2)), "<u8"), np.empty((rows, size), "<u8"), np.empty((rows, size), bool)
+    return np.empty((rows, -(-size // 2)), "<u8"), np.empty((rows, size), "<u8")
 
 
 def _no_room(count: int, size: int) -> ValueError:

@@ -49,7 +49,8 @@ def format_table(rows: list[list[str]]) -> str:
     return "\n".join("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)) for row in rows) + "\n"
 
 
-def _check_min_effect(min_effect: float) -> None:
+def check_min_effect(min_effect: float) -> None:
+    """Raise ValueError unless `min_effect` is at least 0."""
     if not min_effect >= 0:  # a negative effect would reduce "separated" to disjoint CIs
         raise ValueError(f"min_effect must be at least 0, got {min_effect!r}")
 
@@ -94,7 +95,7 @@ def compare_summaries(
     a.boot_mean - b.boot_mean; the verdict is "separated" only when the
     CIs are disjoint and |delta| >= min_effect, which must be at least 0.
     """
-    _check_min_effect(min_effect)
+    check_min_effect(min_effect)
     if a.ci_level != b.ci_level:
         raise ValueError(f"mismatched ci_level: {a.ci_level} vs {b.ci_level}")
     delta = a.boot_mean - b.boot_mean
@@ -241,7 +242,7 @@ def run_topicality(
     for i, label in enumerate(labels):
         if label in labels[:i]:
             raise ValueError(f"two query sets are labelled {label!r}")
-    _check_min_effect(min_effect)
+    check_min_effect(min_effect)
     boot_cfg = boot_cfg or BootstrapConfig()
     # a draw has at least one value, so empty sets stand for the smallest draw
     size = boot_cfg.resample_size or max(len(record_set.records) for record_set in sets) or 1

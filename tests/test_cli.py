@@ -586,11 +586,11 @@ class TestBootstrap:
         write_json(values_path, values)
         calls = []
 
-        def counting_state(words, real=stats.pcg64_state):
+        def counting_pcg64(words, real=stats._seeded_pcg64):
             calls.append(words)
             return real(words)
 
-        monkeypatch.setattr(stats, "pcg64_state", counting_state)
+        monkeypatch.setattr(stats, "_seeded_pcg64", counting_pcg64)
         out = tmp_path / "out"
         assert run(["bootstrap", "--config", config, "--out", out, values_path]) == 0
         assert len(calls) == draws
@@ -743,7 +743,7 @@ class TestConfig:
             override = ["--parallelism", 0]
         out = tmp_path / "o"
         assert run(["evaluate", "--config", config, "--out", out, *override, tmp_path / "pos.jsonl"]) == 2
-        assert capsys.readouterr().err.startswith("error: parallelism must be at least 1")
+        assert capsys.readouterr().err.startswith("error: parallelism must be >= 1")
         assert not (out / "evaluate.manifest.json").exists()
 
     @pytest.mark.parametrize(
@@ -1018,6 +1018,8 @@ SETTINGS_TABLES = [
     (providers.EndpointConfig, cli._CONFIG["providers"]["http"][0]["generator"], {"url": "http://b.test/g"}),
     (ragmeter.SyntheticSpec, cli._params(ragmeter.SyntheticSpec),
      {"topic_label": "t", "prompt_template": "Write a passage and a question", "count": 2}),
+    (HashEmbedder, cli._CONFIG["providers"]["stub"][0]["embedder"], {}),
+    (LinearPairScorer, cli._CONFIG["providers"]["stub"][0]["scorer"], {}),
 ]
 
 # any JSON scalar, as a JSON file yields it back; NaN and the infinities included
@@ -1031,7 +1033,7 @@ JSON_SCALARS = (
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_library_and_cli_refuse_the_same_settings_in_the_same_words(cls, table, accepted, data):
-    name = data.draw(st.sampled_from([f.name for f in fields(cls)]), label="field")
+    name = data.draw(st.sampled_from(list(cli._params(cls))), label="field")
     doc = {**accepted, name: data.draw(JSON_SCALARS, label="value")}
     try:
         cls(**doc)
@@ -1187,7 +1189,7 @@ class TestTopicality:
         out = tmp_path / "o"
         records = [tmp_path / "pos.jsonl", tmp_path / "rand.jsonl"]
         assert run(["topicality", "--config", config, "--out", out, *records]) == 2
-        assert capsys.readouterr().err.startswith("error: topicality.min_effect must be at least 0, got -0.05")
+        assert capsys.readouterr().err.startswith("error: topicality: min_effect must be at least 0, got -0.05")
         assert not out.exists()
 
     def test_duplicate_labels_exit_2(self, tmp_path, capsys):

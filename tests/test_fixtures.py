@@ -325,6 +325,50 @@ def test_only_the_schema_module_tells_an_integer(path):
     assert integral_uses(path.read_text(encoding="utf-8")) == []
 
 
+def pcg64_seedings(source: str) -> list[str]:
+    """Where `source` seeds a PCG64 or sets a bit generator's state, by the top-level definition holding it.
+
+    Each `PCG64(...)` call reads `<definition>: <callee>()`, and each
+    assignment to a `.state` attribute, in any assigning statement or loop,
+    `<definition>: <target> =`; code outside any definition is `<module>`.
+    """
+    found = []
+    for scope in ast.parse(source).body:
+        name = getattr(scope, "name", "<module>")
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Call) and called_name(node) == "PCG64":
+                found.append(f"{name}: {ast.unparse(node.func)}()")
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            targets = [item for root in targets for item in getattr(root, "elts", [root])]  # unpack `a, b =`
+            found += [f"{name}: {ast.unparse(target)} =" for target in targets
+                      if isinstance(target, ast.Attribute) and target.attr == "state"]
+    return found
+
+
+def test_pcg64_seeding_detector_sees_every_form():
+    source = (
+        "bg = np.random.PCG64(0)\n"
+        "def load(bg, words):\n    bg.state = words\n    a, bg.state = 1, words\n"
+        "def build(row):\n    return PCG64(row)\n"
+        "class Holder:\n    def reset(self):\n        self.bit_generator.state: dict = {}\n"
+        "def other(rng):\n    rng.state['x'] = 1\n    return rng.bit_generator.state, np.random.default_rng(0)\n"
+        "for g.state in ():\n    pass\n"
+    )
+    assert pcg64_seedings(source) == [
+        "<module>: np.random.PCG64()", "load: bg.state =", "load: bg.state =", "build: PCG64()",
+        "Holder: self.bit_generator.state =", "<module>: g.state =",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.stem)
+def test_numpy_seeds_every_pcg64_through_one_constructor(path):
+    # `SeedSequence((seed, s))` seeds resample s: numpy does it from the row
+    # `seed_states` computes, in `stats._seeded_pcg64` alone, and no state is
+    # written by hand into a bit generator
+    expected = ["_seeded_pcg64: np.random.PCG64()"] if path.stem == "stats" else []
+    assert pcg64_seedings(path.read_text(encoding="utf-8")) == expected
+
+
 class TestOracle:
     def test_constant_values(self):
         cfg = BootstrapConfig(B=200, seed=3)

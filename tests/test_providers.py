@@ -219,6 +219,11 @@ class TestHashEmbedder:
             HashEmbedder(0)
         with pytest.raises(ValueError):
             HashEmbedder(8, {"kw": 8})
+        # refused when built, in the config table's words, not at the first embed
+        with pytest.raises(ValueError, match=r"^keyword_channels must be an object of integers or null, got \{"):
+            HashEmbedder(8, {"tide": 2.5})
+        with pytest.raises(ValueError, match="^keyword_channels must be an object of integers"):
+            HashEmbedder(8, {1: 2})
 
     def test_bit_determinism_across_instances(self):
         a = HashEmbedder(128, {"cloud": 5}).embed("clouds over the bay")
@@ -447,6 +452,10 @@ class TestLinearPairScorer:
         with pytest.raises(ValueError):
             LinearPairScorer((1, 1, 1))
 
+    def test_refuses_a_bool_weight_when_built(self):
+        with pytest.raises(ValueError, match=r"^weights\[0\] must be a number, got True$"):
+            LinearPairScorer(weights=(True, 1, 1, 1))
+
     def test_extract_scores(self):
         """Statements quoted before the appended block never stand in for a score."""
         for quoted in ("", "the faithfulness score is: 9. the context recall score is: 7 "):
@@ -624,11 +633,13 @@ class TestHttpAdapters:
 
 
 def test_import_loads_no_http_stack():
+    # nor numpy.random: loading it on import adds about 1.8 MiB of RSS to every
+    # run, so the stats module builds its seed-sequence adapter on first use
     proc = run_python("-c", (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import ragmeter.cli\n"
-        "print(sorted({'urllib.request', 'http.client', 'ssl'} & (set(sys.modules) - before)))\n"
+        "print(sorted({'urllib.request', 'http.client', 'ssl', 'numpy.random'} & (set(sys.modules) - before)))\n"
     ))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"

@@ -23,7 +23,6 @@ from ragmeter.stats import (
     bootstrap_summaries,
     bootstrap_summary,
     convergence_trace,
-    pcg64_state,
     percentile,
     resample_indices,
     resample_means,
@@ -66,7 +65,7 @@ class TestSeedStates:
         for j, words in enumerate(states):
             sequence = np.random.SeedSequence((seed, s + j))
             assert words.tobytes() == sequence.generate_state(4, np.uint64).tobytes()
-            assert pcg64_state(words) == np.random.PCG64(sequence).state
+            assert stats._seeded_pcg64(words).state == np.random.PCG64(sequence).state
 
     def test_resample_rng_draws_like_numpy_seeding(self):
         mirrored = resample_rng(2**64 + 3, 2**32 + 1).integers(0, 1000, size=64)
@@ -107,17 +106,24 @@ class TestResampleIndices:
         assert drawn.dtype == expected.dtype
         assert drawn.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("n", [1000, 2**31 + 1])  # rows drawn from raw words, and rows redrawn
+    def test_rows_of_a_fortran_ordered_state_array_draw_alike(self, n):
+        states = np.asfortranarray(seed_states(7, 0, 5))  # each row a strided view
+        drawn = np.concatenate([block.copy() for block in resample_indices(states, n, 16)])
+        expected = np.stack([resample_rng(7, s).integers(0, n, size=16) for s in range(5)])
+        assert drawn.tobytes() == expected.tobytes()
+
     def test_shared_means_match_the_oracle_where_rows_are_redrawn(self, monkeypatch):
         # (2**32 - n) % n = 954414, so about 1 row of 1000 words in 5 is redrawn
         n, B, size, seed = 1_000_003, 40, 1000, 2024
         values = np.random.default_rng(3).integers(0, 2**20, size=n) / 1024
         seeded = []
 
-        def counting_state(words, real=stats.pcg64_state):
+        def counting_pcg64(words, real=stats._seeded_pcg64):
             seeded.append(words)
             return real(words)
 
-        monkeypatch.setattr(stats, "pcg64_state", counting_state)
+        monkeypatch.setattr(stats, "_seeded_pcg64", counting_pcg64)
         (means,) = shared_resample_means([values], BootstrapConfig(B=B, resample_size=size, seed=seed))
         assert len(seeded) > B  # some rows took the redraw
         assert means.tobytes() == np.asarray(oracle_resample_means(values, B, size, seed)).tobytes()
