@@ -6,14 +6,13 @@ scorer, and characterizes metric uncertainty and repository topicality
 with seeded bootstrap statistics.
 """
 
-from ragmeter.aggregation import AggregateScore, EnhancedAnswer, aggregate, enhance_answer, expit, rank_records
+from ragmeter.aggregation import AggregateScore, EnhancedAnswer, LinearPairScorer, aggregate, enhance_answer, expit, rank_records
 from ragmeter.corpus import EvalRecord, QrelsEntry, RecordSet, SyntheticSpec
 from ragmeter.metrics import MetricResult, MetricVector, SimilarityConfig, evaluate_record, evaluate_set
 from ragmeter.providers import (
     Embedder,
     GenerationParams,
     HashEmbedder,
-    LinearPairScorer,
     PairScorer,
     ProviderBundle,
     ScriptedGenerator,

@@ -2,6 +2,7 @@
 
 The four metric scores are rendered into fixed prose statements appended to
 the answer; a pair scorer then maps (query, enhanced answer) to one logit.
+:class:`LinearPairScorer`, the offline stub, reads the statements back.
 Logits are the primary output; the logistic-normalized value is carried
 alongside. :func:`aggregate_set` scores a whole report and ranks it.
 """
@@ -9,15 +10,25 @@ alongside. :func:`aggregate_set` scores a whole report and ranks it.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ragmeter.corpus import EvalRecord
 from ragmeter.judge import load_template, render
 from ragmeter.metrics import METRICS, MetricVector
-from ragmeter.providers import PairScorer, run_calls
+from ragmeter.providers import PairScorer, ProviderError, run_calls
+from ragmeter.schema import check_arguments
 
 DEFAULT_SCORER_MODEL = "ms-marco-MiniLM-L-12-v2"
+
+# each metric's score statement, in the order the enhancement template appends them
+SCORE_STATEMENTS = {
+    "answer_relevance": "the answer relevancy score is:",
+    "retrieval_precision": "the context precision score is:",
+    "retrieval_recall": "the context recall score is:",
+    "faithfulness": "the faithfulness score is:",
+}
 
 
 class MissingMetricError(ValueError):
@@ -31,6 +42,14 @@ class MissingMetricError(ValueError):
 
 class AggregationError(RuntimeError):
     """The pair scorer failed while consolidating a record."""
+
+
+class MissingScoreStatementError(ProviderError):
+    """A linear pair scorer candidate lacks one of the four score sentences."""
+
+    def __init__(self, metric: str):
+        self.metric = metric
+        super().__init__(f"candidate text has no {metric} score statement")
 
 
 @dataclass(frozen=True)
@@ -52,18 +71,15 @@ def expit(x: float) -> float:
     return z / (1.0 + z)
 
 
-def _statement_paragraphs() -> list[str]:
-    return load_template("enhancement.txt").splitlines()
-
-
 def enhance_answer(
     record: EvalRecord, metrics: MetricVector, contexts_included: bool = True
 ) -> EnhancedAnswer:
     """Render the answer with the four score statements appended.
 
-    Scores are rendered at full precision. The context block (the retrieved
-    chunks as a quoted list) is included by default and dropped when
-    `contexts_included` is false.
+    Paragraphs keep the template's order, which :data:`SCORE_STATEMENTS`
+    follows; scores are rendered at full precision. The context block (the
+    retrieved chunks as a quoted list) is dropped when `contexts_included`
+    is false. A metric with no value raises :class:`MissingMetricError`.
     """
     slots = {"answer": record.answer, "contexts": repr(list(record.contexts))}
     for metric in METRICS:
@@ -71,12 +87,56 @@ def enhance_answer(
         if result.value is None:
             raise MissingMetricError(metric, record.id)
         slots[metric] = repr(float(result.value))
-    preamble, context_block, relevance, precision, recall, faithfulness = _statement_paragraphs()
-    paragraphs = [preamble]
-    if contexts_included:
-        paragraphs.append(context_block)
-    paragraphs += [relevance, precision, recall, faithfulness]
+    paragraphs = load_template("enhancement.txt").splitlines()
+    if not contexts_included:
+        paragraphs = [paragraph for paragraph in paragraphs if "{contexts}" not in paragraph]
     return EnhancedAnswer(render("\n\n".join(paragraphs), slots))
+
+
+_SCORE_PATTERNS = {metric: re.compile(re.escape(phrase) + r"\s*(-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)")
+                   for metric, phrase in SCORE_STATEMENTS.items()}
+
+
+class LinearPairScorer:
+    """Test double scoring enhanced answers as an affine combination.
+
+    Reads the four score statements rendered into an enhanced answer and
+    returns bias + sum(w_i * score_i). Weights follow the statement order
+    of :data:`SCORE_STATEMENTS`: answer relevance, context precision,
+    context recall, faithfulness.
+    """
+
+    identifier = "stub:linear"
+    in_process = True
+
+    def __init__(self, weights: Sequence[float] = (1.0,) * 4, bias: float = 0.0):
+        check_arguments(LinearPairScorer.__init__, locals())
+        if len(weights) != 4:
+            raise ValueError(f"expected 4 weights, got {len(weights)}")
+        self.weights = tuple(float(w) for w in weights)
+        self.bias = float(bias)
+
+    def score(self, query: str, candidate: str) -> float:
+        logit = self.bias
+        for weight, value in zip(self.weights, self.extract_scores(candidate).values()):
+            logit += weight * value
+        return logit
+
+    @staticmethod
+    def extract_scores(candidate: str) -> dict[str, float]:
+        """The four statement scores of an enhanced answer, in statement order.
+
+        Each statement is read from its last occurrence: the statements are
+        appended after the answer and the contexts, so a look-alike quoted in
+        either never stands in for a score.
+        """
+        scores: dict[str, float] = {}
+        for metric, pattern in _SCORE_PATTERNS.items():
+            found = pattern.findall(candidate)
+            if not found:
+                raise MissingScoreStatementError(metric)
+            scores[metric] = float(found[-1])
+        return scores
 
 
 def aggregate(record: EvalRecord, enhanced: EnhancedAnswer, scorer: PairScorer) -> AggregateScore:
@@ -104,15 +164,14 @@ def aggregate_set(
 ) -> list[tuple[str, AggregateScore]]:
     """Enhance and score every (record, metric vector) pair, then rank them.
 
-    The pairs go through :func:`~ragmeter.providers.run_calls`: `parallelism`
-    bounds concurrent scorer calls, an in-process scorer runs on the calling
-    thread, and the first failure in record order is raised. The ranking is
-    that of :func:`rank_records`, so it does not depend on `parallelism`.
-    An invalid `parallelism` raises ValueError before any scorer call.
+    Every answer is enhanced before the first scorer call, so the first
+    record lacking a metric raises :class:`MissingMetricError` with no call
+    made. The enhanced answers go through :func:`~ragmeter.providers.run_calls`:
+    `parallelism` bounds concurrent scorer calls, an in-process scorer runs
+    on the calling thread, and the first failure in record order is raised.
+    The ranking is that of :func:`rank_records`, so it does not depend on
+    `parallelism`. An invalid `parallelism` raises ValueError before any
+    scorer call.
     """
-
-    def score_one(pair: tuple[EvalRecord, MetricVector]) -> tuple[str, AggregateScore]:
-        record, vector = pair
-        return record.id, aggregate(record, enhance_answer(record, vector, contexts_included), scorer)
-
-    return rank_records(run_calls(score_one, pairs, parallelism, scorer))
+    enhanced = [(record, enhance_answer(record, vector, contexts_included)) for record, vector in pairs]
+    return rank_records(run_calls(lambda pair: (pair[0].id, aggregate(*pair, scorer)), enhanced, parallelism, scorer))

@@ -44,7 +44,6 @@ from ragmeter.providers import (
     HttpEmbedder,
     HttpGenerator,
     HttpPairScorer,
-    LinearPairScorer,
     ProviderBundle,
     ProviderError,
     ScriptedGenerator,
@@ -111,7 +110,7 @@ _CONFIG = {
             "scripts": str | None,
             "fallback": str,
             "embedder": _params(HashEmbedder),
-            "scorer": _params(LinearPairScorer),
+            "scorer": _params(aggregation.LinearPairScorer),
         }, {}),
         "http": ({name: _params(EndpointConfig) for name in ("generator", "embedder", "scorer")}, {}),
     },
@@ -252,7 +251,7 @@ def build_providers(config: RunConfig) -> ProviderBundle:
     if config.providers_mode == "stub":
         stub = config.raw["providers"]["stub"]
         embedder = _build(HashEmbedder, "providers.stub.embedder", **stub.get("embedder", {}))
-        scorer = _build(LinearPairScorer, "providers.stub.scorer", **stub.get("scorer", {}))
+        scorer = _build(aggregation.LinearPairScorer, "providers.stub.scorer", **stub.get("scorer", {}))
         return ProviderBundle(_load_scripts(config), embedder, scorer)
 
     http = config.raw["providers"]["http"]
@@ -373,15 +372,13 @@ def cmd_evaluate(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def _vector_from_report(entry: dict, path: str) -> tuple[EvalRecord, MetricVector]:
-    """The record and metric vector of a checked entry of the metrics report `path`."""
+    """The record and metric vector (None for a missing value) of a checked entry of the metrics report `path`."""
     record = _build(record_from_fields, f"metrics report {path}", entry["id"], entry["query"], entry["answer"],
                     entry.get("contexts", []), entry.get("ground_truth"))
     results = {}
     for metric in METRICS:
         cell = entry.get("metrics", {}).get(metric, {})
-        if cell.get("value") is None:
-            raise aggregation.MissingMetricError(metric, record.id)
-        results[metric] = MetricResult(float(cell["value"]), cell.get("status", "ok"))
+        results[metric] = MetricResult(cell.get("value"), cell.get("status", "ok"))
     return record, MetricVector(record.id, **results)
 
 
@@ -393,7 +390,6 @@ def cmd_aggregate(args: argparse.Namespace, config: RunConfig) -> int:
     entries = _read_json(path, "metrics report", _REPORT_SCHEMA).get("records", [])
     if not entries:
         raise EmptyInputError(f"metrics report {path} has no records")
-    # every record is checked before a scorer call
     pairs = [_vector_from_report(entry, path) for entry in entries]
     first_index: dict[str, int] = {}
     for index, (record, _) in enumerate(pairs):
@@ -415,11 +411,7 @@ def cmd_aggregate(args: argparse.Namespace, config: RunConfig) -> int:
     _emit(
         args, config, providers, [str(path)],
         {"aggregate.json": _json_text(report), "aggregate.txt": topicality.format_table(rows)},
-        extra={
-            "statement_order": [
-                "answer_relevance", "retrieval_precision", "retrieval_recall", "faithfulness"
-            ]
-        },
+        extra={"statement_order": list(aggregation.SCORE_STATEMENTS)},
     )
     return EXIT_OK
 

@@ -200,14 +200,19 @@ def parse_faithfulness_verdicts(transcript: str, n_statements: int) -> Faithfuln
 RECALL_SOURCES = ("auto", "ground_truth", "answer")
 
 
+def check_recall_source(source: str) -> None:
+    """Raise ValueError unless `source` is one of :data:`RECALL_SOURCES`."""
+    if source not in RECALL_SOURCES:
+        raise ValueError(f"unknown recall source {source!r}; expected one of {RECALL_SOURCES}")
+
+
 def recall_source_text(record: EvalRecord, source: str = "auto") -> str:
     """The text whose sentences the recall judge classifies.
 
     `auto` prefers the ground truth when present and falls back to the
     answer.
     """
-    if source not in RECALL_SOURCES:
-        raise ValueError(f"unknown recall source {source!r}; expected one of {RECALL_SOURCES}")
+    check_recall_source(source)
     if source == "ground_truth" or (source == "auto" and record.ground_truth):
         if not record.ground_truth:
             raise ValueError(f"record {record.id!r} has no ground truth for recall")

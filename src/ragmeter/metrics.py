@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -24,6 +25,7 @@ from ragmeter.judge import (
     build_precision_prompt,
     build_question_gen_prompt,
     build_recall_prompt,
+    check_recall_source,
     parse_faithfulness_verdicts,
     parse_generated_question,
     parse_precision_extraction,
@@ -106,12 +108,25 @@ class MetricVector:
 
 @dataclass(frozen=True)
 class SetEvaluation:
-    """Per-record vectors plus per-metric means over successful records."""
+    """Per-record vectors; their per-metric values, means and failure counts are read from them."""
 
     label: str
     vectors: tuple[MetricVector, ...]
-    means: Mapping[str, float | None]
-    failure_counts: Mapping[str, int]
+
+    def values(self, metric: str) -> tuple[float, ...]:
+        """The metric's successful values, in record order."""
+        return tuple(float(v.result(metric).value) for v in self.vectors if v.result(metric).computed)
+
+    @cached_property
+    def means(self) -> dict[str, float | None]:
+        """Each metric's mean over its successful values; None when it has none."""
+        values = {metric: self.values(metric) for metric in METRICS}
+        return {metric: math.fsum(v) / len(v) if v else None for metric, v in values.items()}
+
+    @cached_property
+    def failure_counts(self) -> dict[str, int]:
+        """Each metric's number of records whose metric failed."""
+        return {metric: len(self.vectors) - len(self.values(metric)) for metric in METRICS}
 
 
 def faithfulness_score(verdicts: FaithfulnessVerdicts) -> float:
@@ -315,10 +330,12 @@ def evaluate_record(
 
     Raw judge transcripts are retained in each metric's diagnostics. Records
     with empty contexts get degenerate 0.0 recall and precision without any
-    judge calls; faithfulness and relevance are still computed.
+    judge calls; faithfulness and relevance are still computed. An empty
+    answer and an unknown `recall_source` raise ValueError before any call.
     """
     if not record.answer.strip():
         raise ValueError(f"record {record.id!r} has an empty answer")
+    check_recall_source(recall_source)
     cfg = cfg or SimilarityConfig()
     generator, embedder = providers.generator, providers.embedder
 
@@ -400,11 +417,12 @@ def evaluate_set(
     failed. Means are taken per metric over records whose metric succeeded.
     Raises :class:`SetEvaluationError` for an empty set, and when every
     metric of every record failed, naming the first failure in record order:
-    its record id, metric and error text. An invalid `parallelism` raises
-    ValueError before any provider call.
+    its record id, metric and error text. An unknown `recall_source` and an
+    invalid `parallelism` raise ValueError before any provider call.
     """
     if not record_set.records:
         raise SetEvaluationError(f"record set {record_set.label!r} is empty")
+    check_recall_source(recall_source)
 
     def run_one(record: EvalRecord) -> MetricVector:
         try:
@@ -423,15 +441,4 @@ def evaluate_set(
             f"every record in set {record_set.label!r} failed; first failure: record "
             f"{first.record_id!r} {METRICS[0]}: {first.result(METRICS[0]).diagnostics['error']}"
         )
-
-    means: dict[str, float | None] = {}
-    failure_counts: dict[str, int] = {}
-    for metric in METRICS:
-        values = [
-            vector.result(metric).value for vector in vectors if vector.result(metric).computed
-        ]
-        failure_counts[metric] = len(vectors) - len(values)
-        means[metric] = math.fsum(values) / len(values) if values else None
-    return SetEvaluation(
-        label=record_set.label, vectors=vectors, means=means, failure_counts=failure_counts
-    )
+    return SetEvaluation(label=record_set.label, vectors=vectors)

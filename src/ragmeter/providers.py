@@ -3,7 +3,7 @@
 Three capabilities are modelled: text generation (the judge), text
 embedding, and pair scoring (a cross-encoder returning a relevance logit).
 Each has an HTTP adapter for hosted backends and a stub for offline,
-bit-reproducible runs.
+bit-reproducible runs; the pair scorer's stub is `aggregation.LinearPairScorer`.
 """
 
 from __future__ import annotations
@@ -51,14 +51,6 @@ class ScriptMissError(ProviderError):
     def __init__(self, prompt: str):
         self.prompt_prefix = prompt[:80]
         super().__init__(f"no script matches prompt starting {self.prompt_prefix!r}")
-
-
-class MissingScoreStatementError(ProviderError):
-    """A linear pair scorer candidate lacks one of the four score sentences."""
-
-    def __init__(self, metric: str):
-        self.metric = metric
-        super().__init__(f"candidate text has no {metric} score statement")
 
 
 def _check_count(name: str, value: int) -> None:
@@ -398,56 +390,6 @@ class HashEmbedder:
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         """`(len(texts), dimension)` array whose row i is `self.embed(texts[i])`."""
         return self._vectors(texts)
-
-
-_SCORE_STATEMENT_PATTERNS = (
-    ("answer_relevance", re.compile(r"the answer relevancy score is:\s*(-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)")),
-    ("retrieval_precision", re.compile(r"the context precision score is:\s*(-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)")),
-    ("retrieval_recall", re.compile(r"the context recall score is:\s*(-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)")),
-    ("faithfulness", re.compile(r"the faithfulness score is:\s*(-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)")),
-)
-
-
-class LinearPairScorer:
-    """Test double scoring enhanced answers as an affine combination.
-
-    Reads the four score sentences rendered into an enhanced answer and
-    returns bias + sum(w_i * score_i). Weights follow the statement order
-    in the enhanced text: answer relevance, context precision, context
-    recall, faithfulness.
-    """
-
-    identifier = "stub:linear"
-    in_process = True
-
-    def __init__(self, weights: Sequence[float] = (1.0,) * 4, bias: float = 0.0):
-        check_arguments(LinearPairScorer.__init__, locals())
-        if len(weights) != 4:
-            raise ValueError(f"expected 4 weights, got {len(weights)}")
-        self.weights = tuple(float(w) for w in weights)
-        self.bias = float(bias)
-
-    def score(self, query: str, candidate: str) -> float:
-        logit = self.bias
-        for weight, value in zip(self.weights, self.extract_scores(candidate).values()):
-            logit += weight * value
-        return logit
-
-    @staticmethod
-    def extract_scores(candidate: str) -> dict[str, float]:
-        """The four statement scores of an enhanced answer, in statement order.
-
-        Each statement is read from its last occurrence: the statements are
-        appended after the answer and the contexts, so a look-alike quoted in
-        either never stands in for a score.
-        """
-        scores: dict[str, float] = {}
-        for metric, pattern in _SCORE_STATEMENT_PATTERNS:
-            found = pattern.findall(candidate)
-            if not found:
-                raise MissingScoreStatementError(metric)
-            scores[metric] = float(found[-1])
-        return scores
 
 
 @dataclass(frozen=True)

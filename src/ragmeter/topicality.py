@@ -18,6 +18,7 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from ragmeter.corpus import RecordSet
+from ragmeter.judge import check_recall_source
 from ragmeter.metrics import (
     METRICS,
     SetEvaluation,
@@ -172,18 +173,10 @@ def _set_values(evaluation: SetEvaluation, boot_cfg: BootstrapConfig) -> _SetVal
     Raises TopicalityError for a metric with no successful value, and emits
     the guidance warnings :func:`bootstrap_summary` would for each metric.
     """
-    values: dict[str, tuple[float, ...]] = {}
-    for metric in METRICS:
-        metric_values = tuple(
-            float(v.result(metric).value)
-            for v in evaluation.vectors
-            if v.result(metric).computed
-        )
+    values = {metric: evaluation.values(metric) for metric in METRICS}
+    for metric, metric_values in values.items():
         if not metric_values:
-            raise TopicalityError(
-                f"set {evaluation.label!r}: no successful values for metric {metric}"
-            )
-        values[metric] = metric_values
+            raise TopicalityError(f"set {evaluation.label!r}: no successful values for metric {metric}")
     for metric_values in values.values():
         check_summary_input(metric_values, boot_cfg)
     return evaluation.label, values, evaluation.failure_counts
@@ -224,8 +217,8 @@ def run_topicality(
 ) -> TopicalityReport:
     """Evaluate each query set, bootstrap per metric, compare all set pairs.
 
-    Two sets with the same label, and a `B` below 2, raise ValueError
-    before any provider call. A set with a metric no record computed raises
+    Two sets with the same label, a `B` below 2 and an unknown
+    `recall_source` raise ValueError before any provider call. A set with a metric no record computed raises
     TopicalityError before the next set is evaluated. The resample indices are drawn once per
     distinct number of values, after the last set, for every set and metric.
 
@@ -243,6 +236,7 @@ def run_topicality(
         if label in labels[:i]:
             raise ValueError(f"two query sets are labelled {label!r}")
     check_min_effect(min_effect)
+    check_recall_source(recall_source)
     boot_cfg = boot_cfg or BootstrapConfig()
     # a draw has at least one value, so empty sets stand for the smallest draw
     size = boot_cfg.resample_size or max(len(record_set.records) for record_set in sets) or 1

@@ -23,7 +23,7 @@ from helpers import (
     scripts_to_json,
 )
 from oracle import enumerate_size2_resample_means, oracle_resample_stats
-from ragmeter.aggregation import AggregateScore, aggregate, enhance_answer, expit, rank_records
+from ragmeter.aggregation import AggregateScore, LinearPairScorer, aggregate, enhance_answer, expit, rank_records
 from ragmeter.cli import main as cli_main
 from ragmeter.corpus import EvalRecord, save_record_set
 from ragmeter.judge import (
@@ -41,7 +41,7 @@ from ragmeter.metrics import (
     precision_score,
     recall_score,
 )
-from ragmeter.providers import HashEmbedder, LinearPairScorer, ProviderBundle, ScriptedGenerator
+from ragmeter.providers import HashEmbedder, ProviderBundle, ScriptedGenerator
 from ragmeter.stats import (
     BootstrapConfig,
     BootstrapGuidanceWarning,

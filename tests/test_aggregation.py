@@ -29,6 +29,7 @@ from helpers import (
 from ragmeter.aggregation import (
     AggregateScore,
     AggregationError,
+    LinearPairScorer,
     MissingMetricError,
     aggregate,
     aggregate_set,
@@ -39,7 +40,7 @@ from ragmeter.aggregation import (
 from ragmeter.corpus import EvalRecord
 from ragmeter.judge import load_template
 from ragmeter.metrics import METRICS, MetricResult, MetricVector
-from ragmeter.providers import LinearPairScorer, ProviderBundle, RetryPolicy
+from ragmeter.providers import ProviderBundle, RetryPolicy
 
 # Score statements in the order enhance_answer appends them.
 STATEMENT_ORDER = ("answer_relevance", "retrieval_precision", "retrieval_recall", "faithfulness")
@@ -313,6 +314,23 @@ class TestAggregateSet:
 
         with pytest.raises(AggregationError, match="^scorer gave record 'r0' the non-finite logit nan$"):
             aggregate_set(scored_pairs(3), NanScorer(), parallelism=parallelism)
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_missing_metric_in_a_later_record_refused_before_any_scorer_call(self, parallelism):
+        calls = []
+
+        class CountingScorer:  # not in process, so parallelism 4 gets a pool
+            def score(self, query, candidate):
+                calls.append(query)
+                return 0.0
+
+        pairs = scored_pairs(3)
+        record, vector = pairs[2]
+        pairs[2] = (record, MetricVector(record.id, vector.faithfulness, vector.answer_relevance,
+                                         MetricResult(None, "failed"), vector.retrieval_precision))
+        with pytest.raises(MissingMetricError, match="^record 'r2': metric retrieval_recall not computed$"):
+            aggregate_set(pairs, CountingScorer(), parallelism=parallelism)
+        assert calls == []
 
     @pytest.mark.parametrize("parallelism", [0, -3])
     def test_parallelism_below_one_rejected_before_any_call(self, parallelism):

@@ -30,8 +30,9 @@ from oracle import oracle_resample_means
 import ragmeter
 from ragmeter import cli, providers, stats
 from ragmeter.cli import RunConfig, build_providers, load_config, main
+from ragmeter.aggregation import LinearPairScorer
 from ragmeter.corpus import RecordSet, generate_synthetic, save_record_set
-from ragmeter.providers import HashEmbedder, LinearPairScorer, ProviderBundle, ScriptedGenerator
+from ragmeter.providers import HashEmbedder, ProviderBundle, ScriptedGenerator
 
 
 def write_json(path: Path, doc) -> None:
@@ -330,6 +331,15 @@ class TestAggregate:
         assert err == f"error: metrics report {report_path}: entries 0 and 2 have the same id 'a'\n"
         assert calls == []
         assert not out.exists()
+
+    def test_duplicate_id_exits_2_before_a_missing_metric_in_an_earlier_entry(self, tmp_path, capsys):
+        config = write_workspace(tmp_path)
+        lacking = report_entry("a", HIGH)
+        lacking["metrics"]["faithfulness"] = {"value": None, "status": "failed"}
+        report_path = tmp_path / "metrics.json"
+        write_metrics_report(report_path, [lacking, report_entry("b", HIGH), report_entry("b", LOW)])
+        assert run(["aggregate", "--config", config, "--out", tmp_path / "o", report_path]) == 2
+        assert capsys.readouterr().err == f"error: metrics report {report_path}: entries 1 and 2 have the same id 'b'\n"
 
     def test_http_scorer_calls_overlap_and_change_no_output(self, tmp_path, monkeypatch):
         answer = backend_transport(ProviderBundle(None, None, LinearPairScorer()), set())

@@ -4,7 +4,8 @@ rule that no module computes a dot product outside the stacked `@`
 products, the rule that no module imports a name it does not use, the
 rule that every JSON input of the CLI is checked against its type table,
 the rule that every settings class checks its field types through the
-one type rule, and self-tests for the stats oracle.
+one type rule, the rule that only `aggregation` writes or reads the score
+statements of an enhanced answer, and self-tests for the stats oracle.
 
 Any byte change to a shipped template or a golden file fails here first;
 template edits are breaking changes and must be made deliberately.
@@ -13,6 +14,7 @@ template edits are breaking changes and must be made deliberately.
 import ast
 import hashlib
 import importlib
+import re
 from importlib import resources
 from pathlib import Path
 
@@ -20,6 +22,9 @@ import pytest
 
 from conftest import GOLDEN_DIR
 from oracle import enumerate_size2_resample_means, oracle_resample_stats
+from ragmeter.aggregation import SCORE_STATEMENTS
+from ragmeter.judge import load_template
+from ragmeter.metrics import METRICS
 from ragmeter.stats import BootstrapConfig, bootstrap_summary
 
 SHIPPED_ASSET_CHECKSUMS = {
@@ -367,6 +372,49 @@ def test_numpy_seeds_every_pcg64_through_one_constructor(path):
     # written by hand into a bit generator
     expected = ["_seeded_pcg64: np.random.PCG64()"] if path.stem == "stats" else []
     assert pcg64_seedings(path.read_text(encoding="utf-8")) == expected
+
+
+def statement_phrases(source: str) -> list[str]:
+    """The score statement phrases the string literals of `source` hold, one per literal that holds it.
+
+    A literal counts in any case and with any run of white space between
+    words, f-string parts and adjacent literals joined by the parser too;
+    comments do not count.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            text = " ".join(node.value.lower().split())
+            found += [phrase for phrase in SCORE_STATEMENTS.values() if phrase in text]
+    return found
+
+
+def test_statement_phrase_detector_sees_every_form():
+    source = (
+        "a = 'the faithfulness score is:'\n"
+        "b = ('the context recall '\n     'score is:')\n"
+        "c = re.compile(r'The Answer  Relevancy score is:\\s*(\\d+)')\n"
+        "d = f'the context precision score is: {x}'\n"
+        "# the faithfulness score is: in a comment\n"
+        "e = 'the context precision score', 'score is:'\n"
+    )
+    assert sorted(statement_phrases(source)) == sorted(SCORE_STATEMENTS.values())
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.stem != "aggregation"],
+                         ids=lambda path: path.stem)
+def test_only_the_aggregation_module_holds_a_score_statement(path):
+    # the enhanced answer is written and read in one module, so its wording
+    # and order change in one place
+    assert statement_phrases(path.read_text(encoding="utf-8")) == []
+
+
+def test_score_statements_follow_the_enhancement_template():
+    template = load_template("enhancement.txt")
+    slots = [slot for slot in re.findall(r"\{(\w+)\}", template) if slot in METRICS]
+    assert slots == list(SCORE_STATEMENTS)
+    for metric, phrase in SCORE_STATEMENTS.items():
+        assert f"{phrase} {{{metric}}}" in template, metric
 
 
 class TestOracle:

@@ -7,6 +7,7 @@ import random
 import re
 import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from helpers import (
     reference_precision,
     scripts_for_record,
 )
-from ragmeter.aggregation import aggregate_set
+from ragmeter.aggregation import LinearPairScorer, aggregate_set
 from ragmeter.corpus import EvalRecord, RecordSet
 from ragmeter.judge import (
     FaithfulnessVerdicts,
@@ -65,12 +66,12 @@ from ragmeter.providers import (
     HashEmbedder,
     HttpEmbedder,
     HttpPairScorer,
-    LinearPairScorer,
     ProviderBundle,
     ProviderTimeoutError,
     RetryPolicy,
     ScriptedGenerator,
 )
+from ragmeter.topicality import run_topicality
 
 
 def verdicts(*flags):
@@ -721,6 +722,20 @@ class TestEvaluateRecord:
         record = EvalRecord(id="r", query="q", answer="  ")
         with pytest.raises(ValueError, match="empty answer"):
             evaluate_record(record, full_providers())
+
+
+@pytest.mark.parametrize("run", [
+    lambda record, providers: evaluate_record(record, providers, recall_source="bogus"),
+    lambda record, providers: evaluate_set(RecordSet("s", (record,)), providers, recall_source="bogus"),
+    lambda record, providers: run_topicality(
+        [RecordSet("a", (record,)), RecordSet("b", (record,))], providers, recall_source="bogus"),
+], ids=["evaluate_record", "evaluate_set", "run_topicality"])
+def test_unknown_recall_source_refused_before_any_provider_call(run):
+    providers = ProviderBundle(mock.Mock(spec=ScriptedGenerator), mock.Mock(spec=HashEmbedder))
+    message = "unknown recall source 'bogus'; expected one of ('auto', 'ground_truth', 'answer')"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(full_record(), providers)
+    assert providers.generator.mock_calls == providers.embedder.mock_calls == []
 
 
 def two_record_set(generator_type=ScriptedGenerator, embedder_type=HashEmbedder):

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import ReferenceScriptedGenerator, reference_embed, reference_token_axis, run_python
+from ragmeter.aggregation import LinearPairScorer, MissingScoreStatementError
 from ragmeter.metrics import cosine
 from ragmeter.providers import (
     EndpointConfig,
@@ -19,8 +20,6 @@ from ragmeter.providers import (
     HttpEmbedder,
     HttpGenerator,
     HttpPairScorer,
-    LinearPairScorer,
-    MissingScoreStatementError,
     ProviderError,
     ProviderHTTPError,
     ProviderResponseError,

@@ -233,7 +233,7 @@ class TestSummarizeSetMetrics:
             ))
             for k, row in enumerate(rows)
         )
-        evaluation = SetEvaluation("s", vectors, means={}, failure_counts={})
+        evaluation = SetEvaluation("s", vectors)
         cfg = BootstrapConfig(B=B, resample_size=resample_size, seed=seed)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BootstrapGuidanceWarning)
@@ -253,7 +253,7 @@ def set_evaluation(label: str, rows) -> SetEvaluation:
         ))
         for k, row in enumerate(rows)
     )
-    return SetEvaluation(label, vectors, means={}, failure_counts={})
+    return SetEvaluation(label, vectors)
 
 
 METRIC_ROW = st.tuples(*[st.floats(min_value=0.0, max_value=1.0)] * len(METRICS))
