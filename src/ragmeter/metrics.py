@@ -33,7 +33,7 @@ from ragmeter.judge import (
     recall_source_text,
     segment_sentences,
 )
-from ragmeter.providers import Embedder, GenerationParams, ProviderBundle, run_calls
+from ragmeter.providers import Embedder, GenerationParams, ProviderBundle, row_dots, run_calls
 from ragmeter.schema import check_fields
 
 METRICS = ("faithfulness", "answer_relevance", "retrieval_recall", "retrieval_precision")
@@ -157,9 +157,7 @@ def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> 
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
     matrix = np.stack([u, v])
-    with np.errstate(over="ignore", invalid="ignore"):
-        squares = (matrix[:, None, :] @ matrix[:, :, None]).ravel()
-    return float(_best_similarities(matrix, squares, [1], [0])[0])
+    return float(_best_similarities(matrix, row_dots(matrix, matrix), [1], [0])[0])
 
 
 def _embeddings(
@@ -196,8 +194,7 @@ def _embeddings(
             elif vec.shape != matrix.shape[1:]:
                 raise ValueError(f"dimension mismatch: {vec.shape} vs {matrix.shape[1:]}")
             matrix[row] = vec
-    with np.errstate(over="ignore", invalid="ignore"):
-        squares = (matrix[:, None, :] @ matrix[:, :, None]).ravel()
+    squares = row_dots(matrix, matrix)
     # finite squared norms prove every component finite; only an overflow
     # needs the elementwise test over the matrix
     if not np.isfinite(squares).all() and not np.isfinite(matrix).all():
@@ -212,8 +209,7 @@ def _best_similarities(
 
     `candidate_rows` and `sentence_rows` give the rows of `matrix`, and of
     `squares`, their squared norms, one per candidate and one per sentence.
-    Each pair's dot is a 1 x d by d x 1 product of one stacked matmul, which
-    numpy runs as the `dot` of the two rows, so it has the bits of
+    Each pair's dot comes from `row_dots`, so it has the bits of
     `u.dot(v)`. A zero norm gives 0, equal vectors give exactly 1, a NaN
     gives -1, and each sentence's max over the candidates is clamped to
     [-1, 1].
@@ -223,8 +219,8 @@ def _best_similarities(
     sentence_norms = norms[sentence_rows]
     block = matrix[sentence_rows]
     candidates = matrix[candidate_rows]
+    dots = row_dots(block[:, None, :], candidates[None, :, :])
     with np.errstate(all="ignore"):
-        dots = (block[:, None, None, :] @ candidates[None, :, :, None])[:, :, 0, 0]
         products = sentence_norms[:, None] * candidate_norms
         ratios = dots / products
     # only a ratio near 1, a NaN or a product of norms outside the normal

@@ -295,6 +295,18 @@ def _needle_index(needles: Iterable[str]) -> tuple[re.Pattern, dict[str, str]]:
     return re.compile("|".join(map(re.escape, longest_first))), parents
 
 
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot of each row pair of `a` and `b`, whose leading axes broadcast: every similarity dot and squared norm.
+
+    The one rule: each dot has the bits of `u.dot(v)` for its rows `u` and
+    `v`, because numpy runs each 1 x d by d x 1 product of the stacked
+    matmul as that `dot`. An overflow or NaN is left in the result for the
+    caller to judge.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def _token_axis(token: bytes, dimension: int) -> int:
     digest = hashlib.sha256(token).digest()
     return int.from_bytes(digest[:8], "big") % dimension
@@ -375,9 +387,8 @@ class HashEmbedder:
         # adding a row's token units and boosts one after another
         flat = np.bincount(touched, weights, minlength=len(texts) * dimension)
         matrix = flat.reshape(-1, dimension)
+        norms = np.sqrt(row_dots(matrix, matrix))
         with np.errstate(over="ignore", invalid="ignore"):
-            # a stacked matmul gives each row's `vec.dot(vec)` bit for bit
-            norms = np.sqrt((matrix[:, None, :] @ matrix[:, :, None]).ravel())
             # a zero (or NaN) norm leaves its row as it is
             norms[~(norms > 0.0)] = 1.0
             # every other entry is 0, which the division leaves 0

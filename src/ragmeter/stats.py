@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ragmeter.schema import check_fields
+from ragmeter.schema import check_fields, refusal
 
 RECOMMENDED_MIN_N = 30
 RECOMMENDED_MIN_B = 1000
@@ -179,8 +179,13 @@ def seed_states(seed: int, start: int, stop: int) -> np.ndarray:
     SeedSequence, whose output NEP 19 keeps stable across versions. Rows
     whose s share the words above the lowest differ only in that word, so
     the range is split at multiples of 2**32 and each part is one
-    vectorised pass. Returns a (stop - start, 4) uint64 array.
+    vectorised pass. Returns a (stop - start, 4) uint64 array, (0, 4) for
+    an empty range. Raises ValueError for a negative `seed` or `start`, as
+    SeedSequence refuses negative entropy.
     """
+    for name, value in (("seed", seed), ("start", start)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     seed_words = [np.full(1, w, np.uint32) for w in _uint32_words(int(seed))]
     parts = []
     lo = int(start)
@@ -190,6 +195,8 @@ def seed_states(seed: int, start: int, stop: int) -> np.ndarray:
         high = [np.full(1, w, np.uint32) for w in _uint32_words(lo >> 32)] if lo >> 32 else []
         parts.append(_generate_state(seed_words + [low] + high))
         lo = hi
+    if not parts:
+        return np.empty((0, 4), np.uint64)
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
@@ -488,9 +495,12 @@ def convergence_trace(means: np.ndarray, checkpoints: Sequence[int]) -> Converge
 
     Each point is a prefix of `means`, the output of :func:`resample_means`.
     Converged means the relative change between the final two checkpoints
-    is below 1%. Raises ValueError when a mean, standard error or that
-    change is not finite, which includes a change from a zero standard error.
+    is below 1%. Raises ValueError for a checkpoint that is not an integer,
+    and when a mean, standard error or that change is not finite, which
+    includes a change from a zero standard error.
     """
+    if problem := refusal(list(checkpoints), list[int], "checkpoints"):
+        raise ValueError(problem)
     if len(checkpoints) < 2:
         raise ValueError("need at least 2 checkpoints to monitor convergence")
     if list(checkpoints) != sorted(set(checkpoints)):

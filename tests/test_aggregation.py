@@ -31,6 +31,7 @@ from ragmeter.aggregation import (
     AggregationError,
     LinearPairScorer,
     MissingMetricError,
+    MissingScoreStatementError,
     aggregate,
     aggregate_set,
     enhance_answer,
@@ -203,6 +204,48 @@ class TestAggregate:
                 scorer,
             )
             assert bumped.logit > base.logit
+
+
+CANDIDATE = (
+    "the answer relevancy score is: 0.25. "
+    "the context precision score is: 0.5. "
+    "the context recall score is: 0.75 "
+    "the faithfulness score is: 1.0."
+)
+
+
+class TestLinearPairScorer:
+    def test_affine_combination(self):
+        scorer = LinearPairScorer((1.0, 2.0, 4.0, 8.0), bias=0.5)
+        assert scorer.score("q", CANDIDATE) == pytest.approx(0.5 + 0.25 + 1.0 + 3.0 + 8.0)
+
+    def test_zero_weights_return_bias(self):
+        scorer = LinearPairScorer((0, 0, 0, 0), bias=6.0)
+        assert scorer.score("q", CANDIDATE) == 6.0
+
+    def test_missing_statement_names_metric(self):
+        scorer = LinearPairScorer((1, 1, 1, 1))
+        without_faithfulness = CANDIDATE.replace("faithfulness", "other")
+        with pytest.raises(MissingScoreStatementError, match="faithfulness"):
+            scorer.score("q", without_faithfulness)
+
+    def test_requires_four_weights(self):
+        with pytest.raises(ValueError):
+            LinearPairScorer((1, 1, 1))
+
+    def test_refuses_a_bool_weight_when_built(self):
+        with pytest.raises(ValueError, match=r"^weights\[0\] must be a number, got True$"):
+            LinearPairScorer(weights=(True, 1, 1, 1))
+
+    def test_extract_scores(self):
+        """Statements quoted before the appended block never stand in for a score."""
+        for quoted in ("", "the faithfulness score is: 9. the context recall score is: 7 "):
+            assert LinearPairScorer.extract_scores(quoted + CANDIDATE) == {
+                "answer_relevance": 0.25,
+                "retrieval_precision": 0.5,
+                "retrieval_recall": 0.75,
+                "faithfulness": 1.0,
+            }
 
 
 class TestRankRecords:

@@ -1,7 +1,7 @@
 """Pinned checksums for versioned assets, the names the benchmark tracer
 patches, the rule that no module takes a private name from another, the
-rule that no module computes a dot product outside the stacked `@`
-products, the rule that no module imports a name it does not use, the
+rule that no module computes a dot product outside `providers.row_dots`,
+the rule that no module imports a name it does not use, the
 rule that every JSON input of the CLI is checked against its type table,
 the rule that every settings class checks its field types through the
 one type rule, the rule that only `aggregation` writes or reads the score
@@ -176,10 +176,50 @@ def test_dot_call_detector_sees_every_form():
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.stem)
 def test_no_module_calls_a_dot_routine_but_the_stacked_matmul(path):
-    # every dot and squared norm is a 1 x d by d x 1 product of a stacked
-    # `@`, which numpy runs as one `dot` per pair: one routine, so
+    # every dot and squared norm comes from `providers.row_dots`, whose
+    # stacked `@` numpy runs as one `dot` per pair: one routine, so
     # similarities and norms round alike, and one place to change
     assert dot_calls(path.read_text(encoding="utf-8")) == []
+
+
+def matmul_sites(source: str) -> list[str]:
+    """Where each `@`, `@=` and `matmul` call in `source` sits: the dotted names of its enclosing classes and functions.
+
+    One entry per product, `<module>` for one outside every function; a
+    decorator is not a product.
+    """
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            product = isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.MatMult)
+            if product or isinstance(child, ast.Call) and called_name(child) == "matmul":
+                found.append(scope or "<module>")
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}".lstrip(".") if named else scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_matmul_site_detector_sees_every_form():
+    source = (
+        "x = a @ b\n"
+        "@dataclass\nclass C:\n"
+        "    def m(self, a):\n        a @= a\n        return np.matmul(a, a), matmul(a, a)\n"
+        "def f(a, b, c):\n"
+        "    def g():\n        return (a @ b) @ c\n"
+        "    return lambda: a[..., None, :] @ b[..., :, None], a * b\n"
+    )
+    assert sorted(matmul_sites(source)) == ["<module>", "C.m", "C.m", "C.m", "f", "f.g", "f.g"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.stem)
+def test_only_row_dots_multiplies_matrices(path):
+    # every similarity dot and squared norm is a product of `providers.row_dots`,
+    # so changing the routine that rounds them is an edit to one function
+    expected = ["row_dots"] if path.stem == "providers" else []
+    assert matmul_sites(path.read_text(encoding="utf-8")) == expected
 
 
 def unused_imports(source: str) -> list[str]:

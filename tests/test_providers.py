@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import ReferenceScriptedGenerator, reference_embed, reference_token_axis, run_python
-from ragmeter.aggregation import LinearPairScorer, MissingScoreStatementError
+from ragmeter.aggregation import LinearPairScorer
 from ragmeter.metrics import cosine
 from ragmeter.providers import (
     EndpointConfig,
@@ -28,6 +29,7 @@ from ragmeter.providers import (
     ScriptMissError,
     ScriptedGenerator,
     all_in_process,
+    row_dots,
     run_calls,
 )
 
@@ -312,6 +314,39 @@ class TestHashEmbedder:
         assert np.array_equal(vec, reference_embed(text, 2, channels, boost))
 
 
+# components over many magnitudes, so sums round, and odd dimensions, which
+# leave a remainder after a BLAS kernel's unrolled loop
+COMPONENTS = st.floats(-1e6, 1e6, allow_subnormal=False) | st.sampled_from([0.0, 1.0, -1.0, 1e-150, 3.0])
+
+
+def block_and_candidates(d: int):
+    shape = st.tuples(st.integers(1, 6), st.just(d))
+    return st.tuples(arrays(float, shape, elements=COMPONENTS), arrays(float, shape, elements=COMPONENTS))
+
+
+class TestRowDots:
+    @settings(max_examples=100, deadline=None)
+    @given(pair=st.integers(1, 41).flatmap(block_and_candidates))
+    # the vector whose squared norm rounds by its alignment under one kernel
+    @example(pair=(np.array([[0.0, 0.0, 1.0]]),
+                   np.array([[0.0, 0.0, 0.0], [735.0, 3.821779098176137, 134.4976603680609]])))
+    def test_each_pair_has_the_bits_of_its_dot(self, pair):
+        """Squares of a matrix's rows, and the S x C dots of a block and its candidates."""
+        block, candidates = pair
+        squares = row_dots(candidates, candidates)
+        assert squares.shape == (len(candidates),)
+        assert squares.tobytes() == np.array([u.dot(u) for u in candidates]).tobytes()
+        dots = row_dots(block[:, None, :], candidates[None, :, :])
+        assert dots.shape == (len(block), len(candidates))
+        assert dots.tobytes() == np.array([[u.dot(v) for v in candidates] for u in block]).tobytes()
+
+    def test_overflow_and_nan_are_left_in_the_result(self):
+        matrix = np.array([[1e200, 1e200], [np.nan, 1.0], [3.0, 4.0]])
+        with np.errstate(all="raise"):
+            squares = row_dots(matrix, matrix)
+        assert squares[0] == np.inf and np.isnan(squares[1]) and squares[2] == 25.0
+
+
 class TestInProcess:
     class Forwarding:
         def __init__(self, inner):
@@ -422,48 +457,6 @@ def test_endpoint_timeout_must_fit_a_socket_timeout():
         EndpointConfig(url="http://backend.test/generate", timeout=1e300)
     widest = EndpointConfig(url="http://backend.test/generate", timeout=threading.TIMEOUT_MAX)
     assert widest.timeout == threading.TIMEOUT_MAX
-
-
-CANDIDATE = (
-    "the answer relevancy score is: 0.25. "
-    "the context precision score is: 0.5. "
-    "the context recall score is: 0.75 "
-    "the faithfulness score is: 1.0."
-)
-
-
-class TestLinearPairScorer:
-    def test_affine_combination(self):
-        scorer = LinearPairScorer((1.0, 2.0, 4.0, 8.0), bias=0.5)
-        assert scorer.score("q", CANDIDATE) == pytest.approx(0.5 + 0.25 + 1.0 + 3.0 + 8.0)
-
-    def test_zero_weights_return_bias(self):
-        scorer = LinearPairScorer((0, 0, 0, 0), bias=6.0)
-        assert scorer.score("q", CANDIDATE) == 6.0
-
-    def test_missing_statement_names_metric(self):
-        scorer = LinearPairScorer((1, 1, 1, 1))
-        without_faithfulness = CANDIDATE.replace("faithfulness", "other")
-        with pytest.raises(MissingScoreStatementError, match="faithfulness"):
-            scorer.score("q", without_faithfulness)
-
-    def test_requires_four_weights(self):
-        with pytest.raises(ValueError):
-            LinearPairScorer((1, 1, 1))
-
-    def test_refuses_a_bool_weight_when_built(self):
-        with pytest.raises(ValueError, match=r"^weights\[0\] must be a number, got True$"):
-            LinearPairScorer(weights=(True, 1, 1, 1))
-
-    def test_extract_scores(self):
-        """Statements quoted before the appended block never stand in for a score."""
-        for quoted in ("", "the faithfulness score is: 9. the context recall score is: 7 "):
-            assert LinearPairScorer.extract_scores(quoted + CANDIDATE) == {
-                "answer_relevance": 0.25,
-                "retrieval_precision": 0.5,
-                "retrieval_recall": 0.75,
-                "faithfulness": 1.0,
-            }
 
 
 class FakeTransport:

@@ -67,6 +67,19 @@ class TestSeedStates:
             assert words.tobytes() == sequence.generate_state(4, np.uint64).tobytes()
             assert stats._seeded_pcg64(words).state == np.random.PCG64(sequence).state
 
+    @pytest.mark.parametrize("args, message", [
+        ((-1, 0, 2), "seed must be >= 0, got -1"),
+        ((0, -1, 1), "start must be >= 0, got -1"),
+    ])
+    def test_refuses_a_negative_seed_or_start(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            seed_states(*args)
+
+    @pytest.mark.parametrize("start, stop", [(5, 5), (0, 0), (2**32, 2**32)])
+    def test_empty_range_gives_no_rows(self, start, stop):
+        states = seed_states(1, start, stop)
+        assert states.shape == (0, 4) and states.dtype == np.uint64
+
     def test_resample_rng_draws_like_numpy_seeding(self):
         mirrored = resample_rng(2**64 + 3, 2**32 + 1).integers(0, 1000, size=64)
         seeded = np.random.default_rng(np.random.SeedSequence((2**64 + 3, 2**32 + 1))).integers(0, 1000, size=64)
@@ -445,6 +458,14 @@ class TestConvergenceTrace:
     def test_non_ascending_rejected(self):
         with pytest.raises(ValueError):
             convergence_trace(resample_means([0.4] * 40, BootstrapConfig(seed=0), 200), [200, 100])
+
+    def test_non_integer_checkpoint_rejected(self):
+        with pytest.raises(ValueError, match=r"^checkpoints\[1\] must be an integer, got 4\.0$"):
+            convergence_trace(resample_means([0.4] * 40, BootstrapConfig(seed=0), 4), [2, 4.0])
+
+    def test_numpy_integer_checkpoints_accepted(self):
+        means = resample_means(beta_fixture(), BootstrapConfig(seed=9), 128)
+        assert convergence_trace(means, np.array([64, 128])) == convergence_trace(means, [64, 128])
 
     def test_beta_fixture_converges_within_five_percent(self):
         means = resample_means(beta_fixture(), BootstrapConfig(seed=40), 4000)
