@@ -12,10 +12,10 @@ import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Annotated, Iterable, Sequence
 
 from ragmeter.providers import GenerationParams, TextGenerator, check_parallelism, run_calls
-from ragmeter.schema import check_fields, refusal
+from ragmeter.schema import Range, check_fields, refusal
 
 
 class QrelsFormatError(ValueError):
@@ -132,14 +132,12 @@ class SyntheticSpec:
 
     topic_label: str
     prompt_template: str
-    count: int
+    count: Annotated[int, Range(1)]
 
     def __post_init__(self):
         check_fields(self)
         if not self.topic_label:
             raise ValueError("topic_label must be non-empty")
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
         lowered = self.prompt_template.lower()
         if "passage" not in lowered or "question" not in lowered:
             raise ValueError(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Annotated, Mapping, Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from ragmeter.judge import (
     segment_sentences,
 )
 from ragmeter.providers import Embedder, GenerationParams, ProviderBundle, row_dots, run_calls
-from ragmeter.schema import check_fields
+from ragmeter.schema import Range, check_fields
 
 METRICS = ("faithfulness", "answer_relevance", "retrieval_recall", "retrieval_precision")
 
@@ -55,17 +55,11 @@ class NonFiniteEmbeddingError(ValueError):
 class SimilarityConfig:
     """Knobs for the embedding-based metric steps."""
 
-    precision_match_threshold: float = 0.8
-    n_generated_questions: int = 3
+    precision_match_threshold: Annotated[float, Range(0, 1)] = 0.8
+    n_generated_questions: Annotated[int, Range(1)] = 3
 
     def __post_init__(self):
         check_fields(self)
-        if not 0.0 <= self.precision_match_threshold <= 1.0:
-            raise ValueError(
-                f"precision_match_threshold must be in [0, 1], got {self.precision_match_threshold}"
-            )
-        if self.n_generated_questions < 1:
-            raise ValueError(f"n_generated_questions must be >= 1, got {self.n_generated_questions}")
 
 
 @dataclass(frozen=True)
@@ -209,8 +203,8 @@ def _best_similarities(
 
     `candidate_rows` and `sentence_rows` give the rows of `matrix`, and of
     `squares`, their squared norms, one per candidate and one per sentence.
-    Each pair's dot comes from `row_dots`, so it has the bits of
-    `u.dot(v)`. A zero norm gives 0, equal vectors give exactly 1, a NaN
+    Each pair's dot comes from `row_dots`, so it has the bits of the 1-d
+    matmul `u @ v`. A zero norm gives 0, equal vectors give exactly 1, a NaN
     gives -1, and each sentence's max over the candidates is clamped to
     [-1, 1].
     """

@@ -17,11 +17,11 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal, Mapping, Protocol, Sequence, TypeVar
+from typing import Annotated, Callable, Iterable, Literal, Mapping, Protocol, Sequence, TypeVar
 
 import numpy as np
 
-from ragmeter.schema import check_arguments, check_fields, refusal
+from ragmeter.schema import Range, check_arguments, check_fields, refusal
 
 
 class ProviderError(RuntimeError):
@@ -53,34 +53,22 @@ class ScriptMissError(ProviderError):
         super().__init__(f"no script matches prompt starting {self.prompt_prefix!r}")
 
 
-def _check_count(name: str, value: int) -> None:
-    """Raise ValueError unless the integer `value` is at least 1."""
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-
-
-def check_parallelism(parallelism: int) -> None:
+def check_parallelism(parallelism: Annotated[int, Range(1)]) -> None:
     """Raise ValueError unless `parallelism` is an integer of at least 1."""
     check_arguments(check_parallelism, locals())
-    _check_count("parallelism", parallelism)
 
 
 @dataclass(frozen=True)
 class GenerationParams:
     """Decoding parameters; defaults pin near-deterministic generation."""
 
-    temperature: float = 0.0
-    top_p: float = 0.01
-    max_tokens: int = 1024
+    temperature: Annotated[float, Range(0)] = 0.0
+    top_p: Annotated[float, Range(0, 1, open_low=True)] = 0.01
+    max_tokens: Annotated[int, Range(1)] = 1024
     seed: int | None = None
 
     def __post_init__(self):
         check_fields(self)
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
-        if not 0 < self.top_p <= 1:
-            raise ValueError(f"top_p must be in (0, 1], got {self.top_p}")
-        _check_count("max_tokens", self.max_tokens)
 
 
 class TextGenerator(Protocol):
@@ -298,10 +286,10 @@ def _needle_index(needles: Iterable[str]) -> tuple[re.Pattern, dict[str, str]]:
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The dot of each row pair of `a` and `b`, whose leading axes broadcast: every similarity dot and squared norm.
 
-    The one rule: each dot has the bits of `u.dot(v)` for its rows `u` and
-    `v`, because numpy runs each 1 x d by d x 1 product of the stacked
-    matmul as that `dot`. An overflow or NaN is left in the result for the
-    caller to judge.
+    The one rule: each dot has the bits of the 1-d matmul `u @ v` for its
+    rows `u` and `v`, because numpy runs each 1 x d by d x 1 product of the
+    stacked matmul as that 1-d product. An overflow or NaN is left in the
+    result for the caller to judge.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
@@ -339,13 +327,12 @@ class HashEmbedder:
 
     def __init__(
         self,
-        dimension: int = 256,
+        dimension: Annotated[int, Range(1)] = 256,
         keyword_channels: Mapping[str, int] | None = None,
         *,
         keyword_boost: float = 4.0,
     ):
         check_arguments(HashEmbedder.__init__, locals())
-        _check_count("dimension", dimension)
         channels = dict(keyword_channels or {})
         for keyword, axis in channels.items():
             if not 0 <= axis < dimension:
@@ -407,14 +394,11 @@ class HashEmbedder:
 class RetryPolicy:
     """Exponential backoff with jitter; retries 429/5xx and transport faults."""
 
-    attempts: int = 3
-    base_delay: float = 0.25
+    attempts: Annotated[int, Range(1)] = 3
+    base_delay: Annotated[float, Range(0)] = 0.25
 
     def __post_init__(self):
         check_fields(self)
-        _check_count("attempts", self.attempts)
-        if self.base_delay < 0:
-            raise ValueError(f"base_delay must be >= 0, got {self.base_delay}")
 
 
 @dataclass(frozen=True)
@@ -432,14 +416,10 @@ class EndpointConfig:
     dialect: Literal["prompt", "messages"] = "prompt"
     auth_env: str | None = None
     response_path: str | None = None
-    timeout: float = 30.0
+    timeout: Annotated[float, Range(0, threading.TIMEOUT_MAX, open_low=True)] = 30.0  # a socket takes at most TIMEOUT_MAX
 
     def __post_init__(self):
         check_fields(self)
-        if self.timeout <= 0:
-            raise ValueError(f"timeout must be > 0, got {self.timeout}")
-        if self.timeout > threading.TIMEOUT_MAX:  # the most a socket timeout can take
-            raise ValueError(f"timeout must be at most {threading.TIMEOUT_MAX}, got {self.timeout}")
 
 
 Transport = Callable[[str, bytes, Mapping[str, str], float], tuple[int, bytes]]

@@ -29,11 +29,11 @@ import functools
 import warnings
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Annotated, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ragmeter.schema import check_fields, refusal
+from ragmeter.schema import Range, check_arguments, check_fields, refusal
 
 RECOMMENDED_MIN_N = 30
 RECOMMENDED_MIN_B = 1000
@@ -61,21 +61,13 @@ class BootstrapGuidanceWarning(UserWarning):
 class BootstrapConfig:
     """Resampling parameters. `resample_size` defaults to the sample size."""
 
-    B: int = 1000
-    resample_size: int | None = None
-    seed: int = 0
-    ci_level: float = 0.95
+    B: Annotated[int, Range(1)] = 1000
+    resample_size: Annotated[int | None, Range(1)] = None
+    seed: Annotated[int, Range(0)] = 0
+    ci_level: Annotated[float, Range(0, 1, open_low=True, open_high=True)] = 0.95
 
     def __post_init__(self):
         check_fields(self)  # integers only: the seed-state mixer splits them into 32-bit words
-        if self.B < 1:
-            raise ValueError(f"B must be >= 1, got {self.B}")
-        if self.resample_size is not None and self.resample_size < 1:
-            raise ValueError(f"resample_size must be >= 1, got {self.resample_size}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 < self.ci_level < 1.0:
-            raise ValueError(f"ci_level must be in (0, 1), got {self.ci_level}")
 
 
 @dataclass(frozen=True)
@@ -172,7 +164,7 @@ def _generate_state(entropy: list[np.ndarray]) -> np.ndarray:
     return state
 
 
-def seed_states(seed: int, start: int, stop: int) -> np.ndarray:
+def seed_states(seed: Annotated[int, Range(0)], start: Annotated[int, Range(0)], stop: int) -> np.ndarray:
     """`SeedSequence((seed, s)).generate_state(4, np.uint64)` for each s in [start, stop).
 
     Computed in bulk with uint32 array arithmetic that mirrors numpy's
@@ -180,12 +172,11 @@ def seed_states(seed: int, start: int, stop: int) -> np.ndarray:
     whose s share the words above the lowest differ only in that word, so
     the range is split at multiples of 2**32 and each part is one
     vectorised pass. Returns a (stop - start, 4) uint64 array, (0, 4) for
-    an empty range. Raises ValueError for a negative `seed` or `start`, as
-    SeedSequence refuses negative entropy.
+    an empty range. Raises ValueError for a `seed`, `start` or `stop` that
+    is not an integer, and for a negative `seed` or `start`, as SeedSequence
+    refuses negative entropy.
     """
-    for name, value in (("seed", seed), ("start", start)):
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
+    check_arguments(seed_states, locals())
     seed_words = [np.full(1, w, np.uint32) for w in _uint32_words(int(seed))]
     parts = []
     lo = int(start)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Annotated, Mapping, Sequence
 
 from ragmeter.corpus import RecordSet
 from ragmeter.judge import check_recall_source
@@ -27,6 +27,7 @@ from ragmeter.metrics import (
     evaluate_set,
 )
 from ragmeter.providers import GenerationParams, ProviderBundle
+from ragmeter.schema import Range, check_arguments
 from ragmeter.stats import (
     BootstrapConfig,
     BootstrapSummary,
@@ -50,10 +51,9 @@ def format_table(rows: list[list[str]]) -> str:
     return "\n".join("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)) for row in rows) + "\n"
 
 
-def check_min_effect(min_effect: float) -> None:
-    """Raise ValueError unless `min_effect` is at least 0."""
-    if not min_effect >= 0:  # a negative effect would reduce "separated" to disjoint CIs
-        raise ValueError(f"min_effect must be at least 0, got {min_effect!r}")
+def check_min_effect(min_effect: Annotated[float, Range(0)]) -> None:
+    """Raise ValueError unless `min_effect` is a number of at least 0."""
+    check_arguments(check_min_effect, locals())  # a negative effect would reduce "separated" to disjoint CIs
 
 
 class TopicalityError(RuntimeError):

@@ -152,7 +152,7 @@ class TestEvaluate:
         out = tmp_path / "o"
         assert run(["evaluate", "--config", config, "--out", out, tmp_path / "pos.jsonl"]) == 2
         err = capsys.readouterr().err
-        assert err == f"error: providers.http.generator: timeout must be > 0, got {timeout}\n"
+        assert err == f"error: providers.http.generator: timeout must be in (0, {threading.TIMEOUT_MAX}], got {timeout}\n"
         assert not out.exists()
 
     def test_endpoint_timeout_beyond_a_socket_timeout_exits_2(self, tmp_path, capsys):
@@ -169,7 +169,7 @@ class TestEvaluate:
         out = tmp_path / "o"
         assert run(["evaluate", "--config", config, "--out", out, tmp_path / "pos.jsonl"]) == 2
         err = capsys.readouterr().err
-        assert err == f"error: providers.http.generator: timeout must be at most {threading.TIMEOUT_MAX}, got 1e+300\n"
+        assert err == f"error: providers.http.generator: timeout must be in (0, {threading.TIMEOUT_MAX}], got 1e+300\n"
         assert not out.exists()
 
     def test_partial_failures_still_exit_0(self, tmp_path):
@@ -1199,7 +1199,7 @@ class TestTopicality:
         out = tmp_path / "o"
         records = [tmp_path / "pos.jsonl", tmp_path / "rand.jsonl"]
         assert run(["topicality", "--config", config, "--out", out, *records]) == 2
-        assert capsys.readouterr().err.startswith("error: topicality: min_effect must be at least 0, got -0.05")
+        assert capsys.readouterr().err.startswith("error: topicality: min_effect must be >= 0, got -0.05")
         assert not out.exists()
 
     def test_duplicate_labels_exit_2(self, tmp_path, capsys):

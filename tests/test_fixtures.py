@@ -3,8 +3,8 @@ patches, the rule that no module takes a private name from another, the
 rule that no module computes a dot product outside `providers.row_dots`,
 the rule that no module imports a name it does not use, the
 rule that every JSON input of the CLI is checked against its type table,
-the rule that every settings class checks its field types through the
-one type rule, the rule that only `aggregation` writes or reads the score
+the rule that every settings class checks its field types and ranges
+through the one type rule, the rule that only `aggregation` writes or reads the score
 statements of an enhanced answer, and self-tests for the stats oracle.
 
 Any byte change to a shipped template or a golden file fails here first;
@@ -359,10 +359,53 @@ SETTINGS_CLASSES = {
 
 @pytest.mark.parametrize("module", sorted(SETTINGS_CLASSES))
 def test_every_settings_class_checks_its_field_types_first(module):
-    # the type half of every setting is the one rule in `schema`, which the
-    # CLI checks config files by; only range checks follow it
+    # the type and the range of every setting are the one rule in `schema`,
+    # which the CLI checks config files by; only other checks follow it
     source = (SRC / f"{module}.py").read_text(encoding="utf-8")
     assert SETTINGS_CLASSES[module] <= field_checked_classes(source)
+
+
+def post_init_orderings(source: str) -> list[tuple[str, str]]:
+    """(class, comparison) for each `<`, `<=`, `>` or `>=` comparison in a `__post_init__` of `source`.
+
+    A chained comparison counts once if any of its operators orders; nested
+    functions and expressions inside the method count too.
+    """
+    orderings = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and method.name == "__post_init__":
+                    found += [(node.name, ast.unparse(compare)) for compare in ast.walk(method)
+                              if isinstance(compare, ast.Compare) and any(isinstance(op, orderings) for op in compare.ops)]
+    return found
+
+
+def test_post_init_ordering_detector_sees_every_form():
+    source = (
+        "class Less:\n    def __post_init__(self):\n        if self.x < 1:\n            raise ValueError\n"
+        "class Chained:\n    def __post_init__(self):\n        if not 0 < self.p <= 1:\n            raise ValueError\n"
+        "class Greater:\n    def __post_init__(self):\n        assert self.t > 0 and self.u >= 0\n"
+        "class Nested:\n    def __post_init__(self):\n        check = lambda v: v >= 0\n"
+        "class Mixed:\n    def __post_init__(self):\n        ok = self.a == 1 < self.b\n"
+        "class Equal:\n    def __post_init__(self):\n        if self.x == 0 or self.y in (1, 2) or self.z is None:\n"
+        "            raise ValueError\n"
+        "class Elsewhere:\n    def check(self):\n        return self.x < 1\n"
+        "def __post_init__(self):\n    return self.x < 1\n"
+    )
+    assert post_init_orderings(source) == [
+        ("Less", "self.x < 1"), ("Chained", "0 < self.p <= 1"), ("Greater", "self.t > 0"),
+        ("Greater", "self.u >= 0"), ("Nested", "v >= 0"), ("Mixed", "self.a == 1 < self.b"),
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(SETTINGS_CLASSES))
+def test_no_settings_class_checks_a_range_by_hand(module):
+    # a bound is declared in the field's hint as `Annotated[T, Range(...)]`, so
+    # `schema` refuses it in the one wording of every range
+    source = (SRC / f"{module}.py").read_text(encoding="utf-8")
+    assert [found for found in post_init_orderings(source) if found[0] in SETTINGS_CLASSES[module]] == []
 
 
 @pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.stem != "schema"], ids=lambda path: path.stem)

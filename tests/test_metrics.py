@@ -35,7 +35,7 @@ from helpers import (
     scripts_for_record,
 )
 from ragmeter.aggregation import LinearPairScorer, aggregate_set
-from ragmeter.corpus import EvalRecord, RecordSet
+from ragmeter.corpus import EvalRecord, RecordSet, SyntheticSpec
 from ragmeter.judge import (
     FaithfulnessVerdicts,
     GeneratedQuestions,
@@ -71,6 +71,7 @@ from ragmeter.providers import (
     RetryPolicy,
     ScriptedGenerator,
 )
+from ragmeter.stats import BootstrapConfig
 from ragmeter.topicality import run_topicality
 
 
@@ -1070,6 +1071,18 @@ def test_scores_always_in_unit_interval(faith_flags, recall_flags):
         (GenerationParams, {"seed": 2.5}, "seed must be an integer or null, got 2.5"),
         (HashEmbedder, {"dimension": True}, "dimension must be an integer, got True"),
         (HashEmbedder, {"dimension": 2.5}, "dimension must be an integer, got 2.5"),
+        # one edge per bound declared in a hint, in its one wording
+        (GenerationParams, {"temperature": -0.5}, "temperature must be >= 0, got -0.5"),
+        (GenerationParams, {"top_p": 0}, "top_p must be in (0, 1], got 0"),
+        (GenerationParams, {"max_tokens": 0}, "max_tokens must be >= 1, got 0"),
+        (SimilarityConfig, {"precision_match_threshold": 1.5}, "precision_match_threshold must be in [0, 1], got 1.5"),
+        (BootstrapConfig, {"B": 0}, "B must be >= 1, got 0"),
+        (BootstrapConfig, {"resample_size": 0}, "resample_size must be >= 1, got 0"),
+        (BootstrapConfig, {"seed": -1}, "seed must be >= 0, got -1"),
+        (BootstrapConfig, {"ci_level": 1}, "ci_level must be in (0, 1), got 1"),
+        (SyntheticSpec, {"topic_label": "t", "prompt_template": "a passage and a question", "count": 0},
+         "count must be >= 1, got 0"),
+        (HashEmbedder, {"dimension": 0}, "dimension must be >= 1, got 0"),
     ],
 )
 def test_settings_that_would_fail_every_call_are_refused(setting, value, message):

@@ -70,9 +70,12 @@ class TestSeedStates:
     @pytest.mark.parametrize("args, message", [
         ((-1, 0, 2), "seed must be >= 0, got -1"),
         ((0, -1, 1), "start must be >= 0, got -1"),
+        # a non-integer was read as `int(seed)`, and a fractional range gave a row too many
+        ((1.5, 0, 1), "seed must be an integer, got 1.5"),
+        ((1, 0.5, 2), "start must be an integer, got 0.5"),
     ])
     def test_refuses_a_negative_seed_or_start(self, args, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             seed_states(*args)
 
     @pytest.mark.parametrize("start, stop", [(5, 5), (0, 0), (2**32, 2**32)])

@@ -1,5 +1,6 @@
 """Tests for contrastive query-set analysis."""
 
+import re
 import warnings
 from unittest import mock
 
@@ -76,10 +77,14 @@ class TestCompareSummaries:
         with pytest.raises(ValueError, match="ci_level"):
             compare_summaries(summary(0.5, 0.4, 0.6), summary(0.5, 0.4, 0.6, ci_level=0.9), 0.1)
 
-    @pytest.mark.parametrize("min_effect", [-0.1, -1e-12, float("nan")])
-    def test_negative_min_effect_rejected(self, min_effect):
+    @pytest.mark.parametrize("min_effect, message", [
+        (-0.1, "min_effect must be >= 0, got -0.1"),
+        (-1e-12, "min_effect must be >= 0, got -1e-12"),
+        (float("nan"), "min_effect must be a number, got nan"),
+    ], ids=["-0.1", "-1e-12", "nan"])
+    def test_negative_min_effect_rejected(self, min_effect, message):
         # "separated" would then mean no more than disjoint CIs
-        with pytest.raises(ValueError, match="min_effect must be at least 0"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             compare_summaries(summary(0.7, 0.6, 0.8), summary(0.2, 0.1, 0.3), min_effect)
 
     def test_faithfulness_flagged_non_discriminative(self):
@@ -165,7 +170,7 @@ class TestRunTopicality:
         positive, _ = engineered_query_set("pos", 4, "positive")
         random_set, _ = engineered_query_set("rand", 4, "random")
         providers = ProviderBundle(mock.Mock(spec=ScriptedGenerator), mock.Mock(spec=HashEmbedder))
-        with pytest.raises(ValueError, match="min_effect must be at least 0, got -0.2"):
+        with pytest.raises(ValueError, match="^min_effect must be >= 0, got -0.2$"):
             run_topicality([positive, random_set], providers, min_effect=-0.2)
         assert providers.generator.mock_calls == providers.embedder.mock_calls == []
 
