@@ -110,7 +110,7 @@ class LinearPairScorer:
     in_process = True
 
     def __init__(self, weights: Sequence[float] = (1.0,) * 4, bias: float = 0.0):
-        check_arguments(LinearPairScorer.__init__, locals())
+        check_arguments(LinearPairScorer, locals())
         if len(weights) != 4:
             raise ValueError(f"expected 4 weights, got {len(weights)}")
         self.weights = tuple(float(w) for w in weights)

@@ -49,7 +49,7 @@ from ragmeter.providers import (
     ScriptedGenerator,
     check_parallelism,
 )
-from ragmeter.schema import refusal
+from ragmeter.schema import refusal, type_hints
 from ragmeter.stats import BootstrapConfig
 
 EXIT_OK = 0
@@ -88,16 +88,20 @@ class RunConfig:
 
 
 def _params(cls) -> dict:
-    """The type of each keyword argument `cls` takes, as a `(type,)` entry when it has no default."""
-    hints = typing.get_type_hints(cls.__init__)
+    """The type of each keyword argument `cls` takes, as a `(type,)` entry when it has no default.
+
+    A bound is left out: the constructor refuses a value out of range, and the config names its section.
+    """
+    hints = {name: typing.get_args(hint)[0] if typing.get_origin(hint) is typing.Annotated else hint
+             for name, hint in type_hints(cls).items()}
     return {name: (hints[name],) if param.default is param.empty else hints[name]
             for name, param in inspect.signature(cls).parameters.items()}
 
 
 def _defaulted(cls) -> dict:
-    """(type, default) of each field of the dataclass `cls`."""
-    hints = typing.get_type_hints(cls.__init__)
-    return {f.name: (hints[f.name], f.default) for f in fields(cls)}
+    """(type, default) of each field of the dataclass `cls`, whose fields all have defaults."""
+    params = _params(cls)
+    return {f.name: (params[f.name], f.default) for f in fields(cls)}
 
 
 # The JSON type of every config key. A dict is an object that may hold only its keys, and
@@ -142,11 +146,11 @@ def _with_defaults(entry: dict, doc: dict) -> dict:
 
 _SCRIPTS_SCHEMA = {"scripts": list[{"match": (str | list[str],), "responses": (list[str],)}]}
 
-# An evaluate report as aggregate reads it back: only the records are used.
+# An evaluate report as aggregate reads it back: only the records are used, each an EvalRecord's fields plus its metrics.
 _REPORT_SCHEMA = {
     "label": object, "means": object, "failure_counts": object,
     "records": list[{
-        "id": (str,), "query": (str,), "answer": (str,), "contexts": list[str], "ground_truth": str | None,
+        **_params(EvalRecord),
         "metrics": {metric: {"value": float | None, "status": str, "error": str} for metric in METRICS},
     }],
 }

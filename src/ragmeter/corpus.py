@@ -12,10 +12,10 @@ import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Annotated, Iterable, Sequence
+from typing import Annotated, Iterable, Literal, Sequence
 
 from ragmeter.providers import GenerationParams, TextGenerator, check_parallelism, run_calls
-from ragmeter.schema import Range, check_fields, refusal
+from ragmeter.schema import Range, check_arguments, check_fields, refusal
 
 
 class QrelsFormatError(ValueError):
@@ -59,20 +59,22 @@ class EvalRecord:
     """One (query, answer, contexts, optional ground truth) unit under evaluation.
 
     The answer may be empty for records produced by the synthetic harness,
-    which are meant to be filled in by a RAG run before evaluation.
+    which are meant to be filled in by a RAG run before evaluation. The
+    contexts are a sequence of passages, kept as a tuple; a string is refused.
     """
 
     id: str
     query: str
     answer: str
-    contexts: tuple[str, ...] = ()
+    contexts: Sequence[str] = ()
     ground_truth: str | None = None
 
     def __post_init__(self):
+        check_fields(self)
         if not self.id:
-            raise ValueError("record id must be non-empty")
+            raise ValueError("missing record id")
         if not self.query.strip():
-            raise ValueError(f"record {self.id!r}: query must be non-empty")
+            raise ValueError(f"record {self.id!r} missing query")
         object.__setattr__(self, "contexts", tuple(self.contexts))
 
     def to_dict(self) -> dict:
@@ -92,9 +94,10 @@ class RecordSet:
     """A labelled, immutable collection of evaluation records."""
 
     label: str
-    records: tuple[EvalRecord, ...]
+    records: Sequence[EvalRecord]
 
     def __post_init__(self):
+        check_fields(self)
         if not self.label:
             raise ValueError("record set label must be non-empty")
         object.__setattr__(self, "records", tuple(self.records))
@@ -117,13 +120,12 @@ class QrelsEntry:
 
     topic_id: str
     doc_id: str
-    relevance: int
+    relevance: Annotated[int, Range(0)]
 
     def __post_init__(self):
+        check_fields(self)
         if re.search(r"\s", self.topic_id) or re.search(r"\s", self.doc_id):
             raise ValueError("qrels ids must be whitespace-free")
-        if self.relevance < 0:
-            raise ValueError(f"relevance grade must be >= 0, got {self.relevance}")
 
 
 @dataclass(frozen=True)
@@ -211,27 +213,23 @@ def sample_without_replacement(items: Sequence, k: int, seed: int) -> list:
 
 
 def record_from_fields(
-    record_id: str, query: object, answer: object, contexts: object, ground_truth: object
+    id: str, query: str, answer: str, contexts: Sequence[str], ground_truth: str | None
 ) -> EvalRecord:
     """The record one input row holds, under the rules every record file and report shares.
 
-    The id is stripped and must be non-empty. The query and the answer must
-    be non-blank strings, and the contexts a list of strings; all three are
-    kept verbatim. The ground truth must be a string or None, and a blank one
-    is read as None. A row that breaks a rule raises ValueError.
+    Each field must have the type :class:`EvalRecord` declares for it, and
+    the query must be non-blank, as in every record. The row then adds its
+    normalisations: the id is stripped (and must stay non-empty), the answer
+    must be non-blank, and a blank ground truth is read as None. The query,
+    answer and contexts are kept verbatim. A row that breaks a rule raises
+    ValueError.
     """
-    record_id = record_id.strip()
-    if not record_id:
-        raise ValueError("missing record id")
-    for name, value in (("query", query), ("answer", answer)):
-        if not isinstance(value, str) or not value.strip():
-            raise ValueError(f"record {record_id!r} missing {name}")
-    if not isinstance(contexts, list) or not all(isinstance(c, str) for c in contexts):
-        raise ValueError(f"record {record_id!r} contexts must be a list of strings")
-    if ground_truth is not None and not isinstance(ground_truth, str):
-        raise ValueError(f"record {record_id!r} ground_truth must be a string")
-    return EvalRecord(record_id, query, answer, tuple(contexts),
-                      ground_truth if ground_truth and ground_truth.strip() else None)
+    check_arguments(EvalRecord, locals())  # the types are known before a field is stripped
+    record = EvalRecord(id.strip(), query, answer, contexts,
+                        ground_truth if ground_truth and ground_truth.strip() else None)
+    if not answer.strip():
+        raise ValueError(f"record {record.id!r} missing answer")
+    return record
 
 
 def _json_fields(line: str) -> tuple:
@@ -244,7 +242,7 @@ def _json_fields(line: str) -> tuple:
     record_id = doc.get("id", "")
     if refusal(record_id, str | int, "record id"):
         raise ValueError(f"record id must be a string or an integer, got {json.dumps(record_id)}")
-    return str(record_id), doc.get("query"), doc.get("answer"), doc.get("contexts", []), doc.get("ground_truth")
+    return str(record_id), doc.get("query", ""), doc.get("answer", ""), doc.get("contexts", []), doc.get("ground_truth")
 
 
 def _delimited_fields(line: str) -> tuple:
@@ -267,14 +265,14 @@ def load_record_set(
     `structured-lines` is one JSON object per line with fields
     {id, query, answer, contexts[], ground_truth?}; `delimited` is
     tab-separated `id, query, answer, ground_truth, context...` columns,
-    whose empty context columns are dropped. Both go through
-    :func:`record_from_fields`. A line of whitespace alone is blank, except
+    whose empty context columns are dropped; an absent JSON query or answer
+    reads as blank. Both go through :func:`record_from_fields`. A line of whitespace alone is blank, except
     that a tab separates delimited columns, so a delimited line with one is
     a row. Every bad row is collected and reported via
     :class:`RecordFileError`; nothing is silently dropped.
     """
-    if fmt not in RECORD_FORMATS:
-        raise ValueError(f"unknown record format {fmt!r}; expected one of {RECORD_FORMATS}")
+    if problem := refusal(fmt, Literal[RECORD_FORMATS], "record_format"):  # the config key's wording
+        raise ValueError(problem)
     path = Path(source)
     read_row = _ROW_READERS[fmt]
     records: list[EvalRecord] = []

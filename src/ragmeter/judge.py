@@ -13,9 +13,10 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Mapping, Sequence
+from typing import Literal, Mapping, Sequence
 
 from ragmeter.corpus import EvalRecord
+from ragmeter.schema import check_arguments
 
 
 class TranscriptParseError(ValueError):
@@ -200,10 +201,9 @@ def parse_faithfulness_verdicts(transcript: str, n_statements: int) -> Faithfuln
 RECALL_SOURCES = ("auto", "ground_truth", "answer")
 
 
-def check_recall_source(source: str) -> None:
-    """Raise ValueError unless `source` is one of :data:`RECALL_SOURCES`."""
-    if source not in RECALL_SOURCES:
-        raise ValueError(f"unknown recall source {source!r}; expected one of {RECALL_SOURCES}")
+def check_recall_source(recall_source: Literal[RECALL_SOURCES]) -> None:
+    """Raise ValueError unless `recall_source` is one of :data:`RECALL_SOURCES`, in the config key's wording."""
+    check_arguments(check_recall_source, locals())
 
 
 def recall_source_text(record: EvalRecord, source: str = "auto") -> str:

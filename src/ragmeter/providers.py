@@ -332,7 +332,7 @@ class HashEmbedder:
         *,
         keyword_boost: float = 4.0,
     ):
-        check_arguments(HashEmbedder.__init__, locals())
+        check_arguments(HashEmbedder, locals())
         channels = dict(keyword_channels or {})
         for keyword, axis in channels.items():
             if not 0 <= axis < dimension:

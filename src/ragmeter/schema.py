@@ -1,13 +1,15 @@
-"""The one type rule for settings: the CLI checks each JSON input by :func:`refusal`, each
-settings dataclass its fields by :func:`check_fields`, and each other settings class its
-arguments by :func:`check_arguments`, so a setting is refused in the same words
-whether it comes from a config file or from code. A setting's range is part of its
-hint, as `Annotated[float, Range(0, 1)]`, and is refused by the same rule.
+"""The one type rule for settings and records: the CLI checks each JSON input by :func:`refusal`,
+each settings or record dataclass its fields by :func:`check_fields`, and each other settings
+class its arguments by :func:`check_arguments`, so a value is refused in the same words
+whether it comes from a file or from code. A setting's range is part of its hint, as
+`Annotated[float, Range(0, 1)]`, and is refused by the same rule. The hints of each
+annotated object are read once, by :func:`type_hints`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import reprlib
 import types
@@ -118,7 +120,19 @@ def _describe(schema: object) -> str:
         return " or ".join(map(_describe if origin in _UNIONS else repr, args))
     if origin in (list, Sequence, Mapping):  # "a list of integers", "an object of strings"
         return f"{'an object' if origin is Mapping else 'a list'} of {_describe(args[-1]).split()[-1]}s"
-    return "an object" if isinstance(schema, dict) else _NAMES[schema]
+    return "an object" if isinstance(schema, dict) else _NAMES.get(schema) or schema.__name__  # a class by its name
+
+
+@functools.cache
+def type_hints(annotated: object) -> Mapping[str, object]:
+    """The hint of each name annotated on the function or class `annotated`, bounds kept.
+
+    A class is read through its `__init__`: a dataclass gives its fields, another class
+    the arguments of its constructor. Reading hints takes tens of microseconds, so each
+    object's are read once per process, here and nowhere else.
+    """
+    target = annotated.__init__ if isinstance(annotated, type) else annotated
+    return types.MappingProxyType(typing.get_type_hints(target, include_extras=True))
 
 
 def check_fields(obj: object) -> None:
@@ -130,9 +144,8 @@ def check_arguments(annotated: object, arguments: Mapping[str, object]) -> None:
     """Raise ValueError with the first name annotated on `annotated` whose value in `arguments` fails its hint.
 
     A function checks its own arguments with `check_arguments(f, locals())` as its first
-    statement. Reading the hints takes tens of microseconds, so no per-record or
-    per-resample path calls it.
+    statement, and a class its constructor's with `check_arguments(C, locals())`.
     """
-    for name, hint in typing.get_type_hints(annotated, include_extras=True).items():
+    for name, hint in type_hints(annotated).items():
         if name in arguments and (problem := refusal(arguments[name], hint, name)):
             raise ValueError(problem)

@@ -234,13 +234,12 @@ def _seeded_pcg64(words: np.ndarray) -> np.random.PCG64:
     return np.random.PCG64(np.ascontiguousarray(words, np.uint64).view(_seed_row()))
 
 
-def percentile(values: Sequence[float] | np.ndarray, p: float) -> float:
+def percentile(values: Sequence[float] | np.ndarray, p: Annotated[float, Range(0, 1)]) -> float:
     """Linear-interpolation quantile at rank p * (n - 1) over sorted values."""
+    check_arguments(percentile, {"p": p})  # the values are numpy's to read
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("cannot take a percentile of an empty value list")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
     return float(np.quantile(arr, p))
 
 

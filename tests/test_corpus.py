@@ -1,6 +1,7 @@
 """Tests for qrels parsing, record files, and the synthetic harness."""
 
 import json
+import re
 import threading
 
 import pytest
@@ -29,6 +30,64 @@ from ragmeter.corpus import (
 from ragmeter.judge import segment_sentences
 from ragmeter.metrics import STATUS_OK, evaluate_record
 from ragmeter.providers import HashEmbedder, ProviderBundle, ScriptedGenerator
+from ragmeter.schema import refusal, type_hints
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: EvalRecord("r", "q", "a", contexts="one passage"), "contexts must be a list of strings, got 'one passage'"),
+    (lambda: EvalRecord("r", None, "a"), "query must be a string, got None"),
+    (lambda: EvalRecord(7, "q", "a"), "id must be a string, got 7"),
+    (lambda: EvalRecord("r", "q", "a", ("c", 1)), "contexts[1] must be a string, got 1"),
+    (lambda: EvalRecord("r", "q", "a", ground_truth=0.5), "ground_truth must be a string or null, got 0.5"),
+    (lambda: RecordSet("s", ["x"]), "records[0] must be EvalRecord, got 'x'"),
+    (lambda: RecordSet("s", "x"), "records must be a list of EvalRecords, got 'x'"),
+    (lambda: RecordSet(None, ()), "label must be a string, got None"),
+    (lambda: QrelsEntry("t", "d", 1.5), "relevance must be an integer, got 1.5"),
+    (lambda: QrelsEntry("t", "d", True), "relevance must be an integer, got True"),
+    (lambda: QrelsEntry("t", "d", -1), "relevance must be >= 0, got -1"),
+    (lambda: QrelsEntry("t", 4, 1), "doc_id must be a string, got 4"),
+], ids=["string-contexts", "none-query", "integer-id", "integer-context", "number-ground-truth",
+        "non-record-item", "string-records", "none-label", "fractional-relevance", "bool-relevance",
+        "negative-relevance", "integer-doc-id"])
+def test_a_data_class_refuses_a_field_of_the_wrong_type_in_schemas_wording(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_a_record_file_row_is_refused_in_the_same_words(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"id": "r1", "query": "q", "answer": "a", "contexts": "one passage"}\n', encoding="utf-8")
+    with pytest.raises(RecordFileError) as excinfo:
+        load_record_set(path)
+    assert excinfo.value.row_errors == ["line 1: contexts must be a list of strings, got 'one passage'"]
+
+
+def test_a_list_of_contexts_is_kept_as_a_tuple():
+    record = EvalRecord("r", "q", "a", ["c1", "c2"])
+    assert record.contexts == ("c1", "c2")
+    assert RecordSet("s", [record]).records == (record,)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6,
+)
+_VALID_FIELDS = {"id": "r", "query": "q", "answer": "a", "contexts": (), "ground_truth": None}
+
+
+@settings(max_examples=300)
+@given(name=st.sampled_from(sorted(_VALID_FIELDS)), value=_json_values)
+def test_a_record_field_is_accepted_exactly_when_its_hint_is_met(name, value):
+    # the rules a type cannot state: a non-empty id and a non-blank query
+    breaks_a_rule = value == "" if name == "id" else name == "query" and isinstance(value, str) and not value.strip()
+    problem = refusal(value, type_hints(EvalRecord)[name], name)
+    try:
+        EvalRecord(**{**_VALID_FIELDS, name: value})
+    except ValueError as exc:
+        assert problem == str(exc) or problem is None and breaks_a_rule
+    else:
+        assert problem is None and not breaks_a_rule
 
 
 def test_parse_qrels_basic():
@@ -270,7 +329,8 @@ def test_blank_ground_truth_is_absent_so_recall_judges_the_answer(tmp_path, fmt,
 def test_load_record_set_unknown_format(tmp_path):
     path = tmp_path / "records.jsonl"
     path.write_text("{}\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="unknown record format"):
+    message = "record_format must be 'structured-lines' or 'delimited', got 'csv'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_record_set(path, "csv")
 
 

@@ -3,8 +3,9 @@ patches, the rule that no module takes a private name from another, the
 rule that no module computes a dot product outside `providers.row_dots`,
 the rule that no module imports a name it does not use, the
 rule that every JSON input of the CLI is checked against its type table,
-the rule that every settings class checks its field types and ranges
-through the one type rule, the rule that only `aggregation` writes or reads the score
+the rule that every settings and record class checks its field types and
+ranges through the one type rule, which alone reads type hints, once per
+object, the rule that only `aggregation` writes or reads the score
 statements of an enhanced answer, and self-tests for the stats oracle.
 
 Any byte change to a shipped template or a golden file fails here first;
@@ -15,6 +16,7 @@ import ast
 import hashlib
 import importlib
 import re
+import typing
 from importlib import resources
 from pathlib import Path
 
@@ -25,6 +27,8 @@ from oracle import enumerate_size2_resample_means, oracle_resample_stats
 from ragmeter.aggregation import SCORE_STATEMENTS
 from ragmeter.judge import load_template
 from ragmeter.metrics import METRICS
+from ragmeter.providers import GenerationParams
+from ragmeter.schema import type_hints
 from ragmeter.stats import BootstrapConfig, bootstrap_summary
 
 SHIPPED_ASSET_CHECKSUMS = {
@@ -349,8 +353,9 @@ def test_settings_detectors_see_every_form():
     ]
 
 
+# the settings classes, and the record classes every record file, report and library caller builds
 SETTINGS_CLASSES = {
-    "corpus": {"SyntheticSpec"},
+    "corpus": {"SyntheticSpec", "EvalRecord", "RecordSet", "QrelsEntry"},
     "metrics": {"SimilarityConfig"},
     "providers": {"EndpointConfig", "GenerationParams", "RetryPolicy"},
     "stats": {"BootstrapConfig"},
@@ -411,6 +416,60 @@ def test_no_settings_class_checks_a_range_by_hand(module):
 @pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.stem != "schema"], ids=lambda path: path.stem)
 def test_only_the_schema_module_tells_an_integer(path):
     assert integral_uses(path.read_text(encoding="utf-8")) == []
+
+
+def type_hint_reads(source: str) -> list[str]:
+    """Each `get_type_hints` call in `source`, by the top-level definition holding it, and each import of the name.
+
+    A call reads `<definition>: <callee>()`, `<module>` outside any definition;
+    an import reads as written, since an alias hides the calls made through it.
+    """
+    found = []
+    for scope in ast.parse(source).body:
+        name = getattr(scope, "name", "<module>")
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Call) and called_name(node) == "get_type_hints":
+                found.append(f"{name}: {ast.unparse(node.func)}()")
+            elif isinstance(node, ast.ImportFrom) and "get_type_hints" in {a.name for a in node.names}:
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_type_hint_read_detector_sees_every_form():
+    source = (
+        "import typing\nhints = typing.get_type_hints(C)\n"
+        "from typing import get_type_hints as read, Annotated\n"
+        "def f(x):\n    return read(x), get_type_hints(x, include_extras=True)\n"
+        "class K:\n    def m(self):\n        return t.get_type_hints(self)\n"
+        "def g(x):\n    return typing.get_origin(x), x.get_type_hint()\n"
+    )
+    assert type_hint_reads(source) == [
+        "<module>: typing.get_type_hints()", "from typing import get_type_hints as read, Annotated",
+        "f: get_type_hints()", "K: t.get_type_hints()",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.stem)
+def test_only_the_cached_reader_reads_type_hints(path):
+    # reading hints takes tens of microseconds; `schema.type_hints` reads each
+    # object's once, so a check on a per-record or per-call path stays cheap
+    expected = ["type_hints: typing.get_type_hints()"] if path.stem == "schema" else []
+    assert type_hint_reads(path.read_text(encoding="utf-8")) == expected
+
+
+def test_building_a_settings_class_twice_reads_its_hints_at_most_once(monkeypatch):
+    reads = []
+    real = typing.get_type_hints
+
+    def counted(*args, **kwargs):
+        reads.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(typing, "get_type_hints", counted)
+    type_hints.cache_clear()  # as in a new process
+    GenerationParams()
+    GenerationParams()
+    assert reads == [(GenerationParams.__init__,)]
 
 
 def pcg64_seedings(source: str) -> list[str]:

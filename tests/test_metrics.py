@@ -733,7 +733,7 @@ class TestEvaluateRecord:
 ], ids=["evaluate_record", "evaluate_set", "run_topicality"])
 def test_unknown_recall_source_refused_before_any_provider_call(run):
     providers = ProviderBundle(mock.Mock(spec=ScriptedGenerator), mock.Mock(spec=HashEmbedder))
-    message = "unknown recall source 'bogus'; expected one of ('auto', 'ground_truth', 'answer')"
+    message = "recall_source must be 'auto' or 'ground_truth' or 'answer', got 'bogus'"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run(full_record(), providers)
     assert providers.generator.mock_calls == providers.embedder.mock_calls == []

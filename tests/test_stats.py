@@ -194,6 +194,15 @@ class TestPercentile:
         with pytest.raises(ValueError):
             percentile([1.0], 1.5)
 
+    @pytest.mark.parametrize("p, message", [
+        (True, "p must be a number, got True"),
+        (2, "p must be in [0, 1], got 2"),
+        (-0.5, "p must be in [0, 1], got -0.5"),
+    ])
+    def test_p_is_refused_by_its_declared_bound(self, p, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            percentile([1.0, 2.0], p)
+
 
 class TestBootstrapSummary:
     def test_constant_values_degenerate(self):
