@@ -18,7 +18,7 @@ from ragmeter.corpus import EvalRecord
 from ragmeter.judge import load_template, render
 from ragmeter.metrics import METRICS, MetricVector
 from ragmeter.providers import PairScorer, ProviderError, run_calls
-from ragmeter.schema import check_arguments
+from ragmeter.schema import check_arguments, refusal
 
 DEFAULT_SCORER_MODEL = "ms-marco-MiniLM-L-12-v2"
 
@@ -79,14 +79,18 @@ def enhance_answer(
     Paragraphs keep the template's order, which :data:`SCORE_STATEMENTS`
     follows; scores are rendered at full precision. The context block (the
     retrieved chunks as a quoted list) is dropped when `contexts_included`
-    is false. A metric with no value raises :class:`MissingMetricError`.
+    is false. A metric with no value raises :class:`MissingMetricError`, and
+    one whose value is not a finite number ValueError, in `schema`'s words
+    after the record id: the vector may be built by the caller.
     """
     slots = {"answer": record.answer, "contexts": repr(list(record.contexts))}
     for metric in METRICS:
-        result = metrics.result(metric)
-        if result.value is None:
+        value = metrics.result(metric).value
+        if value is None:
             raise MissingMetricError(metric, record.id)
-        slots[metric] = repr(float(result.value))
+        if problem := refusal(value, float, metric):
+            raise ValueError(f"record {record.id!r}: {problem}")
+        slots[metric] = repr(float(value))
     paragraphs = load_template("enhancement.txt").splitlines()
     if not contexts_included:
         paragraphs = [paragraph for paragraph in paragraphs if "{contexts}" not in paragraph]
@@ -165,8 +169,8 @@ def aggregate_set(
     """Enhance and score every (record, metric vector) pair, then rank them.
 
     Every answer is enhanced before the first scorer call, so the first
-    record lacking a metric raises :class:`MissingMetricError` with no call
-    made. The enhanced answers go through :func:`~ragmeter.providers.run_calls`:
+    record lacking a metric raises :class:`MissingMetricError`, and one
+    whose metric value is not a number ValueError, with no call made. The enhanced answers go through :func:`~ragmeter.providers.run_calls`:
     `parallelism` bounds concurrent scorer calls, an in-process scorer runs
     on the calling thread, and the first failure in record order is raised.
     The ranking is that of :func:`rank_records`, so it does not depend on

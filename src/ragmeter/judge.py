@@ -13,10 +13,10 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Literal, Mapping, Sequence
+from typing import Annotated, Literal, Mapping, Sequence
 
 from ragmeter.corpus import EvalRecord
-from ragmeter.schema import check_arguments
+from ragmeter.schema import Range, check_arguments
 
 
 class TranscriptParseError(ValueError):
@@ -172,14 +172,14 @@ def build_faithfulness_prompt(record: EvalRecord, statements: Sequence[str]) -> 
 _FINAL_VERDICT_RE = re.compile(r"final verdict for each statement in order\s*:", re.IGNORECASE)
 
 
-def parse_faithfulness_verdicts(transcript: str, n_statements: int) -> FaithfulnessVerdicts:
+def parse_faithfulness_verdicts(transcript: str, n_statements: Annotated[int, Range(1)]) -> FaithfulnessVerdicts:
     """Extract the ordered Yes/No verdicts from the final-verdict line.
 
     Tokens are matched case-insensitively; trailing periods and commas are
-    tolerated, anything else is rejected.
+    tolerated, anything else is rejected. An argument that fails its hint
+    raises ValueError.
     """
-    if n_statements < 1:
-        raise ValueError("n_statements must be >= 1")
+    check_arguments(parse_faithfulness_verdicts, locals())
     matches = list(_FINAL_VERDICT_RE.finditer(transcript))
     if not matches:
         raise MissingSectionError("no final-verdict line in transcript")
@@ -234,10 +234,12 @@ def build_recall_prompt(record: EvalRecord, source: str = "auto") -> str:
 _BRACKET_TAG_RE = re.compile(r"\[([^\]\n]*)\]")
 
 
-def parse_recall_classification(transcript: str, n_sentences: int) -> RecallClassification:
-    """Extract ordered supported/not-supported tags from a classification list."""
-    if n_sentences < 1:
-        raise ValueError("n_sentences must be >= 1")
+def parse_recall_classification(transcript: str, n_sentences: Annotated[int, Range(1)]) -> RecallClassification:
+    """Extract ordered supported/not-supported tags from a classification list.
+
+    An argument that fails its hint raises ValueError.
+    """
+    check_arguments(parse_recall_classification, locals())
     supported: list[bool] = []
     for match in _BRACKET_TAG_RE.finditer(transcript):
         tag = match.group(1)

@@ -203,10 +203,10 @@ def _best_similarities(
 
     `candidate_rows` and `sentence_rows` give the rows of `matrix`, and of
     `squares`, their squared norms, one per candidate and one per sentence.
-    Each pair's dot comes from `row_dots`, so it has the bits of the 1-d
-    matmul `u @ v`. A zero norm gives 0, equal vectors give exactly 1, a NaN
-    gives -1, and each sentence's max over the candidates is clamped to
-    [-1, 1].
+    Each pair's dot comes from `row_dots`, so it has the bits of
+    `np.einsum("j,j->", u, v)`. A zero norm gives 0, equal vectors give
+    exactly 1, a NaN gives -1, and each sentence's max over the candidates
+    is clamped to [-1, 1].
     """
     norms = np.sqrt(squares)
     candidate_norms = norms[candidate_rows]

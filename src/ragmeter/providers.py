@@ -286,13 +286,14 @@ def _needle_index(needles: Iterable[str]) -> tuple[re.Pattern, dict[str, str]]:
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The dot of each row pair of `a` and `b`, whose leading axes broadcast: every similarity dot and squared norm.
 
-    The one rule: each dot has the bits of the 1-d matmul `u @ v` for its
-    rows `u` and `v`, because numpy runs each 1 x d by d x 1 product of the
-    stacked matmul as that 1-d product. An overflow or NaN is left in the
-    result for the caller to judge.
+    The one rule: each dot has the bits of `np.einsum("j,j->", u, v)` for
+    its rows `u` and `v`. einsum sums in numpy's own order, with no BLAS
+    call, so the bits do not depend on the BLAS kernel, the CPU features
+    numpy dispatches to, the rows' alignment or where a row sits in the
+    batch. An overflow or NaN is left in the result for the caller to
+    judge; einsum warns of neither.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    return np.einsum("...j,...j->...", a, b)
 
 
 def _token_axis(token: bytes, dimension: int) -> int:
@@ -541,33 +542,26 @@ class HttpGenerator(_HttpProvider):
             default_path = "completion"
         doc = self._post(payload)
         text = _walk_response(doc, self.config.response_path or default_path)
-        if not isinstance(text, str):
-            raise ProviderResponseError(f"completion field is {type(text).__name__}, not text")
+        if problem := refusal(text, str, "completion"):
+            raise ProviderResponseError(problem)
         return text
 
 
 class HttpEmbedder(_HttpProvider):
     """Embedding adapter: POST {model, input} and read back one vector.
 
-    It has no `embed_many`, so a batch costs one POST per text, in order.
+    The reply must be a non-empty list of finite numbers, integers included,
+    and is refused in `schema`'s words otherwise. It has no `embed_many`, so
+    a batch costs one POST per text, in order.
     """
 
     def embed(self, text: str) -> np.ndarray:
         doc = self._post({"model": self.config.model, "input": text})
         value = _walk_response(doc, self.config.response_path or "embedding")
-        # numpy reads a boolean beside numbers as a number: [true, 1.5] is float64
-        if isinstance(value, list) and any(x is True or x is False for x in value):
-            raise ProviderResponseError("embedding field holds a JSON boolean, not only numbers")
-        try:
-            vector = np.asarray(value)
-        except (TypeError, ValueError) as exc:
-            raise ProviderResponseError(f"embedding field is not numeric: {exc}") from None
-        if vector.dtype.kind not in "iuf":  # JSON booleans, strings and numbers no float holds
-            raise ProviderResponseError(f"embedding field holds {vector.dtype}, not JSON numbers")
-        vector = vector.astype(float)
-        if vector.ndim != 1 or vector.size == 0 or not np.all(np.isfinite(vector)):
-            raise ProviderResponseError("embedding must be a non-empty finite 1-d vector")
-        return vector
+        problem = refusal(value, list[float], "embedding")
+        if problem or not value:
+            raise ProviderResponseError(problem or "embedding must be a non-empty list of numbers, got []")
+        return np.array(value, dtype=float)
 
 
 class HttpPairScorer(_HttpProvider):

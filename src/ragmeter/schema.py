@@ -1,9 +1,10 @@
 """The one type rule for settings and records: the CLI checks each JSON input by :func:`refusal`,
 each settings or record dataclass its fields by :func:`check_fields`, and each other settings
 class its arguments by :func:`check_arguments`, so a value is refused in the same words
-whether it comes from a file or from code. A setting's range is part of its hint, as
-`Annotated[float, Range(0, 1)]`, and is refused by the same rule. The hints of each
-annotated object are read once, by :func:`type_hints`.
+whether it comes from a file or from code. What the library receives, a provider's reply
+or a caller-built metric value, meets :func:`refusal` where it enters. A setting's range is
+part of its hint, as `Annotated[float, Range(0, 1)]`, and is refused by the same rule. The
+hints of each annotated object are read once, by :func:`type_hints`.
 """
 
 from __future__ import annotations

@@ -29,12 +29,15 @@ from ragmeter.providers import (
     ScriptMissError,
 )
 
-def run_python(*args: str) -> subprocess.CompletedProcess:
-    """`python *args` in a child interpreter that imports the ragmeter this process imported."""
+def run_python(*args: str, env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+    """`python *args` in a child interpreter that imports the ragmeter this process imported.
+
+    `env` adds variables to the child's environment only.
+    """
     package_root = str(Path(ragmeter.__file__).parents[1])
     pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": pythonpath})
+                          env={**os.environ, **(env or {}), "PYTHONPATH": pythonpath})
 
 
 # Prompt-type markers: template phrases unique to each of the four prompts.
@@ -209,7 +212,7 @@ def reference_embed(
         axis = (keyword_channels or {}).get(token)
         if axis is not None:
             vec[axis] += keyword_boost
-    norm = float(np.linalg.norm(vec))
+    norm = math.sqrt(dot(vec, vec))
     if norm > 0.0:
         vec /= norm
     return vec
@@ -239,19 +242,24 @@ class ReferenceScriptedGenerator:
         return self.fallback
 
 
+def dot(u: np.ndarray, v: np.ndarray) -> np.float64:
+    """The dot of two 1-d vectors as `providers.row_dots` rounds it: einsum's, with no BLAS call."""
+    return np.einsum("j,j->", u, v)
+
+
 def reference_cosine(u, v) -> float:
     """Norm-based reference for `metrics.cosine`."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
+    nu = math.sqrt(dot(u, u))
+    nv = math.sqrt(dot(v, v))
     if nu == 0.0 or nv == 0.0:
         return 0.0
     if np.array_equal(u, v):
         return 1.0
-    return min(1.0, max(-1.0, float(np.dot(u, v) / (nu * nv))))
+    return min(1.0, max(-1.0, float(dot(u, v) / (nu * nv))))
 
 
 def resample(values, size: int, rng: np.random.Generator) -> np.ndarray:

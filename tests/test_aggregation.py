@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import re
 import threading
 
 import pytest
@@ -373,6 +374,23 @@ class TestAggregateSet:
                                          MetricResult(None, "failed"), vector.retrieval_precision))
         with pytest.raises(MissingMetricError, match="^record 'r2': metric retrieval_recall not computed$"):
             aggregate_set(pairs, CountingScorer(), parallelism=parallelism)
+        assert calls == []
+
+    @pytest.mark.parametrize("value", ["0.5", True, math.nan])
+    def test_a_value_that_is_not_a_number_refused_before_any_scorer_call(self, value):
+        # a caller builds the vector, so nothing checked its values before enhance_answer
+        calls = []
+
+        class CountingScorer(LinearPairScorer):
+            def score(self, query, candidate):
+                calls.append(query)
+                return super().score(query, candidate)
+
+        result = MetricResult(value, "ok")
+        pairs = [*scored_pairs(2), (EvalRecord("r", "q", "a"), MetricVector("r", result, result, result, result))]
+        message = f"record 'r': faithfulness must be a number, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            aggregate_set(pairs, CountingScorer())
         assert calls == []
 
     @pytest.mark.parametrize("parallelism", [0, -3])

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from helpers import (
     engineered_query_set,
     refuse_large_arrays,
     run_python,
+    scripts_for_record,
     scripts_to_json,
 )
 from oracle import oracle_resample_means
@@ -31,7 +33,7 @@ import ragmeter
 from ragmeter import cli, providers, stats
 from ragmeter.cli import RunConfig, build_providers, load_config, main
 from ragmeter.aggregation import LinearPairScorer
-from ragmeter.corpus import RecordSet, generate_synthetic, save_record_set
+from ragmeter.corpus import EvalRecord, RecordSet, generate_synthetic, save_record_set
 from ragmeter.providers import HashEmbedder, ProviderBundle, ScriptedGenerator
 
 
@@ -1454,3 +1456,89 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "metrics.json").exists()
+
+
+# the query and generated question of record e00078 of the evaluate-embed
+# benchmark at seed 2348: while the similarity dots were BLAS products, their
+# relevance rounded one way under the Prescott and Haswell kernels and
+# another under SkylakeX
+KERNEL_QUERY = "What about bezoxo vixutu pamu cawo saqa xutihoja motafuce cepo kq02x?"
+KERNEL_QUESTION = "What about bezoxo vixutu vavogaki qapuvuje kq02x?"
+
+# each setting changes the BLAS kernel or the CPU features numpy dispatches to,
+# with the CPU features the setting needs (as numpy names them)
+KERNEL_SETTINGS = (
+    ({"OPENBLAS_CORETYPE": "Prescott"}, ()),
+    ({"OPENBLAS_CORETYPE": "Haswell"}, ("AVX2", "FMA3")),
+    ({"OPENBLAS_CORETYPE": "SkylakeX"}, ("AVX512F",)),
+    ({"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4"}, ()),
+)
+
+
+def numpy_cpu_features() -> dict[str, bool]:
+    """The CPU features numpy found on this host, by numpy's names."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
+
+
+def kernel_workspace(tmp_path: Path) -> list[Path]:
+    """A stub config and two one-record sets whose relevance once depended on the BLAS kernel.
+
+    Every input is text, so it is the same bytes under every setting. The
+    first record is shaped like e00078: a query and its generated question
+    that share five of their tokens, and a context sentence whose near-copy
+    the precision judge returns.
+    """
+    sentences = ["Bagu zurodiga muqoxu nekuloqe cesigigo zebu rirahe vami kugi julironu qafave huni.",
+                 "Hope hoza coke bagu solixuqi pihe bifaqo regohole lusonuho butuku bohopo rolehuta."]
+    near_copy = sentences[0].replace("huni.", "toke.")
+    records = [
+        EvalRecord("e00078", KERNEL_QUERY, "Rirahe potiroti cemiwo kq02x bareqizo. Hakodava zaloto lalu.",
+                   (" ".join(sentences),)),
+        EvalRecord("far", "What about mezexu guro nekuloqe?", "Wipeno nujefoku tulive.", (sentences[1],)),
+    ]
+    scripts = {
+        **scripts_for_record(records[0], faith=[True, False], recall=[True, True], precision=[near_copy],
+                             questions=[KERNEL_QUESTION] * 3),
+        **scripts_for_record(records[1], faith=[True], recall=[False], precision=None,
+                             questions=["What about mezexu bagu?"] * 3),
+    }
+    write_json(tmp_path / "scripts.json", scripts_to_json(scripts))
+    write_json(tmp_path / "config.json", {
+        "providers": {"mode": "stub", "stub": {"scripts": "scripts.json", "embedder": {"dimension": 1024}}},
+        "bootstrap": {"B": 200, "seed": 3},
+        "seed": 3,
+    })
+    paths = []
+    for record in records:
+        paths.append(tmp_path / f"{record.id}.jsonl")
+        save_record_set(RecordSet(label=record.id, records=(record,)), paths[-1])
+    return paths
+
+
+class TestHostIndependence:
+    def test_reports_are_the_same_bytes_under_every_blas_kernel_and_cpu_feature_set(self, tmp_path):
+        features = numpy_cpu_features()
+        settings = [env for env, needs in KERNEL_SETTINGS if all(features.get(name) for name in needs)]
+        if platform.machine() not in ("x86_64", "AMD64") or len(settings) < 2:
+            pytest.skip("the BLAS kernels and CPU feature groups named here are those of x86-64")
+        records = kernel_workspace(tmp_path)
+        reports = []
+        for i, env in enumerate(settings):
+            out = tmp_path / f"out{i}"
+            common = [str(tmp_path / "config.json"), "--out", str(out)]
+            program = (
+                "from ragmeter.cli import main\n"
+                f"raise SystemExit(main(['evaluate', '--config', *{common!r}, {str(records[0])!r}])\n"
+                f"                 or main(['topicality', '--config', *{common!r}, *{list(map(str, records))!r}]))\n"
+            )
+            proc = run_python("-c", program, env=env)
+            assert proc.returncode == 0, (env, proc.stderr)
+            reports.append({path.name: path.read_bytes() for path in sorted(out.iterdir())
+                            if not path.name.endswith(".manifest.json")})
+        assert set(reports[0]) == {"metrics.json", "metrics.txt", "topicality.json", "topicality.txt"}
+        for env, report in zip(settings[1:], reports[1:]):
+            assert report == reports[0], env

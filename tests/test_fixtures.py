@@ -180,10 +180,16 @@ def test_dot_call_detector_sees_every_form():
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.stem)
 def test_no_module_calls_a_dot_routine_but_the_stacked_matmul(path):
-    # every dot and squared norm comes from `providers.row_dots`, whose
-    # stacked `@` numpy runs as one `dot` per pair: one routine, so
-    # similarities and norms round alike, and one place to change
-    assert dot_calls(path.read_text(encoding="utf-8")) == []
+    # every dot and squared norm comes from `providers.row_dots`, the one
+    # einsum call: one routine, so similarities and norms round alike, and
+    # one place to change
+    source = path.read_text(encoding="utf-8")
+    if path.stem == "providers":
+        row_dots = next(node for node in ast.parse(source).body
+                        if isinstance(node, ast.FunctionDef) and node.name == "row_dots")
+        assert dot_calls(ast.unparse(row_dots)) == dot_calls(source) == ["np.einsum"]
+    else:
+        assert dot_calls(source) == []
 
 
 def matmul_sites(source: str) -> list[str]:
@@ -220,10 +226,10 @@ def test_matmul_site_detector_sees_every_form():
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.stem)
 def test_only_row_dots_multiplies_matrices(path):
-    # every similarity dot and squared norm is a product of `providers.row_dots`,
-    # so changing the routine that rounds them is an edit to one function
-    expected = ["row_dots"] if path.stem == "providers" else []
-    assert matmul_sites(path.read_text(encoding="utf-8")) == expected
+    # no module multiplies matrices: a matmul is a BLAS call, whose bits
+    # depend on the kernel, the CPU and the operands' alignment, and every
+    # similarity dot and squared norm is `providers.row_dots`' einsum
+    assert matmul_sites(path.read_text(encoding="utf-8")) == []
 
 
 def unused_imports(source: str) -> list[str]:

@@ -144,6 +144,16 @@ class TestFaithfulness:
         assert parse_faithfulness_verdicts(transcript, 1).verdicts == (False,)
 
 
+@pytest.mark.parametrize("parse, name, line", [
+    (parse_faithfulness_verdicts, "n_statements", "Final verdict for each statement in order: Yes."),
+    (parse_recall_classification, "n_sentences", "1. x [Supported by Context]"),
+])
+@pytest.mark.parametrize("count, rule", [(0, ">= 1"), (True, "an integer"), (1.5, "an integer")])
+def test_parsers_refuse_a_count_that_is_not_a_positive_integer(parse, name, line, count, rule):
+    with pytest.raises(ValueError, match=f"^{name} must be {rule}, got {count!r}$"):
+        parse(line, count)
+
+
 class TestRecall:
     def test_newton_prompt_matches_golden(self):
         record = EvalRecord(

@@ -302,7 +302,7 @@ class TestSimilarityKernel:
         size, candidates, sentences = self.draw_case(data, element)
         details, (similarities, _) = self.run_both(candidates, sentences, size, 0.8, data.draw(st.booleans()))
         for got, want, sentence in zip(details["similarities"], similarities, sentences):
-            # every pair's dot is the same `u.dot(v)`, so the tolerance is 0
+            # every pair's dot is the same einsum dot, so the tolerance is 0
             assert got == want
             if any(sentence == c for c in candidates) and any(sentence):
                 assert got == want == 1.0
@@ -373,7 +373,7 @@ class TestSimilarityKernel:
     def test_every_similarity_is_the_norm_reference_of_its_pair(self, batched):
         # a matrix-vector product per candidate gave 0.3585685828003181 for
         # the second sentence on some BLAS kernels, one bit below the
-        # 0.35856858280031817 of `u.dot(v)` over the norms
+        # 0.35856858280031817 of the dot over the norms
         candidate = "Delta 9 moon gamma sea moon tide x."
         context = ("Alpha tide 9 tide 9 x alpha. Alpha x sea beta sea. "
                    "X alpha alpha tide alpha tide. Delta 9 9 moon sea.")

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import ReferenceScriptedGenerator, reference_embed, reference_token_axis, run_python
+from helpers import ReferenceScriptedGenerator, dot, reference_embed, reference_token_axis, run_python
 from ragmeter.aggregation import LinearPairScorer
 from ragmeter.metrics import cosine
 from ragmeter.providers import (
@@ -32,6 +32,7 @@ from ragmeter.providers import (
     row_dots,
     run_calls,
 )
+from ragmeter.schema import refusal
 
 
 def test_generation_params_defaults():
@@ -315,7 +316,7 @@ class TestHashEmbedder:
 
 
 # components over many magnitudes, so sums round, and odd dimensions, which
-# leave a remainder after a BLAS kernel's unrolled loop
+# leave a remainder after an unrolled summation loop
 COMPONENTS = st.floats(-1e6, 1e6, allow_subnormal=False) | st.sampled_from([0.0, 1.0, -1.0, 1e-150, 3.0])
 
 
@@ -327,7 +328,8 @@ def block_and_candidates(d: int):
 class TestRowDots:
     @settings(max_examples=100, deadline=None)
     @given(pair=st.integers(1, 41).flatmap(block_and_candidates))
-    # the vector whose squared norm rounds by its alignment under one kernel
+    # the vector whose squared norm rounded by its alignment under one BLAS
+    # kernel, when the dots were BLAS products
     @example(pair=(np.array([[0.0, 0.0, 1.0]]),
                    np.array([[0.0, 0.0, 0.0], [735.0, 3.821779098176137, 134.4976603680609]])))
     def test_each_pair_has_the_bits_of_its_dot(self, pair):
@@ -335,10 +337,10 @@ class TestRowDots:
         block, candidates = pair
         squares = row_dots(candidates, candidates)
         assert squares.shape == (len(candidates),)
-        assert squares.tobytes() == np.array([u @ u for u in candidates]).tobytes()
+        assert squares.tobytes() == np.array([dot(u, u) for u in candidates]).tobytes()
         dots = row_dots(block[:, None, :], candidates[None, :, :])
         assert dots.shape == (len(block), len(candidates))
-        assert dots.tobytes() == np.array([[u @ v for v in candidates] for u in block]).tobytes()
+        assert dots.tobytes() == np.array([[dot(u, v) for v in candidates] for u in block]).tobytes()
 
     def test_overflow_and_nan_are_left_in_the_result(self):
         matrix = np.array([[1e200, 1e200], [np.nan, 1.0], [3.0, 4.0]])
@@ -485,6 +487,17 @@ def _generator(transport, **config):
     )
 
 
+# JSON values an embedding reply may hold: lists of numbers, of booleans
+# and of numbers no float holds, beside any other JSON value
+REPLY_NUMBERS = st.integers(-2**70, 2**70) | st.floats() | st.sampled_from([10**400, True, False])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | REPLY_NUMBERS | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+EMBEDDING_REPLIES = st.lists(REPLY_NUMBERS, max_size=6) | JSON_VALUES
+
+
 class TestHttpAdapters:
     def test_prompt_dialect_round_trip(self):
         transport = FakeTransport([(200, {"completion": "generated text"})])
@@ -584,6 +597,31 @@ class TestHttpAdapters:
         )
         with pytest.raises(ProviderResponseError):
             embedder.embed("text")
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=EMBEDDING_REPLIES)
+    def test_embedder_accepts_exactly_a_non_empty_list_of_numbers(self, value):
+        transport = FakeTransport([(200, {"embedding": value})])
+        embedder = HttpEmbedder(
+            EndpointConfig(url="http://backend.test/embed"), transport=transport,
+            sleep=lambda _: None,
+        )
+        problem = refusal(value, list[float], "embedding")
+        if problem is None and value:
+            vector = embedder.embed("text")
+            assert vector.dtype == np.float64
+            assert np.array_equal(vector, [float(x) for x in value])
+        else:
+            message = problem or "embedding must be a non-empty list of numbers, got []"
+            with pytest.raises(ProviderResponseError, match=f"^{re.escape(message)}$"):
+                embedder.embed("text")
+
+    @pytest.mark.parametrize("completion", [5, 2.5, None, ["text"]])
+    def test_generator_refuses_a_completion_that_is_not_text(self, completion):
+        transport = FakeTransport([(200, {"completion": completion})])
+        message = f"completion must be a string, got {completion!r}"
+        with pytest.raises(ProviderResponseError, match=f"^{re.escape(message)}$"):
+            _generator(transport).complete("p")
 
     def test_pair_scorer_logit(self):
         transport = FakeTransport([(200, {"score": 8.72})])
